@@ -20,8 +20,7 @@ from .errors import ConfigurationError, InputError
 from .kernels import make_variant
 from .paramfile import ParamFileError, builtin_params, load_params
 from .system import (RunConfig, StretchSpec, gen_diamond, gen_nanotube,
-                     run_nve, run_stretch, seed_velocities, state_from_xyz,
-                     write_xyz)
+                     run_nve, seed_velocities, state_from_xyz, write_xyz)
 from .verify import run_verification
 
 _VARIANT_NAMES = {"reference": "Reference", "scalar": "ScalarOpt",
@@ -68,19 +67,32 @@ def parse_genspec(spec, dims=()):
                        lattice_constant=opts.get("lattice_constant", 3.566))
 
 
-def _load_structure(value):
+def _load_structure(value, params):
+    """The structure, its species numbered in the parameter table's order."""
     if value is None:
         raise ConfigurationError("no structure given; pass --structure "
                                  "PATH or a generator spec like "
                                  "nanotube:n=5,cells=10")
     if ":" in value or value in _GEN_KINDS:
-        return parse_genspec(value)
+        state = parse_genspec(value)
+    else:
+        try:
+            state = state_from_xyz(value)
+        except FileNotFoundError:
+            raise InputError(
+                f"structure file {value!r} not found (generator specs look "
+                f"like nanotube:n=5,cells=10)") from None
     try:
-        return state_from_xyz(value)
-    except FileNotFoundError:
-        raise InputError(
-            f"structure file {value!r} not found (generator specs look "
-            f"like nanotube:n=5,cells=10)") from None
+        index = np.array([params.species_index(s) for s in state.symbols],
+                         dtype=np.int64)
+    except KeyError as exc:
+        raise InputError(exc.args[0]) from None
+    masses = np.ones(params.nspecies)  # types with no atoms: never read
+    masses[index] = state.masses
+    state.species = index[state.species]
+    state.masses = masses
+    state.symbols = params.species
+    return state
 
 
 def _load_params(args):
@@ -127,7 +139,7 @@ def cmd_gen(args):
 
 def cmd_run(args):
     params = _load_params(args)
-    state = _load_structure(args.structure)
+    state = _load_structure(args.structure, params)
     if args.temperature > 0.0:
         seed_velocities(state, args.temperature, args.seed)
     variant = _variant_from_args(args)
@@ -140,7 +152,7 @@ def cmd_run(args):
                     variant=variant, skin=args.skin, threads=args.threads,
                     dump_every=args.dump_every, dump_path=args.dump_path,
                     stretch=stretch)
-    summary = (run_stretch if stretch else run_nve)(state, params, cfg)
+    summary = run_nve(state, params, cfg)
 
     total = np.asarray(summary["total"])
     scale = max(abs(float(total[0])), 1e-30)
@@ -171,7 +183,7 @@ def cmd_run(args):
 
 def cmd_bench(args):
     params = _load_params(args)
-    state = _load_structure(args.structure)
+    state = _load_structure(args.structure, params)
     variants = []
     for name in args.variant.split(","):
         name = name.strip()
@@ -191,7 +203,7 @@ def cmd_bench(args):
 
 def cmd_verify(args):
     params = _load_params(args)
-    state = _load_structure(args.structure)
+    state = _load_structure(args.structure, params)
     variant = _variant_from_args(args) if args.variant else None
     report = run_verification(
         state, params, variant=variant, tol_scale=args.tol_scale,
@@ -292,7 +304,7 @@ def build_parser():
     p.add_argument("--dt", type=float, default=0.5, metavar="FS")
     p.add_argument("--tol-scale", type=float, default=1.0,
                    help="multiply every tolerance; 0 must fail")
-    p.add_argument("--format", choices=("table", "csv", "json"),
+    p.add_argument("--format", choices=("table", "json"),
                    default="json")
     p.set_defaults(func=cmd_verify)
     return parser

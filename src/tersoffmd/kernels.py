@@ -345,7 +345,6 @@ def compute_vec_j(state, nl, params, backend, threads=1):
         visits = 0
         active = 0
         total = 0
-        gathers0 = bk.gather_count
         for i in range(i_lo, i_hi):
             b0, b1 = adj.row_bounds(i)
             if b0 == b1:
@@ -410,10 +409,14 @@ def compute_vec_j(state, nl, params, backend, threads=1):
                     fy[k] -= bk.reduce_sum(dz * gky)
                     fz[k] -= bk.reduce_sum(dz * gkz)
         stats = {"zeta_visits": visits, "lane_active": active,
-                 "lane_total": total, "gathers": bk.gather_count - gathers0}
+                 "lane_total": total}
         return fx, fy, fz, e_at, energy, stats
 
-    return _merge(n, _run_chunks(worker, n, threads))
+    # gather_count is shared by every chunk's thread: one delta around all
+    gathers0 = bk.gather_count
+    res = _merge(n, _run_chunks(worker, n, threads))
+    res.stats["gathers"] = bk.gather_count - gathers0
+    return res
 
 
 def compute_vec_i(state, nl, params, backend, threads=1):
@@ -436,7 +439,6 @@ def compute_vec_i(state, nl, params, backend, threads=1):
         visits = 0
         active = 0
         total = 0
-        gathers0 = bk.gather_count
         for batch in adj.batches_i(i_lo, i_hi, W):
             mask = batch.mask
             active += mask.count()
@@ -504,10 +506,13 @@ def compute_vec_i(state, nl, params, backend, threads=1):
                 bk.scatter_add(fy, k_idx, -(dz * gky), act)
                 bk.scatter_add(fz, k_idx, -(dz * gkz), act)
         stats = {"zeta_visits": visits, "lane_active": active,
-                 "lane_total": total, "gathers": bk.gather_count - gathers0}
+                 "lane_total": total}
         return fx, fy, fz, e_at, energy, stats
 
-    return _merge(n, _run_chunks(worker, n, threads))
+    gathers0 = bk.gather_count
+    res = _merge(n, _run_chunks(worker, n, threads))
+    res.stats["gathers"] = bk.gather_count - gathers0
+    return res
 
 
 # ======================================================================

@@ -225,16 +225,16 @@ class Backend:
     def gather(self, base, idx, mask, fill=0.0):
         """out[l] = base[idx[l]] where mask, else fill.
 
-        Active lanes must hold in-bounds non-negative indices (checked in
-        debug builds; -1 is the padding convention and stays masked off).
+        Active lanes must hold in-bounds non-negative indices (IndexError
+        otherwise; -1 is the padding convention and stays masked off).
         """
         self.gather_count += 1
         out = np.full(self.width, fill, dtype=base.dtype)
         act = mask.bits
         if act.any():
             ia = idx.data[act]
-            assert ia.min() >= 0 and ia.max() < base.shape[0], \
-                "active gather lane out of bounds"
+            if ia.min() < 0 or ia.max() >= base.shape[0]:
+                raise IndexError("active gather lane out of bounds")
             out[act] = base[ia]
         return Lanes(out)
 
@@ -251,8 +251,8 @@ class Backend:
         outs = np.full((nfields, self.width), fill, dtype=records.dtype)
         if act.any():
             ia = idx.data[act]
-            assert ia.min() >= 0 and ia.max() < records.shape[0], \
-                "active gather lane out of bounds"
+            if ia.min() < 0 or ia.max() >= records.shape[0]:
+                raise IndexError("active gather lane out of bounds")
             outs[:, act] = records[ia].T
         return tuple(Lanes(outs[f]) for f in range(nfields))
 
@@ -266,8 +266,8 @@ class Backend:
         if not act.any():
             return
         ia = idx.data[act]
-        assert ia.min() >= 0 and ia.max() < dest.shape[0], \
-            "active scatter lane out of bounds"
+        if ia.min() < 0 or ia.max() >= dest.shape[0]:
+            raise IndexError("active scatter lane out of bounds")
         if self.name == "native":
             np.add.at(dest, ia, vals.data[act])
         else:

@@ -1,4 +1,7 @@
-"""Structures, simulation state, and the NVE / stretch drivers.
+"""Structures, simulation state, and the MD driver.
+
+run_nve is the one driver loop. A stretch runs through it: the grip atoms
+go to velocity_verlet_step in the `frozen` mask, which gives them no kick.
 
 Unit system: lengths in Angstrom, time in fs, mass in amu, energy in eV.
 Accelerations pick up the ACCEL conversion so that
@@ -300,9 +303,11 @@ def state_from_xyz(path, frame=-1, box=None):
         box = SimulationBox(span + 12.0)
         pos = pos - pos.min(axis=0) + 6.0
     kinds = sorted(set(symbols))
+    unknown = [k for k in kinds if k not in ELEMENT_MASSES]
+    if unknown:
+        raise InputError(f"{path}: no mass for element(s) {unknown}")
     species = np.array([kinds.index(s) for s in symbols], dtype=np.int64)
-    masses = np.array([ELEMENT_MASSES.get(k, ELEMENT_MASSES["C"])
-                       for k in kinds])
+    masses = np.array([ELEMENT_MASSES[k] for k in kinds])
     return SimulationState(pos, box, species=species, masses=masses,
                            symbols=tuple(kinds))
 
@@ -325,7 +330,6 @@ class ForceField:
         self.threads = threads
         self.nl = None
         self.rebuilds = 0
-        self.evaluations = 0
         self.neighbor_s = 0.0
         self.force_s = 0.0
 
@@ -340,7 +344,6 @@ class ForceField:
         res = compute(state, self.nl, self.params, self.variant,
                       self.threads)
         self.force_s += _time.perf_counter() - t1
-        self.evaluations += 1
         if not np.isfinite(res.forces).all():
             bad = int(np.argwhere(~np.isfinite(res.forces))[0][0])
             raise InputError(
@@ -352,20 +355,21 @@ class ForceField:
 # integration
 # ---------------------------------------------------------------------
 
-def velocity_verlet_step(state, dt, forces_fn, result=None):
+def velocity_verlet_step(state, dt, forces_fn, result=None, frozen=None):
     """One NVE velocity-Verlet step, in place.
 
     forces_fn(state) -> ForceEnergyResult. Pass the previous step's
     result to avoid recomputing F(t); the new result (forces current for
-    the returned state) is returned.
+    the returned state) is returned. Atoms in the boolean mask `frozen`
+    get a zero kick, so their velocities stay exactly as set.
     """
     if dt <= 0:
         raise ConfigurationError(f"dt must be positive, got {dt:g}")
-    if state.velocities is None:
-        state.velocities = np.zeros_like(state.positions)  # cold start
     if result is None:
         result = forces_fn(state)
     m = state.atom_masses[:, None]
+    if frozen is not None:
+        m = np.where(frozen[:, None], np.inf, m)  # F / inf = 0: no kick
     half = 0.5 * dt * ACCEL
     state.velocities += half * result.forces / m
     state.positions += dt * state.velocities
@@ -425,24 +429,45 @@ def _maybe_dump(state, cfg, step):
 
 
 def run_nve(state, params, cfg):
-    """Plain NVE run; returns the per-step energy record."""
+    """The MD driver; returns the per-step energy record.
+
+    With a moving cfg.stretch the grip slabs keep a fixed velocity of
+    +-speed/2 along the axis (frozen out of every kick) while the
+    interior runs NVE, and the record gains the strain series.
+    """
+    spec = cfg.stretch
+    pull = spec is not None and spec.speed != 0.0
+    frozen = None
+    if pull:
+        lo, hi = select_grips(state, spec)
+        frozen = lo | hi
+        state.velocities[frozen] = 0.0
+        state.velocities[lo, spec.axis] = -0.5 * spec.speed
+        state.velocities[hi, spec.axis] = +0.5 * spec.speed
     ff = ForceField(params, cfg.variant, cfg.skin, cfg.threads)
     t_start = _time.perf_counter()
     res = ff(state)
     epot = [res.potential_energy]
     ekin = [kinetic_energy(state)]
     fsum = [float(np.max(np.abs(res.forces.sum(axis=0))))]
+    if pull:
+        coords = state.positions[:, spec.axis]
+        length0 = float(coords.max() - coords.min())
+        strain = [0.0]
     _maybe_dump(state, cfg, 0)
     for step in range(1, cfg.steps + 1):
-        res = velocity_verlet_step(state, cfg.dt, ff, res)
+        res = velocity_verlet_step(state, cfg.dt, ff, res, frozen)
         epot.append(res.potential_energy)
         ekin.append(kinetic_energy(state))
         fsum.append(float(np.max(np.abs(res.forces.sum(axis=0)))))
+        if pull:
+            coords = state.positions[:, spec.axis]
+            strain.append(float(coords.max() - coords.min()) / length0 - 1.0)
         _maybe_dump(state, cfg, step)
     total = _time.perf_counter() - t_start
     epot = np.array(epot)
     ekin = np.array(ekin)
-    return {
+    summary = {
         "kind": "nve",
         "steps": cfg.steps,
         "dt": cfg.dt,
@@ -458,6 +483,11 @@ def run_nve(state, params, cfg):
             "integrate": total - ff.neighbor_s - ff.force_s,
         },
     }
+    if pull:
+        summary.update(kind="stretch", pull_speed=spec.speed,
+                       grip_atoms=(int(lo.sum()), int(hi.sum())),
+                       strain=np.array(strain))
+    return summary
 
 
 def select_grips(state, spec):
@@ -475,76 +505,10 @@ def select_grips(state, spec):
 
 
 def run_stretch(state, params, cfg):
-    """Constant-velocity stretch: grip slabs move apart, interior is NVE.
+    """Constant-velocity stretch: run_nve with cfg.stretch required.
 
-    Grip atoms keep a fixed velocity of +-speed/2 along the axis (their
-    dynamics are frozen); speed 0 degenerates to plain NVE.
+    Speed 0 degenerates to plain NVE.
     """
-    spec = cfg.stretch
-    if spec is None:
+    if cfg.stretch is None:
         raise ConfigurationError("run_stretch needs cfg.stretch")
-    if spec.speed == 0.0:
-        return run_nve(state, params, cfg)
-    lo, hi = select_grips(state, spec)
-    grip = lo | hi
-    free = ~grip
-    if state.velocities is None:
-        state.velocities = np.zeros_like(state.positions)
-    grip_v = np.zeros((state.natoms, 3))
-    grip_v[lo, spec.axis] = -0.5 * spec.speed
-    grip_v[hi, spec.axis] = +0.5 * spec.speed
-    state.velocities[grip] = grip_v[grip]
-
-    ff = ForceField(params, cfg.variant, cfg.skin, cfg.threads)
-    t_start = _time.perf_counter()
-    m = state.atom_masses[:, None]
-    half = 0.5 * cfg.dt * ACCEL
-    res = ff(state)
-    coords = state.positions[:, spec.axis]
-    length0 = float(coords.max() - coords.min())
-    epot = [res.potential_energy]
-    ekin = [kinetic_energy(state)]
-    fsum = [float(np.max(np.abs(res.forces.sum(axis=0))))]
-    strain = [0.0]
-    t_int = 0.0
-    _maybe_dump(state, cfg, 0)
-    for step in range(1, cfg.steps + 1):
-        t0 = _time.perf_counter()
-        state.velocities[free] += (half * res.forces / m)[free]
-        state.positions += cfg.dt * state.velocities
-        state.box.wrap(state.positions)
-        t_int += _time.perf_counter() - t0
-        res = ff(state)
-        t0 = _time.perf_counter()
-        state.velocities[free] += (half * res.forces / m)[free]
-        state.forces = res.forces
-        state.time += cfg.dt
-        t_int += _time.perf_counter() - t0
-        epot.append(res.potential_energy)
-        ekin.append(kinetic_energy(state))
-        fsum.append(float(np.max(np.abs(res.forces.sum(axis=0)))))
-        coords = state.positions[:, spec.axis]
-        strain.append(float(coords.max() - coords.min()) / length0 - 1.0)
-        _maybe_dump(state, cfg, step)
-    total = _time.perf_counter() - t_start
-    epot = np.array(epot)
-    ekin = np.array(ekin)
-    return {
-        "kind": "stretch",
-        "steps": cfg.steps,
-        "dt": cfg.dt,
-        "pull_speed": spec.speed,
-        "grip_atoms": (int(lo.sum()), int(hi.sum())),
-        "potential": epot,
-        "kinetic": ekin,
-        "total": epot + ekin,
-        "force_sum_max": np.array(fsum),
-        "strain": np.array(strain),
-        "rebuilds": ff.rebuilds,
-        "wall_clock": {
-            "total": total,
-            "neighbor": ff.neighbor_s,
-            "forces": ff.force_s,
-            "integrate": t_int,
-        },
-    }
+    return run_nve(state, params, cfg)

@@ -16,6 +16,7 @@ from tersoffmd.kernels import (compute, count_flops_and_visits,
                                kernel_function, make_variant)
 from tersoffmd.neighbor import build_neighbor_list
 from tersoffmd.simd import EMULATED_WIDTHS
+from tersoffmd.system import gen_nanotube
 
 # frozen in test_potential.py from the 50-digit evaluation
 DIMER_E = -10.235536457692383
@@ -209,6 +210,24 @@ def test_threads_deterministic_and_consistent():
             assert a.potential_energy == pytest.approx(
                 base.potential_energy, rel=1e-12)
             assert a.stats["zeta_visits"] == base.stats["zeta_visits"]
+
+
+def test_gathers_do_not_grow_with_threads():
+    table = carbon_table()
+    tube = gen_nanotube(5, 20)
+    nl = build_neighbor_list(tube, table.r_cut, skin=0.3)
+
+    def gathers(variant, threads):
+        return compute(tube, nl, table, variant, threads).stats["gathers"]
+
+    vecj = make_variant("VecJ", "emulated", 8)
+    assert gathers(vecj, 1) == gathers(vecj, 2) == gathers(vecj, 4)
+    # VecI batches restart at each chunk edge, so a few more padded
+    # batches, and only those, appear with more threads
+    veci = make_variant("VecI", "emulated", 8)
+    four = gathers(veci, 4)
+    assert gathers(veci, 4) == four
+    assert four < 1.1 * gathers(veci, 1)
 
 
 # ---------------------------------------------------------------------

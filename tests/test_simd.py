@@ -1,11 +1,15 @@
 """Lane-layer tests: every backend/width against a per-lane scalar oracle."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+import tersoffmd
 from tersoffmd.simd import Backend, Lanes, make_backend, EMULATED_WIDTHS
 
 RNG = np.random.default_rng(20260816)
@@ -115,10 +119,46 @@ def test_gather_counts_are_instrumented():
 def test_gather_out_of_bounds_active_lane_is_checked():
     bk = make_backend("emulated", 2)
     base = np.arange(4.0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(IndexError):
         bk.gather(base, bk.index([1, 9]), bk.true_mask())
-    with pytest.raises(AssertionError):
+    with pytest.raises(IndexError):
         bk.gather(base, bk.index([-1, 2]), bk.true_mask())  # -1 must be masked
+
+
+@pytest.mark.parametrize("name", ["emulated", "native"])
+def test_scatter_out_of_bounds_active_lane_is_checked(name):
+    bk = make_backend(name, 2)
+    dest = np.zeros(4)
+    for bad in ([1, 4], [-1, 2]):
+        with pytest.raises(IndexError):
+            bk.scatter_add(dest, bk.index(bad), bk.real([1.0, 1.0]),
+                           bk.true_mask())
+    assert not dest.any()  # nothing written before the check
+
+
+def test_bounds_checks_survive_python_O():
+    """The checks are real raises, not asserts that -O strips."""
+    script = (
+        "import numpy as np\n"
+        "from tersoffmd.simd import make_backend\n"
+        "bk = make_backend('emulated', 2)\n"
+        "idx, m = bk.index([0, -1]), bk.true_mask()\n"  # numpy would wrap -1
+        "calls = [lambda: bk.gather(np.zeros(3), idx, m),\n"
+        "         lambda: bk.gather_fields(np.zeros((3, 2)), idx, m),\n"
+        "         lambda: bk.scatter_add(np.zeros(3), idx, bk.real([1, 1]),"
+        " m)]\n"
+        "for call in calls:\n"
+        "    try:\n"
+        "        call()\n"
+        "    except IndexError:\n"
+        "        continue\n"
+        "    raise SystemExit('no IndexError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(tersoffmd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def test_gather_fields_matches_columnwise_gather():

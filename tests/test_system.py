@@ -305,6 +305,48 @@ def test_stretch_speed_zero_is_plain_nve():
     assert st_a.positions.tobytes() == st_b.positions.tobytes()
 
 
+def test_frozen_atoms_get_no_kick():
+    st = gen_nanotube(3, 2, bond_length=1.46)
+    seed_velocities(st, 300.0, rng=6)
+    frozen = np.zeros(st.natoms, dtype=bool)
+    frozen[:5] = True
+    ff = ForceField(TABLE)
+    res = ff(st)
+    half = 0.5 * 0.5 * ACCEL
+    m = st.atom_masses[:, None]
+    expect = st.velocities + half * res.forces / m
+    v0 = st.velocities.copy()
+    velocity_verlet_step(st, 0.5, ff, res, frozen=frozen)
+    expect += half * st.forces / m
+    assert np.abs(st.forces[frozen]).max() > 0.1
+    assert st.velocities[frozen].tobytes() == v0[frozen].tobytes()
+    assert (st.velocities[~frozen].tobytes()
+            == expect[~frozen].tobytes())
+
+
+def test_run_stretch_is_run_nve_with_the_same_config():
+    def run(driver):
+        st = gen_nanotube(3, 4)
+        seed_velocities(st, 300.0, rng=4)
+        cfg = RunConfig(dt=0.5, steps=30,
+                        variant=make_variant("VecI", "native"),
+                        stretch=StretchSpec(axis=2, speed=0.05))
+        return st, driver(st, TABLE, cfg)
+
+    st_a, sa = run(run_stretch)
+    st_b, sb = run(run_nve)
+    assert sa["kind"] == sb["kind"] == "stretch"
+    assert sa["grip_atoms"] == sb["grip_atoms"]
+    for key in ("potential", "kinetic", "total", "force_sum_max", "strain"):
+        assert sa[key].tobytes() == sb[key].tobytes(), key
+    for name in ("positions", "velocities", "forces"):
+        assert (getattr(st_a, name).tobytes()
+                == getattr(st_b, name).tobytes()), name
+    wc = sa["wall_clock"]
+    assert wc["integrate"] == pytest.approx(
+        wc["total"] - wc["neighbor"] - wc["forces"])
+
+
 def test_stretch_elastic_loading():
     # start near the tube's own equilibrium bond so loading is elastic
     st = gen_nanotube(4, 8, bond_length=1.46)

@@ -12,10 +12,15 @@ from tersoffmd.bench import CSV_FIELDS, run_benchmark
 from tersoffmd.kernels import compute, make_variant
 from tersoffmd.neighbor import build_neighbor_list
 from tersoffmd.paramfile import builtin_params, parse_params, serialize_params
-from tersoffmd.system import gen_nanotube, state_from_xyz
+from tersoffmd.errors import InputError
+from tersoffmd.potential import ParamTable
+from tersoffmd.system import (ELEMENT_MASSES, SimulationBox, SimulationState,
+                              gen_diamond, gen_nanotube, read_xyz,
+                              state_from_xyz, write_xyz)
 from tersoffmd.verify import run_verification
 
-from helpers import carbon_table
+from helpers import (carbon_table, random_cluster_positions,
+                     two_species_table)
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +319,48 @@ class TestCli:
         for argv in cases:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
+
+    def test_verify_has_no_csv_format(self, capsys):
+        code, _, _ = run_cli(capsys, "verify", "--format", "csv")
+        assert code == 2
+
+    def test_xyz_species_follow_the_parameter_table(self, tmp_path, capsys):
+        # table order (Si, C) differs from the XYZ's alphabetical (C, Si)
+        table = ParamTable(("Si", "C"), two_species_table().entries)
+        params = tmp_path / "sic.tersoff"
+        params.write_text(serialize_params(table))
+        pos = random_cluster_positions(np.random.default_rng(11), 12)
+        pos += 6.0 - pos.min(axis=0)
+        masses = [ELEMENT_MASSES["Si"], ELEMENT_MASSES["C"]]
+        state = SimulationState(pos, SimulationBox(pos.max(axis=0) + 6.0),
+                                species=[0] * 6 + [1] * 6, masses=masses,
+                                symbols=("Si", "C"))
+        path = tmp_path / "sic.xyz"
+        write_xyz(path, state)
+        state.positions = read_xyz(path)[0][1]
+        code, out, _ = run_cli(capsys, "run", "--structure", str(path),
+                               "--params", str(params), "--steps", "0")
+        assert code == 0
+        nl = build_neighbor_list(state, table.r_cut, 0.3)
+        direct = compute(state, nl, table, make_variant("ScalarOpt"))
+        assert json.loads(out)["initial"]["potential"] == \
+            pytest.approx(direct.potential_energy, rel=1e-14)
+
+    def test_unmapped_xyz_species_exit_two(self, tmp_path, capsys):
+        diamond = gen_diamond(2)
+        silicon = tmp_path / "si.xyz"
+        write_xyz(silicon, diamond)
+        silicon.write_text(silicon.read_text().replace("C ", "Si "))
+        unknown = tmp_path / "xx.xyz"
+        unknown.write_text(silicon.read_text().replace("Si ", "Xx "))
+        with pytest.raises(InputError, match="Xx"):
+            state_from_xyz(unknown)
+        for path, name in ((silicon, "Si"), (unknown, "Xx")):
+            for command in ("run", "bench", "verify"):
+                code, _, err = run_cli(capsys, command, "--structure",
+                                       str(path), "--steps", "0")
+                assert code == 2, (command, name)
+                assert name in err
 
     def test_console_script_entry(self, tmp_path):
         out = subprocess.run(
