@@ -4,7 +4,10 @@ Three layers:
 
 * ``build_cell_list`` / ``build_neighbor_list``: spatial binning at
   build_cutoff = r_C + skin, producing a full (symmetric) flat-CSR
-  NeighborList whose rows are sorted ascending by neighbor index.
+  NeighborList whose rows are sorted ascending by neighbor index. The
+  pair search makes one array pass over all atoms per stencil shift (at
+  most 27) and looks cells up among the occupied ones only, so its cost
+  follows the atom count, not the size of a sparse free-boundary grid.
 * ``needs_rebuild``: the skin/2 displacement trigger. While it reports
   False, every pair inside r_C is guaranteed present in the list.
 * ``pack_adjacency`` / ``pack_neighbors``: re-filter the (stale, padded
@@ -19,6 +22,7 @@ minimum image on periodic axes. Anything with ``positions`` (N,3 float64),
 ``box.lengths`` and ``box.periodic`` can be packed.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -26,11 +30,6 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .simd import Lanes, Mask
-
-_CELL_SHIFTS = np.array([(a, b, c)
-                         for a in (-1, 0, 1)
-                         for b in (-1, 0, 1)
-                         for c in (-1, 0, 1)], dtype=np.int64)
 
 
 def min_image(disp, box):
@@ -95,59 +94,46 @@ class CellList:
         self.occupied, starts = np.unique(sorted_ids, return_index=True)
         self.starts = np.append(starts, n)
 
-    def _atoms_in(self, cell_id):
-        slot = np.searchsorted(self.occupied, cell_id)
-        if slot == self.occupied.shape[0] or self.occupied[slot] != cell_id:
-            return None
-        return self.order[self.starts[slot]:self.starts[slot + 1]]
-
     def candidate_pairs(self):
-        """Undirected candidate pairs (i < j) from the 27-cell stencils.
+        """Each unordered candidate pair once, as (ci, cj) index arrays.
 
-        Purely adjacency-based; callers apply the distance filter. Each
-        pair appears exactly once even when periodic wraparound makes two
-        stencil cells coincide.
+        Purely adjacency-based; callers apply the distance filter. One
+        pass per stencil shift expands every atom's neighbor cell at
+        once. Shifts are deduplicated per axis (a periodic axis with two
+        cells has offsets {0, 1}, with one cell {0}), so wraparound never
+        visits a cell twice; a cell pair is emitted from its lower id, and
+        inside one cell only j > i is kept.
         """
         ncells = self.ncells
-        periodic = self.box.periodic
+        periodic = np.asarray(self.box.periodic, dtype=bool)
+        sizes = np.diff(self.starts)
+        offsets = [sorted({d % int(nc) for d in (-1, 0, 1)}) if wrap
+                   else [d for d in (-1, 0, 1) if abs(d) < nc]
+                   for wrap, nc in zip(periodic, ncells)]
         out_i, out_j = [], []
-        for slot, cell_id in enumerate(self.occupied):
-            own = self.order[self.starts[slot]:self.starts[slot + 1]]
-            cz = cell_id % ncells[2]
-            cy = (cell_id // ncells[2]) % ncells[1]
-            cx = cell_id // (ncells[1] * ncells[2])
-            seen = set()
-            for sx, sy, sz in _CELL_SHIFTS:
-                q = np.array([cx + sx, cy + sy, cz + sz])
-                ok = True
-                for ax in range(3):
-                    if periodic[ax]:
-                        q[ax] %= ncells[ax]
-                    elif not 0 <= q[ax] < ncells[ax]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                nid = int((q[0] * ncells[1] + q[1]) * ncells[2] + q[2])
-                if nid in seen:
-                    continue  # wraparound collapsed two shifts
-                seen.add(nid)
-                if nid < cell_id:
-                    continue  # that cell will emit the cross pairs itself
-                other = own if nid == cell_id else self._atoms_in(nid)
-                if other is None:
-                    continue
-                if nid == cell_id:
-                    if own.shape[0] > 1:
-                        ii, jj = np.triu_indices(own.shape[0], k=1)
-                        out_i.append(own[ii])
-                        out_j.append(own[jj])
-                else:
-                    out_i.append(np.repeat(own, other.shape[0]))
-                    out_j.append(np.tile(other, own.shape[0]))
-        if not out_i:
-            z = np.empty(0, dtype=np.int64)
-            return z, z.copy()
+        for shift in itertools.product(*offsets):
+            q = self.cell_coords + shift
+            q[:, periodic] %= ncells[periodic]
+            nid = (q[:, 0] * ncells[1] + q[:, 1]) * ncells[2] + q[:, 2]
+            own_cell = not any(shift)
+            keep = ((q >= 0) & (q < ncells)).all(axis=1)
+            if not own_cell:
+                keep &= nid > self.cell_ids
+            src, nid = np.flatnonzero(keep), nid[keep]
+            slot = np.searchsorted(self.occupied, nid)
+            hit = self.occupied.take(slot, mode="clip") == nid
+            src, slot = src[hit], slot[hit]
+            count = sizes[slot]
+            ci = np.repeat(src, count)
+            # CSR expansion: slot s contributes order[starts[s]:starts[s+1]]
+            first = np.repeat(self.starts[slot] - np.cumsum(count) + count,
+                              count)
+            cj = self.order[first + np.arange(ci.shape[0])]
+            if own_cell:
+                upper = cj > ci
+                ci, cj = ci[upper], cj[upper]
+            out_i.append(ci)
+            out_j.append(cj)
         return np.concatenate(out_i), np.concatenate(out_j)
 
     def pairs_within(self, positions, cutoff):

@@ -1,5 +1,7 @@
 """Neighbor list and packing against an independent all-pairs oracle."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from tersoffmd.errors import ConfigurationError
 from tersoffmd.neighbor import (
     build_cell_list, build_neighbor_list, needs_rebuild, pack_adjacency,
     pack_neighbors)
+from tersoffmd.system import gen_diamond, gen_nanotube
 
 from helpers import Box, Frame, carbon_table, free_frame
 
@@ -37,6 +40,38 @@ def brute_undirected(pos, box, cutoff):
 def random_frame(rng, n=200, edge=9.0, periodic=(True, True, True)):
     pos = rng.uniform(0, edge, (n, 3))
     return Frame(pos, Box((edge, edge, edge), periodic))
+
+
+def brute_csr(pos, box, cutoff):
+    """Full-list (offsets, neighbors) from the oracle, rows ascending."""
+    pairs = sorted(brute_directed(pos, box, cutoff))
+    ii = np.array([i for i, _ in pairs], dtype=np.int64)
+    jj = np.array([j for _, j in pairs], dtype=np.int64)
+    offsets = np.zeros(pos.shape[0] + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ii, minlength=pos.shape[0]), out=offsets[1:])
+    return offsets, jj
+
+
+def assert_cell_pairs_exact(fr, cutoff):
+    """Candidates are exactly the pairs in adjacent cells, none emitted
+    twice, and the cutoff set equals the all-pairs oracle's."""
+    cl = build_cell_list(fr, cutoff)
+    ci, cj = cl.candidate_pairs()
+    assert np.all(ci != cj)
+    cand = set(zip(np.minimum(ci, cj).tolist(), np.maximum(ci, cj).tolist()))
+    assert len(cand) == ci.shape[0]
+    gap = np.abs(cl.cell_coords[:, None] - cl.cell_coords[None])
+    for ax in range(3):
+        if fr.box.periodic[ax]:
+            wrapped = cl.ncells[ax] - gap[..., ax]
+            gap[..., ax] = np.minimum(gap[..., ax], wrapped)
+    ai, aj = np.nonzero(np.triu((gap <= 1).all(axis=-1), k=1))
+    assert cand == set(zip(ai.tolist(), aj.tolist()))
+    wi, wj = cl.pairs_within(fr.positions, cutoff)
+    got = set(zip(wi.tolist(), wj.tolist()))
+    assert len(got) == wi.shape[0]
+    assert got == brute_undirected(fr.positions, fr.box, cutoff)
+    return cl, cand
 
 
 # ------------------------------------------------------------- cell list
@@ -71,12 +106,74 @@ def test_periodic_wraparound_pair():
                          ids=["ppp", "fff", "ffp"])
 def test_cell_pairs_match_bruteforce(periodic):
     rng = np.random.default_rng(42)
-    fr = random_frame(rng, 200, 9.0, periodic)
-    cl = build_cell_list(fr, 2.4)
-    ci, cj = cl.pairs_within(fr.positions, 2.4)
-    got = set(zip(ci.tolist(), cj.tolist()))
-    assert len(got) == ci.shape[0]  # no duplicate emissions
-    assert got == brute_undirected(fr.positions, fr.box, 2.4)
+    assert_cell_pairs_exact(random_frame(rng, 200, 9.0, periodic), 2.4)
+
+
+@pytest.mark.parametrize("edges", [(3.0, 3.0, 3.0), (6.0, 6.0, 6.0),
+                                   (8.0, 8.0, 8.0), (3.0, 6.0, 8.0)],
+                         ids=["1x1x1", "2x2x2", "3x3x3", "1x2x3"])
+def test_periodic_axes_with_one_to_three_cells(edges):
+    # with at most 3 cells per periodic axis every cell neighbors every
+    # other, so the +-1 shifts collapse and every pair is a candidate
+    rng = np.random.default_rng(11)
+    n = 40
+    fr = Frame(rng.uniform(0, 1, (n, 3)) * edges,
+               Box(edges, (True, True, True)))
+    cl, cand = assert_cell_pairs_exact(fr, 2.4)
+    assert cl.ncells.tolist() == [int(e / 2.4) for e in edges]
+    assert len(cand) == n * (n - 1) // 2
+
+
+@pytest.mark.parametrize("periodic", [(False, True, True),
+                                      (True, False, True),
+                                      (False, True, False),
+                                      (False, False, False)],
+                         ids=["fpp", "pfp", "fpf", "fff"])
+@pytest.mark.parametrize("edge", [3.6, 7.5])
+def test_mixed_boxes_with_empty_interior_cells(periodic, edge):
+    # two slabs 12 A apart along x leave whole planes of cells empty;
+    # along y and z the edge gives 1 or 3 periodic cells, 2 or 4 free ones
+    rng = np.random.default_rng(12)
+    slab = rng.uniform(0, edge, (60, 3))
+    slab[:, 0] = rng.uniform(0, 3.0, 60)
+    far = slab.copy()
+    far[:, 0] += 12.0
+    box = Box((20.0, edge, edge), periodic)
+    fr = Frame(np.concatenate([slab, far]), box)
+    cl, _ = assert_cell_pairs_exact(fr, 2.4)
+    assert cl.occupied.shape[0] < np.prod(cl.ncells)
+
+
+@pytest.mark.parametrize("periodic", [(True, True, True),
+                                      (False, False, False)],
+                         ids=["ppp", "fff"])
+def test_no_atoms(periodic):
+    fr = Frame(np.empty((0, 3)), Box((9.0, 9.0, 9.0), periodic))
+    assert_cell_pairs_exact(fr, 2.4)
+    nl = build_neighbor_list(fr, R_C, skin=0.3)
+    assert nl.offsets.tolist() == [0]
+    assert nl.neighbors.shape == (0,)
+
+
+def test_all_atoms_in_one_cell():
+    rng = np.random.default_rng(13)
+    fr = free_frame(rng.uniform(0, 1.0, (12, 3)))
+    cl, cand = assert_cell_pairs_exact(fr, 2.4)
+    assert cl.occupied.shape[0] == 1
+    assert len(cand) == 12 * 11 // 2
+
+
+def test_sparse_free_grid_stays_cheap():
+    # one far atom spreads the free-axis grid over ~7e10 cells; the pair
+    # search must stay keyed on occupied cells, never a dense table
+    fr = free_frame([[0.0, 0.0, 0.0], [1.4, 0.0, 0.0], [1e4, 1e4, 1e4]])
+    assert np.prod(build_cell_list(fr, 2.4).ncells.astype(float)) > 1e10
+    t0 = time.perf_counter()
+    nl = build_neighbor_list(fr, R_C, skin=0.3)
+    elapsed = time.perf_counter() - t0
+    assert nl.offsets.tolist() == [0, 1, 2, 2]
+    assert nl.neighbors.tolist() == [1, 0]
+    assert elapsed < 0.5
 
 
 def test_degenerate_periodic_box_rejected():
@@ -101,6 +198,21 @@ def test_neighbor_list_invariants_and_completeness():
         got.update((i, int(j)) for j in row)
     assert got == brute_directed(fr.positions, fr.box, nl.build_cutoff)
     assert all((j, i) in got for i, j in got)  # full symmetric list
+
+
+@pytest.mark.parametrize("make", [lambda: gen_nanotube(5, 50),
+                                  lambda: gen_diamond(2)],
+                         ids=["tube1000", "diamond64"])
+def test_neighbor_list_arrays_equal_oracle_csr(make):
+    # pins the row order that strict W=1 bit identity and byte-identical
+    # trajectories rely on, not just the pair set
+    rng = np.random.default_rng(14)
+    st = make()
+    st.positions += rng.uniform(-0.05, 0.05, st.positions.shape)
+    nl = build_neighbor_list(st, R_C, skin=0.3)
+    offsets, neighbors = brute_csr(st.positions, st.box, nl.build_cutoff)
+    assert np.array_equal(nl.offsets, offsets)
+    assert np.array_equal(nl.neighbors, neighbors)
 
 
 def test_skin_zero_list_is_exactly_true_cutoff():
