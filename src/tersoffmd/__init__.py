@@ -5,10 +5,9 @@ __version__ = "0.1.0"
 from .bench import BenchReport, BenchRow, run_benchmark
 from .errors import ConfigurationError, InputError
 from .kernels import (KERNEL_TAGS, ForceEnergyResult, KernelVariant,
-                      compute, count_flops_and_visits, kernel_function,
-                      make_variant)
+                      compute, make_variant)
 from .neighbor import (NeighborList, PackedAdjacency, build_neighbor_list,
-                       needs_rebuild, pack_adjacency, pack_neighbors)
+                       needs_rebuild, pack_adjacency)
 from .paramfile import (ParamFileError, builtin_params, load_params,
                         parse_params, serialize_params)
 from .simd import EMULATED_WIDTHS, Backend, Lanes, Mask, make_backend
@@ -26,9 +25,8 @@ __all__ = [
     "Backend", "Lanes", "Mask", "make_backend",
     "ConfigurationError", "InputError", "ParamFileError",
     "ForceEnergyResult", "KernelVariant", "make_variant", "compute",
-    "kernel_function", "count_flops_and_visits",
     "NeighborList", "PackedAdjacency", "build_neighbor_list",
-    "needs_rebuild", "pack_adjacency", "pack_neighbors",
+    "needs_rebuild", "pack_adjacency",
     "builtin_params", "load_params", "parse_params", "serialize_params",
     "SimulationBox", "SimulationState", "ForceField", "RunConfig",
     "StretchSpec", "gen_diamond", "gen_nanotube", "kinetic_energy",

@@ -104,7 +104,7 @@ class BenchReport:
 
 
 def run_benchmark(state, params, variants, steps=20, warmup=1, repeats=5,
-                  threads=1, skin=0.3):
+                  skin=0.3):
     """Time the force kernel for each variant on a fixed configuration.
 
     Returns a BenchReport whose rows follow the order of `variants`.
@@ -121,12 +121,12 @@ def run_benchmark(state, params, variants, steps=20, warmup=1, repeats=5,
     for var in variants:
         key = var.describe()
         for _ in range(warmup):
-            res = compute(state, nl, params, var, threads)
+            res = compute(state, nl, params, var)
         samples = []
         for _ in range(repeats):
             t0 = time.perf_counter()
             for _ in range(steps):
-                res = compute(state, nl, params, var, threads)
+                res = compute(state, nl, params, var)
             samples.append(time.perf_counter() - t0)
         times[key] = min(samples)
         medians[key] = statistics.median(samples)
@@ -156,7 +156,7 @@ def run_benchmark(state, params, variants, steps=20, warmup=1, repeats=5,
 
     meta = {
         "steps": steps, "warmup": warmup, "repeats": repeats,
-        "threads": threads, "skin": skin, "atoms": state.natoms,
+        "skin": skin, "atoms": state.natoms,
         "neighbor_build_s": neighbor_s,
         "median_s": {k: _canon(v) for k, v in medians.items()},
         "energy": {k: float(v) for k, v in energies.items()},

@@ -140,7 +140,7 @@ def cmd_gen(args):
 def cmd_run(args):
     params = _load_params(args)
     state = _load_structure(args.structure, params)
-    if args.temperature > 0.0:
+    if args.temperature != 0.0:  # seed_velocities rejects < 0 and non-finite
         seed_velocities(state, args.temperature, args.seed)
     variant = _variant_from_args(args)
     stretch = None
@@ -149,7 +149,7 @@ def cmd_run(args):
                               speed=args.pull_speed,
                               grip_fraction=args.grip_fraction)
     cfg = RunConfig(dt=args.dt, steps=100 if args.steps is None else args.steps,
-                    variant=variant, skin=args.skin, threads=args.threads,
+                    variant=variant, skin=args.skin,
                     dump_every=args.dump_every, dump_path=args.dump_path,
                     stretch=stretch)
     summary = run_nve(state, params, cfg)
@@ -195,8 +195,7 @@ def cmd_bench(args):
     report = run_benchmark(
         state, params, variants,
         steps=20 if args.steps is None else args.steps,
-        warmup=args.warmup, repeats=args.repeats, threads=args.threads,
-        skin=args.skin)
+        warmup=args.warmup, repeats=args.repeats, skin=args.skin)
     print(report.render(args.format))
     return 0
 
@@ -208,7 +207,7 @@ def cmd_verify(args):
     report = run_verification(
         state, params, variant=variant, tol_scale=args.tol_scale,
         conservation_steps=200 if args.steps is None else args.steps,
-        dt=args.dt, skin=args.skin, threads=args.threads, seed=args.seed)
+        dt=args.dt, skin=args.skin, seed=args.seed)
     if args.format == "table":
         for c in report["checks"]:
             state_txt = "PASS" if c["passed"] else "FAIL"
@@ -245,8 +244,6 @@ def _add_common(p, bench=False):
                    default="double")
     p.add_argument("--skin", type=float, default=0.3, metavar="A",
                    help="neighbor-list skin radius")
-    p.add_argument("--threads", type=int, default=1, metavar="N",
-                   help="worker threads for the atom-range fan-out")
     p.add_argument("--seed", type=int, default=0, metavar="N",
                    help="RNG seed (velocities, probe selection)")
 

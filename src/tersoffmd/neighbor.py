@@ -10,11 +10,11 @@ Three layers:
   follows the atom count, not the size of a sparse free-boundary grid.
 * ``needs_rebuild``: the skin/2 displacement trigger. While it reports
   False, every pair inside r_C is guaranteed present in the list.
-* ``pack_adjacency`` / ``pack_neighbors``: re-filter the (stale, padded
-  with skin) list against the true cutoff at the *current* positions and
-  emit lane batches for the vector kernels. Mode J fills the lanes of one
-  batch with the neighbors of a single i; mode I fills them with
-  consecutive (i, j) pairs across atoms. Padding lanes carry index -1,
+* ``pack_adjacency``: re-filter the (stale, padded with skin) list
+  against the true cutoff at the *current* positions; its batch
+  generators emit lane batches for the vector kernels. Mode J fills the
+  lanes of one batch with the neighbors of a single i; mode I fills them
+  with consecutive (i, j) pairs across atoms. Padding lanes carry index -1,
   distance 1.0 and a False mask bit.
 
 Boxes are orthorhombic with per-axis periodic flags; displacements use the
@@ -223,14 +223,12 @@ def needs_rebuild(state, nl):
 class PackedNeighbors:
     """One lane batch of directed (i, j) pairs for the vector kernels.
 
-    pair_pos holds each lane's row position in the packed adjacency (the
-    key the zeta cache is indexed by). Padding lanes: indices -1, zero
-    displacement, r = 1.0 (safe divisor), mask bit False.
+    Padding lanes: indices -1, zero displacement, r = 1.0 (safe divisor),
+    mask bit False.
     """
 
     i_idx: Lanes
     j_idx: Lanes
-    pair_pos: Lanes
     dx: Lanes
     dy: Lanes
     dz: Lanes
@@ -273,20 +271,17 @@ class PackedAdjacency:
 
     # ---- batch generators ----------------------------------------------
 
-    def batches_j(self, i_lo, i_hi, width):
-        """Mode J: one i per batch, lanes = that i's packed neighbors."""
-        for i in range(i_lo, i_hi):
-            begin, end = self.row_bounds(i)
-            for s in range(begin, end, width):
-                e = min(s + width, end)
-                yield self._make_batch(np.arange(s, e), width)
-
-    def batches_i(self, i_lo, i_hi, width):
-        """Mode I: lanes = consecutive packed pairs across many i."""
-        begin = int(self.offsets[i_lo])
-        end = int(self.offsets[i_hi])
+    def batches_j(self, i, width):
+        """Mode J: the batches of atom i, lanes = its packed neighbors."""
+        begin, end = self.row_bounds(i)
         for s in range(begin, end, width):
             e = min(s + width, end)
+            yield self._make_batch(np.arange(s, e), width)
+
+    def batches_i(self, width):
+        """Mode I: lanes = consecutive packed pairs across all atoms."""
+        for s in range(0, self.npairs, width):
+            e = min(s + width, self.npairs)
             yield self._make_batch(np.arange(s, e), width)
 
     def _make_batch(self, rows, width):
@@ -307,7 +302,6 @@ class PackedAdjacency:
         mask[:nact] = True
         return PackedNeighbors(
             i_idx=ints(self.i[rows]), j_idx=ints(self.j[rows]),
-            pair_pos=ints(rows),
             dx=reals(self.dx[rows], 0.0), dy=reals(self.dy[rows], 0.0),
             dz=reals(self.dz[rows], 0.0), r=reals(self.r[rows], 1.0),
             mask=Mask(mask))
@@ -345,13 +339,3 @@ def pack_adjacency(state, nl, r_cut=None):
         dz=np.ascontiguousarray(d_k[:, 2]),
         r=np.sqrt(r2[keep]), r_cut=float(r_cut))
 
-
-def pack_neighbors(state, nl, i_range, params, mode, width):
-    """Lane batches for the atom range [i_lo, i_hi); mode "J" or "I"."""
-    adj = pack_adjacency(state, nl, params.r_cut)
-    i_lo, i_hi = (0, adj.natoms) if i_range is None else i_range
-    if mode == "J":
-        return list(adj.batches_j(i_lo, i_hi, width))
-    if mode == "I":
-        return list(adj.batches_i(i_lo, i_hi, width))
-    raise ConfigurationError(f"unknown packing mode {mode!r}")

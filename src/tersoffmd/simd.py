@@ -180,9 +180,6 @@ class Backend:
         return (f"Backend({self.name!r}, width={self.width}, "
                 f"precision={self.precision!r}, strict={self.strict})")
 
-    def reset_counters(self):
-        self.gather_count = 0
-
     # ---- constructors -------------------------------------------------
 
     def real(self, values):
@@ -197,9 +194,6 @@ class Backend:
         if arr.ndim == 0:
             arr = np.full(self.width, arr, dtype=self.index_dtype)
         return Lanes(arr)
-
-    splat = real
-    splat_index = index
 
     def zeros(self):
         return Lanes(np.zeros(self.width, dtype=self.real_dtype))
@@ -276,10 +270,6 @@ class Backend:
                 dest[ia[k]] += va[k]
 
     # ---- arithmetic helpers --------------------------------------------
-
-    def fma(self, a, b, c):
-        """a*b + c with two roundings (uniform across backends)."""
-        return a * b + c
 
     def where(self, mask, a, b):
         return Lanes(np.where(mask.bits, _raw(a), _raw(b)))

@@ -10,12 +10,12 @@ a [A/fs^2] = ACCEL * F [eV/A] / m [amu].
 
 import math
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .kernels import compute, make_variant
+from .kernels import check_threads, compute, make_variant
 from .neighbor import build_neighbor_list, needs_rebuild
 
 # CODATA 2018: elementary charge (J/eV) and atomic mass unit (kg)
@@ -151,6 +151,9 @@ def instantaneous_temperature(state):
 
 def seed_velocities(state, temperature, rng=0):
     """Maxwell-Boltzmann velocities at `temperature` K, zero net momentum."""
+    if not (math.isfinite(temperature) and temperature >= 0.0):
+        raise ConfigurationError(
+            f"temperature must be finite and >= 0 K, got {temperature!r}")
     rng = np.random.default_rng(rng)
     m = state.atom_masses
     sigma = np.sqrt(KB_EV * temperature * ACCEL / m)
@@ -324,10 +327,10 @@ class ForceField:
     """
 
     def __init__(self, params, variant=None, skin=0.3, threads=1):
+        check_threads(threads)
         self.params = params
         self.variant = variant or make_variant("ScalarOpt")
         self.skin = skin
-        self.threads = threads
         self.nl = None
         self.rebuilds = 0
         self.neighbor_s = 0.0
@@ -341,8 +344,7 @@ class ForceField:
             self.rebuilds += 1
         t1 = _time.perf_counter()
         self.neighbor_s += t1 - t0
-        res = compute(state, self.nl, self.params, self.variant,
-                      self.threads)
+        res = compute(state, self.nl, self.params, self.variant)
         self.force_s += _time.perf_counter() - t1
         if not np.isfinite(res.forces).all():
             bad = int(np.argwhere(~np.isfinite(res.forces))[0][0])
@@ -355,6 +357,12 @@ class ForceField:
 # integration
 # ---------------------------------------------------------------------
 
+def _check_dt(dt):
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigurationError(
+            f"dt must be positive and finite, got {dt!r}")
+
+
 def velocity_verlet_step(state, dt, forces_fn, result=None, frozen=None):
     """One NVE velocity-Verlet step, in place.
 
@@ -363,8 +371,7 @@ def velocity_verlet_step(state, dt, forces_fn, result=None, frozen=None):
     the returned state) is returned. Atoms in the boolean mask `frozen`
     get a zero kick, so their velocities stay exactly as set.
     """
-    if dt <= 0:
-        raise ConfigurationError(f"dt must be positive, got {dt:g}")
+    _check_dt(dt)
     if result is None:
         result = forces_fn(state)
     m = state.atom_masses[:, None]
@@ -407,14 +414,14 @@ class RunConfig:
     steps: int = 100
     variant: object = None          # KernelVariant; default ScalarOpt
     skin: float = 0.3
-    threads: int = 1
+    threads: InitVar[int] = 1
     dump_every: int = 0
     dump_path: str = None
     stretch: StretchSpec = None
 
-    def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {self.dt:g}")
+    def __post_init__(self, threads):
+        check_threads(threads)
+        _check_dt(self.dt)
         if self.steps < 0:
             raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
         if self.dump_every < 0:
@@ -444,7 +451,7 @@ def run_nve(state, params, cfg):
         state.velocities[frozen] = 0.0
         state.velocities[lo, spec.axis] = -0.5 * spec.speed
         state.velocities[hi, spec.axis] = +0.5 * spec.speed
-    ff = ForceField(params, cfg.variant, cfg.skin, cfg.threads)
+    ff = ForceField(params, cfg.variant, cfg.skin)
     t_start = _time.perf_counter()
     res = ff(state)
     epot = [res.potential_energy]

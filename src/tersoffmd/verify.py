@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .kernels import compute, make_variant
+from .kernels import check_threads, compute, make_variant
 from .neighbor import build_neighbor_list
 from .simd import EMULATED_WIDTHS
 from .system import run_nve, RunConfig, seed_velocities, total_momentum
@@ -133,10 +133,10 @@ def check_gradients(state, params, variant=None, probes=4, step=2e-4,
 # ---------------------------------------------------------------------
 
 def check_cross_variant(state, params, tol_energy=1e-10, tol_force=1e-8,
-                        tol_scale=1.0, width=8, skin=0.3, threads=1):
+                        tol_scale=1.0, width=8, skin=0.3):
     """Every variant against the Reference kernel, double precision."""
     nl = build_neighbor_list(state, params.r_cut, skin)
-    ref = compute(state, nl, params, make_variant("Reference"), threads)
+    ref = compute(state, nl, params, make_variant("Reference"))
     _finite_or_raise(ref, "Reference")
     others = [
         make_variant("ScalarOpt"),
@@ -151,7 +151,7 @@ def check_cross_variant(state, params, tol_energy=1e-10, tol_force=1e-8,
     f_worst, f_txt = 0.0, ""
     e_scale = max(abs(ref.potential_energy), 1e-30)
     for var in others:
-        res = compute(state, nl, params, var, threads)
+        res = compute(state, nl, params, var)
         _finite_or_raise(res, var.describe())
         e_dev = abs(res.potential_energy - ref.potential_energy) / e_scale
         if e_dev > e_worst:
@@ -216,8 +216,7 @@ def check_width_independence(state, params, widths=EMULATED_WIDTHS,
 
 def check_conservation(state, params, variant=None, steps=200, dt=0.5,
                        temperature=300.0, tol_drift=1e-4, tol_force=1e-9,
-                       tol_momentum=1e-9, tol_scale=1.0, skin=0.3,
-                       threads=1, seed=0):
+                       tol_momentum=1e-9, tol_scale=1.0, skin=0.3, seed=0):
     """Short NVE: relative energy drift, force sum, momentum drift.
 
     Seeds velocities when the state has none so the probe actually
@@ -227,8 +226,7 @@ def check_conservation(state, params, variant=None, steps=200, dt=0.5,
     if st.velocities is None or not st.velocities.any():
         seed_velocities(st, temperature, seed)
     p0 = total_momentum(st)
-    cfg = RunConfig(dt=dt, steps=steps, variant=variant, skin=skin,
-                    threads=threads)
+    cfg = RunConfig(dt=dt, steps=steps, variant=variant, skin=skin)
     summary = run_nve(st, params, cfg)
     total = np.asarray(summary["total"])
     scale = max(abs(total[0]), 1e-30)
@@ -257,17 +255,18 @@ def run_verification(state, params, variant=None, tol_scale=1.0,
                      conservation_steps=200, dt=0.5, skin=0.3, threads=1,
                      seed=0):
     """Run every suite; return a JSON-safe report dict."""
+    check_threads(threads)
     checks = []
     checks += _guard("gradient_fd", lambda: check_gradients(
         state, params, variant=variant, tol_scale=tol_scale, skin=skin,
         seed=seed))
     checks += _guard("cross_variant", lambda: check_cross_variant(
-        state, params, tol_scale=tol_scale, skin=skin, threads=threads))
+        state, params, tol_scale=tol_scale, skin=skin))
     checks += _guard("width_independence", lambda: check_width_independence(
         state, params, tol_scale=tol_scale, skin=skin))
     checks += _guard("conservation", lambda: check_conservation(
         state, params, variant=variant, steps=conservation_steps, dt=dt,
-        tol_scale=tol_scale, skin=skin, threads=threads, seed=seed))
+        tol_scale=tol_scale, skin=skin, seed=seed))
     return {
         "passed": all(c.passed for c in checks),
         "tol_scale": float(tol_scale),

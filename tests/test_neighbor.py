@@ -7,11 +7,10 @@ import pytest
 
 from tersoffmd.errors import ConfigurationError
 from tersoffmd.neighbor import (
-    build_cell_list, build_neighbor_list, needs_rebuild, pack_adjacency,
-    pack_neighbors)
+    build_cell_list, build_neighbor_list, needs_rebuild, pack_adjacency)
 from tersoffmd.system import gen_diamond, gen_nanotube
 
-from helpers import Box, Frame, carbon_table, free_frame
+from helpers import Box, Frame, free_frame
 
 R_C = 2.1  # carbon table cutoff
 
@@ -290,7 +289,12 @@ def test_pack_modes_enumerate_each_directed_pair_once(mode, width):
     rng = np.random.default_rng(6)
     fr = random_frame(rng, 60, 9.0)
     nl = build_neighbor_list(fr, R_C, skin=0.3)
-    batches = pack_neighbors(fr, nl, None, carbon_table(), mode, width)
+    adj = pack_adjacency(fr, nl)
+    if mode == "J":
+        batches = [b for i in range(adj.natoms)
+                   for b in adj.batches_j(i, width)]
+    else:
+        batches = list(adj.batches_i(width))
     seen = []
     for b in batches:
         assert b.width == width
@@ -314,25 +318,30 @@ def test_pack_mode_j_batch_shapes():
     fr = free_frame([[0, 0, 0], [1.45, 0, 0], [0, 1.45, 0], [0, 0, 1.45],
                      [30.0, 30.0, 30.0]])
     nl = build_neighbor_list(fr, R_C, skin=0.3)
-    batches = pack_neighbors(fr, nl, (0, 1), carbon_table(), "J", 8)
+    adj = pack_adjacency(fr, nl)
+    batches = list(adj.batches_j(0, 8))
     assert len(batches) == 1  # 3 neighbors fit one width-8 batch
     b = batches[0]
     assert b.mask.count() == 3
     assert b.i_idx.data.tolist() == [0, 0, 0, -1, -1, -1, -1, -1]
     assert sorted(b.j_idx.data[:3].tolist()) == [1, 2, 3]
-    assert pack_neighbors(fr, nl, (4, 5), carbon_table(), "J", 8) == []
+    assert list(adj.batches_j(4, 8)) == []
     # a width-2 repack needs ceil(3/2) batches for atom 0
-    assert len(pack_neighbors(fr, nl, (0, 1), carbon_table(), "J", 2)) == 2
+    assert len(list(adj.batches_j(0, 2))) == 2
 
 
 def test_pack_mode_i_is_ascending_and_dense():
     rng = np.random.default_rng(7)
     fr = random_frame(rng, 40, 9.0)
     nl = build_neighbor_list(fr, R_C, skin=0.3)
-    batches = pack_neighbors(fr, nl, None, carbon_table(), "I", 4)
-    pair_pos = np.concatenate([b.pair_pos.data[b.mask.bits] for b in batches])
-    assert np.array_equal(pair_pos, np.arange(pair_pos.shape[0]))
+    adj = pack_adjacency(fr, nl)
+    batches = list(adj.batches_i(4))
     i_seq = np.concatenate([b.i_idx.data[b.mask.bits] for b in batches])
+    j_seq = np.concatenate([b.j_idx.data[b.mask.bits] for b in batches])
+    # every CSR entry once, in row order: (i, j) follow the adjacency
+    csr_i = np.repeat(np.arange(adj.natoms), np.diff(adj.offsets))
+    assert np.array_equal(i_seq, csr_i)
+    assert np.array_equal(j_seq, adj.j)
     assert np.all(np.diff(i_seq) >= 0)  # ascending i across the flat order
     # only the final batch may be partial
     assert all(b.mask.count() == 4 for b in batches[:-1])
@@ -343,13 +352,6 @@ def test_pack_cutoff_wider_than_list_rejected():
     nl = build_neighbor_list(fr, R_C, skin=0.3)
     with pytest.raises(ConfigurationError, match="exceeds"):
         pack_adjacency(fr, nl, r_cut=R_C + 0.2)
-
-
-def test_unknown_pack_mode_rejected():
-    fr = free_frame([[0, 0, 0], [1.5, 0, 0]])
-    nl = build_neighbor_list(fr, R_C, skin=0.3)
-    with pytest.raises(ConfigurationError, match="mode"):
-        pack_neighbors(fr, nl, None, carbon_table(), "K", 4)
 
 
 def test_rebuild_safety_along_random_walk():

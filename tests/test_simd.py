@@ -38,8 +38,6 @@ def test_lane_arithmetic_matches_per_lane_python(width):
         "sub": (a - b, [x - y for x, y in zip(a.data.tolist(), b.data.tolist())]),
         "mul": (a * b, [x * y for x, y in zip(a.data.tolist(), b.data.tolist())]),
         "div": (a / b, [x / y for x, y in zip(a.data.tolist(), b.data.tolist())]),
-        "fma": (bk.fma(a, b, a),
-                [x * y + x for x, y in zip(a.data.tolist(), b.data.tolist())]),
         "rsub": (1.0 - a, [1.0 - x for x in a.data.tolist()]),
         "rdiv": (1.0 / b, [1.0 / y for y in b.data.tolist()]),
         "neg": (-a, [-x for x in a.data.tolist()]),
@@ -110,10 +108,10 @@ def test_masked_gather_and_padding(width):
 def test_gather_counts_are_instrumented():
     bk = make_backend("emulated", 4)
     base = np.arange(10.0)
-    bk.reset_counters()
+    before = bk.gather_count
     bk.gather(base, bk.index([1, 2, 3, 4]), bk.true_mask())
     bk.gather(base, bk.index([1, 2, 3, 4]), bk.true_mask())
-    assert bk.gather_count == 2
+    assert bk.gather_count - before == 2
 
 
 def test_gather_out_of_bounds_active_lane_is_checked():

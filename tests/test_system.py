@@ -139,6 +139,16 @@ def test_seed_velocities_momentum_and_temperature():
     assert kinetic_energy(st) > 0.0
 
 
+@pytest.mark.parametrize("temperature", [-300.0, np.nan, np.inf])
+def test_seed_velocities_rejects_bad_temperature(temperature):
+    st = gen_nanotube(3, 2)
+    with pytest.raises(ConfigurationError, match="temperature"):
+        seed_velocities(st, temperature)
+    assert st.velocities is None or not np.isnan(st.velocities).any()
+    seed_velocities(st, 0.0)  # 0 K is a valid, motionless start
+    assert not st.velocities.any()
+
+
 # ---------------------------------------------------------------------
 # XYZ round trip
 # ---------------------------------------------------------------------
@@ -231,6 +241,11 @@ def test_dt_validation():
         velocity_verlet_step(st, 0.0, ForceField(TABLE))
     with pytest.raises(ConfigurationError, match="dt"):
         RunConfig(dt=-0.5)
+    for dt in (np.nan, np.inf):
+        with pytest.raises(ConfigurationError, match="dt"):
+            velocity_verlet_step(st, dt, ForceField(TABLE))
+        with pytest.raises(ConfigurationError, match="dt"):
+            RunConfig(dt=dt)
     with pytest.raises(ConfigurationError, match="steps"):
         RunConfig(steps=-1)
     with pytest.raises(ConfigurationError, match="dump_path"):

@@ -12,11 +12,12 @@ from tersoffmd.bench import CSV_FIELDS, run_benchmark
 from tersoffmd.kernels import compute, make_variant
 from tersoffmd.neighbor import build_neighbor_list
 from tersoffmd.paramfile import builtin_params, parse_params, serialize_params
-from tersoffmd.errors import InputError
+from tersoffmd.errors import ConfigurationError, InputError
 from tersoffmd.potential import ParamTable
-from tersoffmd.system import (ELEMENT_MASSES, SimulationBox, SimulationState,
-                              gen_diamond, gen_nanotube, read_xyz,
-                              state_from_xyz, write_xyz)
+from tersoffmd.system import (ELEMENT_MASSES, ForceField, RunConfig,
+                              SimulationBox, SimulationState, gen_diamond,
+                              gen_nanotube, read_xyz, state_from_xyz,
+                              write_xyz)
 from tersoffmd.verify import run_verification
 
 from helpers import (carbon_table, random_cluster_positions,
@@ -89,6 +90,32 @@ class TestVerify:
                 assert c["measured"] == 0.0 and c["margin"] is None
             else:
                 assert c["margin"] is None or c["margin"] > 1.0
+
+
+# ---------------------------------------------------------------------
+# the threads=1 argument benchmark/workloads.py passes
+# ---------------------------------------------------------------------
+
+def harness_entry_points(tube, table):
+    nl = build_neighbor_list(tube, table.r_cut, 0.3)
+    return {
+        "compute": lambda n: compute(tube, nl, table,
+                                     make_variant("ScalarOpt"), n),
+        "ForceField": lambda n: ForceField(table, threads=n)(tube),
+        "RunConfig": lambda n: RunConfig(steps=1, threads=n),
+        "run_verification": lambda n: run_verification(
+            tube, table, conservation_steps=2, threads=n),
+    }
+
+
+@pytest.mark.parametrize("entry", ["compute", "ForceField", "RunConfig",
+                                   "run_verification"])
+def test_harness_threads_argument(entry, tube, table):
+    call = harness_entry_points(tube, table)[entry]
+    call(1)
+    for threads in (0, 2):
+        with pytest.raises(ConfigurationError, match="threads"):
+            call(threads)
 
 
 # ---------------------------------------------------------------------
@@ -323,6 +350,23 @@ class TestCli:
     def test_verify_has_no_csv_format(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--format", "csv")
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["run", "bench", "verify"])
+    def test_no_threads_option(self, command, capsys):
+        code, _, err = run_cli(capsys, command, "--structure",
+                               "nanotube:n=3,cells=2", "--steps", "1",
+                               "--threads", "2")
+        assert code == 2 and "--threads" in err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--temperature", "-300"), ("--temperature", "nan"),
+        ("--temperature", "inf"), ("--dt", "nan"), ("--dt", "inf")])
+    def test_run_rejects_bad_temperature_and_dt(self, flag, value, capsys):
+        code, out, err = run_cli(capsys, "run", "--structure",
+                                 "nanotube:n=3,cells=2", "--steps", "2",
+                                 flag, value)
+        assert code == 2 and out == ""
+        assert flag.lstrip("-") in err, err
 
     def test_xyz_species_follow_the_parameter_table(self, tmp_path, capsys):
         # table order (Si, C) differs from the XYZ's alphabetical (C, Si)
