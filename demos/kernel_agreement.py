@@ -40,7 +40,6 @@ variants = [
     make_variant("ScalarOpt"),
     make_variant("VecJ", "emulated", 8),
     make_variant("VecI", "emulated", 8),
-    make_variant("VecJ", "native"),
     make_variant("VecI", "native"),
 ]
 

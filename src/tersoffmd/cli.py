@@ -103,10 +103,7 @@ def _load_params(args):
 
 def _variant_from_args(args, name=None):
     tag = _VARIANT_NAMES[name or args.variant]
-    backend = args.backend
-    if backend is None:
-        backend = "native" if tag in ("VecJ", "VecI") else "scalar"
-    return make_variant(tag, backend, args.width, args.precision)
+    return make_variant(tag, args.backend, args.width, args.precision)
 
 
 def _json_safe(obj):
@@ -237,7 +234,9 @@ def _add_common(p, bench=False):
                        default="scalar", help="kernel to run")
     p.add_argument("--backend", choices=("scalar", "emulated", "native"),
                    default=None,
-                   help="lane backend (default: native for vec kernels)")
+                   help="lane backend (default: native for vec-i, "
+                        "emulated for vec-j, scalar otherwise; vec-j does "
+                        "not run on native)")
     p.add_argument("--width", type=int, default=None, metavar="N",
                    help="vector width for the emulated/native backends")
     p.add_argument("--precision", choices=("single", "double"),

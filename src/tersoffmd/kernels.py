@@ -9,7 +9,8 @@
   multiplies by delta_zeta: sum(n_i^2) visits.
 * VecJ: ScalarOpt with the j loop spread across lanes (one i per batch,
   k broadcast). F_i contributions are lane-reduced, F_j/F_k go through
-  the ordered scatter.
+  the ordered scatter. A row holds a few neighbors, so VecJ runs on the
+  scalar and emulated backends only.
 * VecI: lanes hold consecutive (i,j) pairs across atoms; the k iteration
   advances a private cursor per lane, so lanes may share i or k and every
   force update goes through the ordered scatter.
@@ -52,6 +53,10 @@ class KernelVariant:
     def __post_init__(self):
         if self.tag not in KERNEL_TAGS:
             raise ConfigurationError(f"unknown kernel tag {self.tag!r}")
+        if self.tag == "VecJ" and self.backend.name == "native":
+            # rows hold a few neighbors, so 1024 lanes would run nearly empty
+            raise ConfigurationError(
+                "VecJ runs on the scalar or emulated backend, not native")
 
     @property
     def precision(self):
@@ -65,10 +70,17 @@ class KernelVariant:
         return f"{self.tag}[{b.name},W={b.width},{b.precision}{strict}]"
 
 
-def make_variant(tag, backend="scalar", width=None, precision="double",
+_DEFAULT_BACKENDS = {"Reference": "scalar", "ScalarOpt": "scalar",
+                     "VecJ": "emulated", "VecI": "native"}
+
+
+def make_variant(tag, backend=None, width=None, precision="double",
                  strict=False):
+    """Kernel variant; backend defaults per tag (VecI runs native)."""
     if isinstance(backend, Backend):
         return KernelVariant(tag, backend)
+    if backend is None:
+        backend = _DEFAULT_BACKENDS.get(tag, "scalar")
     return KernelVariant(tag, make_backend(backend, width, precision, strict))
 
 

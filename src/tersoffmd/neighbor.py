@@ -178,8 +178,8 @@ class NeighborList:
 
 
 def build_neighbor_list(state, r_cut, skin=0.3):
-    if skin < 0:
-        raise ConfigurationError(f"negative skin {skin:g}")
+    if not (math.isfinite(skin) and skin >= 0):
+        raise ConfigurationError(f"skin must be finite and >= 0, got {skin!r}")
     pos = np.asarray(state.positions, dtype=np.float64)
     n = pos.shape[0]
     build_cutoff = float(r_cut) + float(skin)

@@ -290,74 +290,6 @@ def _pair_parts(r, zeta, R, D, A, lam1, B, lam2, beta, eta, xm=math):
     return v, dv_dr, delta_zeta
 
 
-# ---- public wrappers over the raw forms --------------------------------
-
-@dataclass(frozen=True)
-class TripletGeometry:
-    """Geometry of one (i,j,k) triple: distances, unit vectors, cos(theta).
-
-    e_ij points from i to j; cos_theta is the angle at i between e_ij and
-    e_ik. Unit vectors must be normalized to 1e-12.
-    """
-
-    r_ij: float
-    r_ik: float
-    cos_theta: float
-    e_ij: np.ndarray
-    e_ik: np.ndarray
-
-    def __post_init__(self):
-        for e in (self.e_ij, self.e_ik):
-            n = float(np.dot(e, e))
-            if abs(n - 1.0) > 1e-12:
-                raise ValueError(f"unit vector has |e|^2 = {n}")
-        if not -1.0 <= self.cos_theta <= 1.0:
-            raise ValueError("cos_theta outside [-1, 1]")
-
-    @classmethod
-    def from_displacements(cls, d_ij, d_ik):
-        d_ij = np.asarray(d_ij, dtype=float)
-        d_ik = np.asarray(d_ik, dtype=float)
-        r_ij = float(np.linalg.norm(d_ij))
-        r_ik = float(np.linalg.norm(d_ik))
-        e_ij = d_ij / r_ij
-        e_ik = d_ik / r_ik
-        cos = min(1.0, max(-1.0, float(np.dot(e_ij, e_ik))))
-        return cls(r_ij, r_ik, cos, e_ij, e_ik)
-
-
-def zeta_term(geom, p, xm=math):
-    """zeta contribution of one triple and its position gradients.
-
-    Returns (value, d/dx_i, d/dx_j, d/dx_k); the x_i gradient is the exact
-    negative sum of the other two.
-    """
-    d_ij = geom.e_ij * geom.r_ij
-    d_ik = geom.e_ik * geom.r_ik
-    val, gjx, gjy, gjz, gkx, gky, gkz = _zeta_parts(
-        d_ij[0], d_ij[1], d_ij[2], geom.r_ij,
-        d_ik[0], d_ik[1], d_ik[2], geom.r_ik,
-        p.R, p.D, p.gamma, p.c, p.d, p.h, p.lam3, p.m, xm)
-    gj = np.array([gjx, gjy, gjz])
-    gk = np.array([gkx, gky, gkz])
-    return val, -(gj + gk), gj, gk
-
-
-def pair_energy_force(r_ij, e_ij, zeta_ij, p, xm=math):
-    """Energy and pair-force pieces of one ordered (i,j) bond.
-
-    Returns (energy, dV_dxi, dV_dxj, delta_zeta): dV_dxi/dV_dxj are the
-    position gradients of V at fixed zeta (pure pair term, acting along
-    e_ij with dV_dxi = -dV_dxj); delta_zeta = dV/d zeta feeds the second
-    force pass. Forces accumulate as F -= dV_dx.
-    """
-    v, dv_dr, delta_zeta = _pair_parts(
-        r_ij, zeta_ij, p.R, p.D, p.A, p.lam1, p.B, p.lam2, p.beta, p.eta, xm)
-    e = np.asarray(e_ij, dtype=float)
-    dv_dxj = dv_dr * e
-    return v, -dv_dxj, dv_dxj, delta_zeta
-
-
 # ======================================================================
 # lane forms (mirror the scalar expression trees exactly)
 # ======================================================================

@@ -2,26 +2,27 @@
 
 Kernels are written once against this layer and never mention the vector
 width: a `Lanes` value holds W lanes of float or integer data, a `Mask`
-holds W validity bits, and the `Backend` decides how wide W is and how the
-operations execute.
+holds W validity bits, and the `Backend` decides how wide W is and whether
+transcendentals are strict.
 
-Three backends share one implementation, differing only in width policy and
-numeric paths:
+Every lane operation is one numpy call over the W lanes, whatever the
+backend's name. The three names are presets of width and strictness:
 
-* ``scalar``   - W = 1, libm transcendentals. The correctness anchor.
+* ``scalar``   - W = 1, strict. The correctness anchor.
 * ``emulated`` - any small W (at least {1, 2, 4, 8, 16} are supported and
-  tested); lane arithmetic, gathers and scatters are bit-identical to running
-  the scalar backend once per lane. Transcendentals are numpy ufuncs kept
-  within 4 ulp of libm, or exact libm per lane when ``strict=True``.
-* ``native``   - numpy bulk execution over a large default width (1024).
-  Same semantics, except reduce_sum uses numpy's pairwise reduction instead
-  of the documented ascending-lane order (scatter_add stays sequential via
-  np.add.at and remains bit-exact).
+  tested), default 8; strict on request.
+* ``native``   - the same lane code at a large default width (1024); no
+  strict mode.
+
+Lane arithmetic, gathers, scatters and reductions are bit-identical to
+running the scalar backend once per lane, so at the same width ``native`` and
+``emulated`` give the same bits. Transcendentals are numpy ufuncs kept within
+4 ulp of libm, or exact libm per lane when ``strict=True``.
 
 Conventions: index lanes are signed 64-bit; index -1 marks a padding lane
 and must be masked off; masked-off lanes are never read from or written to
-memory. reduce_sum on scalar/emulated backends adds lanes in ascending
-order starting from 0.0.
+memory. scatter_add applies active lanes in ascending lane order and
+reduce_sum adds lanes in ascending order starting from 0.0.
 """
 
 import math
@@ -262,12 +263,7 @@ class Backend:
         ia = idx.data[act]
         if ia.min() < 0 or ia.max() >= dest.shape[0]:
             raise IndexError("active scatter lane out of bounds")
-        if self.name == "native":
-            np.add.at(dest, ia, vals.data[act])
-        else:
-            va = vals.data[act]
-            for k in range(ia.shape[0]):
-                dest[ia[k]] += va[k]
+        np.add.at(dest, ia, vals.data[act])
 
     # ---- arithmetic helpers --------------------------------------------
 
@@ -281,17 +277,13 @@ class Backend:
         return Lanes(np.maximum(_raw(a), _raw(b)))
 
     def reduce_sum(self, v):
-        """Sum of all lanes as a Python float.
+        """Sum of all lanes as a Python float, in ascending lane order.
 
-        scalar/emulated: ascending-lane order starting from 0.0.
-        native: numpy pairwise reduction (documented deviation).
+        Bit-equal to ``acc = 0.0; acc += lane`` over the lanes: the running
+        sum is double even for float32 lanes, and the leading 0.0 turns an
+        all -0.0 sum into +0.0 as the loop does.
         """
-        if self.name == "native":
-            return float(np.add.reduce(v.data))
-        acc = 0.0
-        for x in v.data.tolist():
-            acc += x
-        return acc
+        return 0.0 + float(np.add.accumulate(v.data, dtype=np.float64)[-1])
 
     # ---- transcendentals ------------------------------------------------
     # fast path: numpy ufuncs (within 4 ulp of libm per lane)

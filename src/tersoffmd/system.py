@@ -48,10 +48,6 @@ class SimulationBox:
                 positions[:, ax] %= self.lengths[ax]
         return positions
 
-    @property
-    def volume(self):
-        return float(np.prod(self.lengths))
-
     def __repr__(self):
         return f"SimulationBox({self.lengths.tolist()}, {self.periodic})"
 
@@ -402,6 +398,9 @@ class StretchSpec:
     def __post_init__(self):
         if self.axis not in (0, 1, 2):
             raise ConfigurationError(f"axis must be 0..2, got {self.axis}")
+        if not math.isfinite(self.speed):
+            raise ConfigurationError(
+                f"pull speed must be finite, got {self.speed!r}")
         if not 0.0 < self.grip_fraction < 0.5:
             raise ConfigurationError(
                 f"grip_fraction must be in (0, 0.5), got "

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .kernels import check_threads, compute, make_variant
 from .neighbor import build_neighbor_list
 from .simd import EMULATED_WIDTHS
@@ -142,7 +143,6 @@ def check_cross_variant(state, params, tol_energy=1e-10, tol_force=1e-8,
         make_variant("ScalarOpt"),
         make_variant("VecJ", "emulated", width),
         make_variant("VecI", "emulated", width),
-        make_variant("VecJ", "native"),
         make_variant("VecI", "native"),
     ]
     e_tol = tol_energy * tol_scale
@@ -256,6 +256,9 @@ def run_verification(state, params, variant=None, tol_scale=1.0,
                      seed=0):
     """Run every suite; return a JSON-safe report dict."""
     check_threads(threads)
+    if not (math.isfinite(tol_scale) and tol_scale >= 0):
+        raise ConfigurationError(
+            f"tol_scale must be finite and >= 0, got {tol_scale!r}")
     checks = []
     checks += _guard("gradient_fd", lambda: check_gradients(
         state, params, variant=variant, tol_scale=tol_scale, skin=skin,

@@ -75,7 +75,7 @@ def test_01_cross_variant_equivalence(cnt200):
         variants = [
             make_variant("Reference", precision=precision),
             make_variant("ScalarOpt", precision=precision),
-            make_variant("VecJ", "native", precision=precision),
+            make_variant("VecJ", "emulated", 8, precision),
             make_variant("VecI", "native", precision=precision),
         ]
         worst_e = worst_f = 0.0

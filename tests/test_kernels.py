@@ -12,9 +12,10 @@ from helpers import (Box, Frame, carbon_table, free_frame,
                      random_cluster_positions, two_species_table)
 from oracle import oracle_energy, oracle_forces
 from tersoffmd.errors import ConfigurationError, InputError
-from tersoffmd.kernels import compute, make_variant
+from tersoffmd.kernels import KernelVariant, compute, make_variant
 from tersoffmd.neighbor import build_neighbor_list
-from tersoffmd.simd import EMULATED_WIDTHS
+from tersoffmd.simd import EMULATED_WIDTHS, make_backend
+from tersoffmd.system import gen_diamond, gen_nanotube
 
 # frozen in test_potential.py from the 50-digit evaluation
 DIMER_E = -10.235536457692383
@@ -25,7 +26,6 @@ ALL_VARIANTS = [
     make_variant("ScalarOpt"),
     make_variant("VecJ", "emulated", 4),
     make_variant("VecI", "emulated", 4),
-    make_variant("VecJ", "native"),
     make_variant("VecI", "native"),
 ]
 
@@ -171,11 +171,28 @@ def test_width_independence(tag):
     fr, nl, table = cluster(9, 20)
     runs = [compute(fr, nl, table, make_variant(tag, "emulated", w))
             for w in EMULATED_WIDTHS]
-    runs.append(compute(fr, nl, table, make_variant(tag, "native")))
+    if tag == "VecI":
+        runs.append(compute(fr, nl, table, make_variant(tag, "native")))
     e0, f0 = runs[0].potential_energy, runs[0].forces
     for res in runs[1:]:
         assert res.potential_energy == pytest.approx(e0, rel=1e-12)
         assert np.max(np.abs(res.forces - f0)) < 1e-12
+
+
+@pytest.mark.parametrize("width", [64, 1024])
+def test_native_is_emulated_at_the_same_width(width):
+    """native is a width preset of the same lane code: same bits."""
+    mixed, _, mixed_table = cluster(11, 40, mixed=True)
+    table = carbon_table()
+    for state, params in ((gen_nanotube(5, 10), table),
+                          (gen_diamond(2), table), (mixed, mixed_table)):
+        nl = build_neighbor_list(state, params.r_cut, skin=0.3)
+        nat = compute(state, nl, params, make_variant("VecI", "native", width))
+        emu = compute(state, nl, params,
+                      make_variant("VecI", "emulated", width))
+        assert nat.forces.tobytes() == emu.forces.tobytes()
+        assert nat.per_atom_energy.tobytes() == emu.per_atom_energy.tobytes()
+        assert nat.potential_energy == emu.potential_energy
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=VIDS)
@@ -283,3 +300,16 @@ def test_species_index_outside_table_rejected():
 def test_unknown_tag_rejected():
     with pytest.raises(ConfigurationError, match="kernel tag"):
         make_variant("Fastest")
+
+
+def test_default_backends_and_vec_j_not_native():
+    assert make_variant("Reference").backend.name == "scalar"
+    assert make_variant("ScalarOpt").backend.name == "scalar"
+    vec_j = make_variant("VecJ").backend
+    assert (vec_j.name, vec_j.width) == ("emulated", 8)
+    vec_i = make_variant("VecI").backend
+    assert (vec_i.name, vec_i.width) == ("native", 1024)
+    with pytest.raises(ConfigurationError, match="VecJ"):
+        make_variant("VecJ", "native")
+    with pytest.raises(ConfigurationError, match="VecJ"):
+        KernelVariant("VecJ", make_backend("native", 16))

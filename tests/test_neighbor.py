@@ -228,6 +228,13 @@ def test_negative_skin_rejected():
         build_neighbor_list(fr, R_C, skin=-0.1)
 
 
+@pytest.mark.parametrize("skin", [np.nan, np.inf])
+def test_non_finite_skin_rejected(skin):
+    fr = free_frame([[0, 0, 0], [1.5, 0, 0]])
+    with pytest.raises(ConfigurationError, match="skin"):
+        build_neighbor_list(fr, R_C, skin=skin)
+
+
 def test_periodic_edge_below_twice_build_cutoff_rejected():
     # L < 2 (r_cut + skin) breaks minimum image: two images of the same
     # pair could both sit inside the cutoff

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from tersoffmd.potential import (
-    TersoffParams, TripletGeometry, ZETA_TINY,
+    TersoffParams, ZETA_TINY,
     bond_order, bond_order_lanes, f_attractive, f_attractive_lanes,
     f_cutoff, f_cutoff_lanes, f_repulsive, f_repulsive_lanes,
-    g_angle, g_angle_lanes, pair_energy_force, zeta_term,
+    g_angle, g_angle_lanes,
     _pair_parts, _zeta_parts, _zeta_value, pair_parts_lanes, zeta_parts_lanes)
 from tersoffmd.simd import make_backend
 
@@ -158,6 +158,19 @@ def test_bond_order_zero_zeta_guard():
 
 # ------------------------------------------------------------- zeta term
 
+def _zeta_grads(d_ij, d_ik, p):
+    """_zeta_parts on displacement vectors: (value, g_i, g_j, g_k), with
+    g_i = -(g_j + g_k) composed as the kernels do."""
+    r_ij = float(np.linalg.norm(d_ij))
+    r_ik = float(np.linalg.norm(d_ik))
+    val, gjx, gjy, gjz, gkx, gky, gkz = _zeta_parts(
+        *d_ij, r_ij, *d_ik, r_ik, p.R, p.D, p.gamma, p.c, p.d, p.h,
+        p.lam3, p.m)
+    gj = np.array([gjx, gjy, gjz])
+    gk = np.array([gkx, gky, gkz])
+    return val, -(gj + gk), gj, gk
+
+
 def _random_triplet(rng, spread=0.4):
     xi = rng.uniform(-0.2, 0.2, 3)
     xj = xi + rng.normal(size=3) * spread + np.array([1.4, 0, 0])
@@ -188,11 +201,10 @@ def test_zeta_gradients_match_finite_differences(p):
     checked = 0
     for trial in range(12):
         xi, xj, xk = _random_triplet(np.random.default_rng(100 + trial))
-        geom = TripletGeometry.from_displacements(xj - xi, xk - xi)
-        if not (0.3 < geom.r_ik < p.R + p.D - 0.05):
+        if not (0.3 < np.linalg.norm(xk - xi) < p.R + p.D - 0.05):
             continue  # keep clear of the taper join for clean FD
         checked += 1
-        val, gi, gj, gk = zeta_term(geom, p)
+        val, gi, gj, gk = _zeta_grads(xj - xi, xk - xi, p)
         scale = max(float(np.abs(np.array([gi, gj, gk])).max()), 1.0)
         atoms = [x.astype(np.longdouble) for x in (xi, xj, xk)]
         for a, grad in zip(range(3), (gi, gj, gk)):
@@ -209,8 +221,7 @@ def test_zeta_gradients_match_finite_differences(p):
 
 def test_zeta_translation_invariance():
     xi, xj, xk = _random_triplet(np.random.default_rng(5))
-    geom = TripletGeometry.from_displacements(xj - xi, xk - xi)
-    _, gi, gj, gk = zeta_term(geom, CP)
+    _, gi, gj, gk = _zeta_grads(xj - xi, xk - xi, CP)
     assert np.all(gi == -(gj + gk))  # constructed identity, bit for bit
     scale = float(np.abs(np.array([gi, gj, gk])).max())
     assert np.abs(gi + gj + gk).max() <= 1e-12 * scale
@@ -219,18 +230,16 @@ def test_zeta_translation_invariance():
 def test_zeta_rotation_invariance():
     rng = np.random.default_rng(17)
     xi, xj, xk = _random_triplet(rng)
-    v0 = zeta_term(TripletGeometry.from_displacements(xj - xi, xk - xi), CP)[0]
+    v0 = _zeta_grads(xj - xi, xk - xi, CP)[0]
     for _ in range(5):
         q = np.linalg.qr(rng.normal(size=(3, 3)))[0]
-        v = zeta_term(TripletGeometry.from_displacements(
-            q @ (xj - xi), q @ (xk - xi)), CP)[0]
+        v = _zeta_grads(q @ (xj - xi), q @ (xk - xi), CP)[0]
         assert abs(v - v0) <= 1e-12 * abs(v0)
 
 
 def test_zeta_beyond_cutoff_is_zero():
-    geom = TripletGeometry.from_displacements(
-        np.array([1.4, 0.0, 0.0]), np.array([0.0, 2.2, 0.0]))  # r_ik > R+D
-    val, gi, gj, gk = zeta_term(geom, CP)
+    val, gi, gj, gk = _zeta_grads(
+        np.array([1.4, 0.0, 0.0]), np.array([0.0, 2.2, 0.0]), CP)  # r_ik > R+D
     assert val == 0.0
     assert np.all(gi == 0.0) and np.all(gj == 0.0) and np.all(gk == 0.0)
 
@@ -239,34 +248,36 @@ def test_cos_theta_clamp_handles_collinear_rounding():
     # nearly collinear geometry: |cos| can exceed 1 by rounding; must not blow up
     d_ij = np.array([1.4, 0.0, 0.0])
     d_ik = np.array([1.9, 1e-9, 0.0])
-    val = zeta_term(TripletGeometry.from_displacements(d_ij, d_ik), CP)[0]
+    val = _zeta_grads(d_ij, d_ik, CP)[0]
     assert math.isfinite(val) and val > 0
 
 
 # ------------------------------------------------------ pair energy/force
 
+PAIR_CP = (CP.R, CP.D, CP.A, CP.lam1, CP.B, CP.lam2, CP.beta, CP.eta)
+
+
 def test_pair_energy_zero_zeta_reduces_to_cutoff_times_pair_terms():
     r = 1.4
-    e = np.array([1.0, 0.0, 0.0])
-    v, dvi, dvj, dz = pair_energy_force(r, e, 0.0, CP)
-    fc, _ = f_cutoff(r, CP.R, CP.D)
-    fr, _ = f_repulsive(r, CP.A, CP.lam1)
-    fa, _ = f_attractive(r, CP.B, CP.lam2)
+    v, dv_dr, dz = _pair_parts(r, 0.0, *PAIR_CP)
+    fc, dfc = f_cutoff(r, CP.R, CP.D)
+    fr, dfr = f_repulsive(r, CP.A, CP.lam1)
+    fa, dfa = f_attractive(r, CP.B, CP.lam2)
     assert v == fc * (fr + fa)  # b(0) = 1 exactly
-    assert np.all(dvi == -dvj)  # pure pair term acts along e_ij
+    assert dv_dr == dfc * (fr + fa) + fc * (dfr + dfa)  # pure pair term
     assert dz == 0.0
 
 
 def test_pair_energy_frozen_dimer_goldens():
     # frozen from a 50-digit evaluation at r = 1.4, double parameter values
-    v, dvi, dvj, _ = pair_energy_force(1.4, np.array([1.0, 0, 0]), 0.0, CP)
+    v, dv_dr, _ = _pair_parts(1.4, 0.0, *PAIR_CP)
     assert abs(v - -5.117768228846192) < 1e-13  # one ordered pair
-    assert abs(dvj[0] - -2.1479988885945214) < 1e-13
+    assert abs(dv_dr - -2.1479988885945214) < 1e-13
 
 
 def test_delta_zeta_sign_and_magnitude():
     # dV/dzeta = fC fA db: fA < 0 and db < 0, so delta_zeta > 0
-    v, _, _, dz = pair_energy_force(1.4, np.array([1.0, 0, 0]), 40326.0, CP)
+    v, _, dz = _pair_parts(1.4, 40326.0, *PAIR_CP)
     assert dz > 0
     fc, _ = f_cutoff(1.4, CP.R, CP.D)
     fa, _ = f_attractive(1.4, CP.B, CP.lam2)
@@ -394,15 +405,6 @@ def test_single_precision_scalar_path():
     assert v32[0].dtype == np.float32
     for a, b in zip(v32, v64):
         assert abs(float(a) - b) <= 2e-5 * max(abs(b), 1.0)
-
-
-def test_triplet_geometry_validation():
-    with pytest.raises(ValueError, match="unit vector"):
-        TripletGeometry(1.0, 1.0, 0.5, np.array([1.0, 1.0, 0.0]),
-                        np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError, match="cos_theta"):
-        TripletGeometry(1.0, 1.0, 1.5, np.array([1.0, 0.0, 0.0]),
-                        np.array([1.0, 0.0, 0.0]))
 
 
 def test_params_validation():

@@ -78,14 +78,34 @@ def test_mask_logic():
     assert bk.true_mask().all() and not bk.false_mask().any()
 
 
+def _ascending_sum(values):
+    acc = 0.0
+    for x in values:
+        acc += x
+    return acc
+
+
 def test_reduce_sum_is_ascending_lane_order():
     # ordering-sensitive values: ascending gives 1.0, other groupings differ
-    bk = make_backend("emulated", 4)
-    v = bk.real([1e16, 1.0, -1e16, 1.0])
-    acc = 0.0
-    for x in [1e16, 1.0, -1e16, 1.0]:
-        acc += x
-    assert bk.reduce_sum(v) == acc == 1.0
+    cases = [[1e16, 1.0, -1e16, 1.0], [-0.0] * 4,
+             RNG.uniform(-1, 1, 1024).tolist()]
+    for name, width in (("scalar", 1), ("emulated", 4), ("native", 4),
+                        ("native", 1024)):
+        bk = make_backend(name, width)
+        for values in cases:
+            v = bk.real(np.resize(values, width))
+            want = _ascending_sum(v.data.tolist())
+            got = bk.reduce_sum(v)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        if width == 4:
+            assert bk.reduce_sum(bk.real(cases[0])) == 1.0
+        assert math.copysign(1.0, bk.reduce_sum(bk.real(-0.0))) == 1.0
+        single = make_backend(name, width, precision="single")
+        v = single.real(RNG.uniform(-1e4, 1e4, width))
+        assert v.data.dtype == np.float32
+        # float32 lanes are summed in double, as the scalar loop does
+        assert single.reduce_sum(v) == _ascending_sum(v.data.tolist())
 
 
 # ---------------------------------------------------------------- memory ops
@@ -277,21 +297,20 @@ def test_transcendentals_within_4ulp_of_correctly_rounded():
 
 
 def test_native_backend_same_values_as_emulated():
-    """Bulk-numpy backend: arithmetic/gather/scatter bit-equal, libm-free
-    transcendentals within 4 ulp."""
-    width = 32
-    nat = make_backend("native", width)
-    emu_fast = Backend("emulated", width)  # same width, past the listed set
-    base = RNG.uniform(0.2, 3.0, 50)
-    idx_vals = RNG.integers(0, 50, width)
-    active = RNG.random(width) < 0.9
-
-    gn = nat.gather(base, nat.index(idx_vals), nat.mask(active), fill=1.0)
-    ge = emu_fast.gather(base, emu_fast.index(idx_vals), emu_fast.mask(active), fill=1.0)
-    assert bits_equal(gn.data, ge.data)
-    assert bits_equal((gn * 2.0 - 1.0).data, (ge * 2.0 - 1.0).data)
-    # fast-mode ufuncs are literally the same code path
-    assert bits_equal(nat.exp(gn).data, emu_fast.exp(ge).data)
+    """native is the emulated lane code at another default width: the whole
+    little program (gather, arithmetic, ufuncs, scatter, reduce) is
+    bit-equal at the same width."""
+    for width in (32, 1024):
+        nat = make_backend("native", width)
+        emu = Backend("emulated", width)  # same width, past the listed set
+        base = RNG.uniform(0.2, 3.0, 50)
+        idx_vals = RNG.integers(0, 50, width)
+        active = RNG.random(width) < 0.9
+        total_n, dest_n = _run_little_program(nat, base, idx_vals, active)
+        total_e, dest_e = _run_little_program(emu, base, idx_vals, active)
+        assert np.float64(total_n).tobytes() == \
+            np.float64(total_e).tobytes()
+        assert bits_equal(dest_n, dest_e)
 
 
 # ------------------------------------------------------------- validation

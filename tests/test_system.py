@@ -304,6 +304,12 @@ def test_stretch_requires_spec_and_grips():
         StretchSpec(axis=3)
 
 
+@pytest.mark.parametrize("speed", [np.inf, -np.inf, np.nan])
+def test_stretch_spec_rejects_non_finite_speed(speed):
+    with pytest.raises(ConfigurationError, match="pull speed"):
+        StretchSpec(axis=2, speed=speed)
+
+
 def test_stretch_speed_zero_is_plain_nve():
     st_a = gen_nanotube(3, 2)
     seed_velocities(st_a, 100.0, rng=5)

@@ -368,6 +368,34 @@ class TestCli:
         assert code == 2 and out == ""
         assert flag.lstrip("-") in err, err
 
+    @pytest.mark.parametrize("flag,value,word", [
+        ("--pull-speed", "inf", "pull speed"),
+        ("--pull-speed", "nan", "pull speed"),
+        ("--skin", "nan", "skin"), ("--skin", "inf", "skin")])
+    def test_run_rejects_non_finite_pull_speed_and_skin(self, flag, value,
+                                                         word, capsys):
+        code, out, err = run_cli(capsys, "run", "--structure",
+                                 "nanotube:n=3,cells=4", "--steps", "3",
+                                 flag, value)
+        assert code == 2 and out == ""
+        assert word in err, err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_verify_rejects_bad_tol_scale(self, value, capsys):
+        code, out, err = run_cli(capsys, "verify", "--structure",
+                                 "nanotube:n=3,cells=2", "--steps", "2",
+                                 "--tol-scale", value)
+        assert code == 2 and out == ""
+        assert "tol_scale" in err, err
+
+    @pytest.mark.parametrize("command", ["run", "bench", "verify"])
+    def test_vec_j_on_native_exits_two(self, command, capsys):
+        code, out, err = run_cli(capsys, command, "--structure",
+                                 "nanotube:n=3,cells=2", "--steps", "1",
+                                 "--variant", "vec-j", "--backend", "native")
+        assert code == 2 and out == ""
+        assert "VecJ" in err, err
+
     def test_xyz_species_follow_the_parameter_table(self, tmp_path, capsys):
         # table order (Si, C) differs from the XYZ's alphabetical (C, Si)
         table = ParamTable(("Si", "C"), two_species_table().entries)
