@@ -188,7 +188,11 @@ def cmd_bench(args):
             raise ConfigurationError(
                 f"unknown variant {name!r}; choose from "
                 f"{', '.join(_VARIANT_NAMES)}")
-        variants.append(_variant_from_args(args, name))
+        tag = _VARIANT_NAMES[name]
+        if tag in ("VecJ", "VecI"):
+            variants.append(_variant_from_args(args, name))
+        else:  # --backend and --width choose lanes; scalar kernels have none
+            variants.append(make_variant(tag, precision=args.precision))
     report = run_benchmark(
         state, params, variants,
         steps=20 if args.steps is None else args.steps,

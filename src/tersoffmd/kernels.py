@@ -339,7 +339,8 @@ def compute_vec_j(state, nl, params, backend):
         base_i = int(species[i]) * S
         for batch in adj.batches_j(i, W):
             mask = batch.mask
-            active += mask.count()
+            nact = int(np.count_nonzero(mask))
+            active += nact
             total += W
             dxj = bk.to_real(batch.dx)
             dyj = bk.to_real(batch.dy)
@@ -347,12 +348,12 @@ def compute_vec_j(state, nl, params, backend):
             r_ij = bk.to_real(batch.r)
             sj = bk.gather(species, batch.j_idx, mask, fill=0)
             pair_idx = base_i + sj
-            zeta = bk.zeros()
-            gix = giy = giz = bk.zeros()
-            gjxs = gjys = gjzs = bk.zeros()
+            # one array each: += on a shared buffer would alias the sums
+            zeta, gix, giy, giz, gjxs, gjys, gjzs = (bk.zeros()
+                                                     for _ in range(7))
             cache = []
             for kk in range(b0, b1):
-                visits += mask.count()
+                visits += nact
                 k = int(adj.j[kk])
                 act = mask & (batch.j_idx != k)
                 trip_idx = pair_idx * S + int(species[k])
@@ -365,29 +366,29 @@ def compute_vec_j(state, nl, params, backend):
                 val, gjx, gjy, gjz, gkx, gky, gkz = zeta_parts_lanes(
                     bk, dxj, dyj, dzj, r_ij, dxk, dyk, dzk, rik,
                     tR, tD, tg, tc, td, th, tl3, m_is3)
-                zeta = zeta + bk.where(act, val, 0.0)
-                gix += bk.where(act, -(gjx + gkx), 0.0)
-                giy += bk.where(act, -(gjy + gky), 0.0)
-                giz += bk.where(act, -(gjz + gkz), 0.0)
-                gjxs += bk.where(act, gjx, 0.0)
-                gjys += bk.where(act, gjy, 0.0)
-                gjzs += bk.where(act, gjz, 0.0)
-                cache.append((k, bk.where(act, gkx, 0.0),
-                              bk.where(act, gky, 0.0),
-                              bk.where(act, gkz, 0.0)))
+                zeta = zeta + np.where(act, val, 0.0)
+                gix = gix + np.where(act, -(gjx + gkx), 0.0)
+                giy = giy + np.where(act, -(gjy + gky), 0.0)
+                giz = giz + np.where(act, -(gjz + gkz), 0.0)
+                gjxs = gjxs + np.where(act, gjx, 0.0)
+                gjys = gjys + np.where(act, gjy, 0.0)
+                gjzs = gjzs + np.where(act, gjz, 0.0)
+                cache.append((k, np.where(act, gkx, 0.0),
+                              np.where(act, gky, 0.0),
+                              np.where(act, gkz, 0.0)))
             pR, pD, pA, pl1, pB, pl2, pbe, pet = bk.gather_fields(
                 pair_mat, pair_idx, mask, fill=1.0)
             v, dv_dr, dz = pair_parts_lanes(
                 bk, r_ij, zeta, pR, pD, pA, pl1, pB, pl2, pbe, pet)
-            ev = bk.reduce_sum(bk.where(mask, v, 0.0))
+            ev = bk.reduce_sum(np.where(mask, v, 0.0))
             energy += ev
             e_at[i] += ev
             fxv = dv_dr * (dxj / r_ij)
             fyv = dv_dr * (dyj / r_ij)
             fzv = dv_dr * (dzj / r_ij)
-            fx[i] += bk.reduce_sum(bk.where(mask, fxv - dz * gix, 0.0))
-            fy[i] += bk.reduce_sum(bk.where(mask, fyv - dz * giy, 0.0))
-            fz[i] += bk.reduce_sum(bk.where(mask, fzv - dz * giz, 0.0))
+            fx[i] += bk.reduce_sum(np.where(mask, fxv - dz * gix, 0.0))
+            fy[i] += bk.reduce_sum(np.where(mask, fyv - dz * giy, 0.0))
+            fz[i] += bk.reduce_sum(np.where(mask, fzv - dz * giz, 0.0))
             bk.scatter_add(fx, batch.j_idx, -fxv - dz * gjxs, mask)
             bk.scatter_add(fy, batch.j_idx, -fyv - dz * gjys, mask)
             bk.scatter_add(fz, batch.j_idx, -fzv - dz * gjzs, mask)
@@ -421,7 +422,7 @@ def compute_vec_i(state, nl, params, backend):
     total = 0
     for batch in adj.batches_i(W):
         mask = batch.mask
-        active += mask.count()
+        active += int(np.count_nonzero(mask))
         total += W
         dxj = bk.to_real(batch.dx)
         dyj = bk.to_real(batch.dy)
@@ -432,16 +433,16 @@ def compute_vec_i(state, nl, params, backend):
         pair_idx = si * S + sj
         cur = bk.gather(adj.offsets, batch.i_idx, mask, fill=0)
         end = bk.gather(adj.offsets, batch.i_idx + 1, mask, fill=0)
-        zeta = bk.zeros()
-        gix = giy = giz = bk.zeros()
-        gjxs = gjys = gjzs = bk.zeros()
+        # one array each: += on a shared buffer would alias the sums
+        zeta, gix, giy, giz, gjxs, gjys, gjzs = (bk.zeros()
+                                                 for _ in range(7))
         cache = []
         while True:
             alive = mask & (cur < end)
             if not alive.any():
                 break
-            visits += alive.count()
-            kk = bk.where(alive, cur, 0)
+            visits += int(np.count_nonzero(alive))
+            kk = np.where(alive, cur, 0)
             k_idx = bk.gather(adj.j, kk, alive, fill=-1)
             sk = bk.gather(species, k_idx, alive, fill=0)
             trip_idx = pair_idx * S + sk
@@ -455,23 +456,23 @@ def compute_vec_i(state, nl, params, backend):
             val, gjx, gjy, gjz, gkx, gky, gkz = zeta_parts_lanes(
                 bk, dxj, dyj, dzj, r_ij, dxk, dyk, dzk, rik,
                 tR, tD, tg, tc, td, th, tl3, m_is3)
-            zeta = zeta + bk.where(act, val, 0.0)
-            gix += bk.where(act, -(gjx + gkx), 0.0)
-            giy += bk.where(act, -(gjy + gky), 0.0)
-            giz += bk.where(act, -(gjz + gkz), 0.0)
-            gjxs += bk.where(act, gjx, 0.0)
-            gjys += bk.where(act, gjy, 0.0)
-            gjzs += bk.where(act, gjz, 0.0)
-            cache.append((k_idx, act, bk.where(act, gkx, 0.0),
-                          bk.where(act, gky, 0.0),
-                          bk.where(act, gkz, 0.0)))
-            cur = bk.where(alive, cur + 1, cur)
+            zeta = zeta + np.where(act, val, 0.0)
+            gix = gix + np.where(act, -(gjx + gkx), 0.0)
+            giy = giy + np.where(act, -(gjy + gky), 0.0)
+            giz = giz + np.where(act, -(gjz + gkz), 0.0)
+            gjxs = gjxs + np.where(act, gjx, 0.0)
+            gjys = gjys + np.where(act, gjy, 0.0)
+            gjzs = gjzs + np.where(act, gjz, 0.0)
+            cache.append((k_idx, act, np.where(act, gkx, 0.0),
+                          np.where(act, gky, 0.0),
+                          np.where(act, gkz, 0.0)))
+            cur = np.where(alive, cur + 1, cur)
         pR, pD, pA, pl1, pB, pl2, pbe, pet = bk.gather_fields(
             pair_mat, pair_idx, mask, fill=1.0)
         v, dv_dr, dz = pair_parts_lanes(
             bk, r_ij, zeta, pR, pD, pA, pl1, pB, pl2, pbe, pet)
-        energy += bk.reduce_sum(bk.where(mask, v, 0.0))
-        bk.scatter_add(e_at, batch.i_idx, bk.where(mask, v, 0.0), mask)
+        energy += bk.reduce_sum(np.where(mask, v, 0.0))
+        bk.scatter_add(e_at, batch.i_idx, np.where(mask, v, 0.0), mask)
         fxv = dv_dr * (dxj / r_ij)
         fyv = dv_dr * (dyj / r_ij)
         fzv = dv_dr * (dzj / r_ij)

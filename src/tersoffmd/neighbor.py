@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InputError
-from .simd import Lanes, Mask
 
 
 def min_image(disp, box):
@@ -223,21 +222,18 @@ def needs_rebuild(state, nl):
 class PackedNeighbors:
     """One lane batch of directed (i, j) pairs for the vector kernels.
 
-    Padding lanes: indices -1, zero displacement, r = 1.0 (safe divisor),
-    mask bit False.
+    Every field is an array of shape (W,): int64 indices, float64
+    displacements and distances, a bool mask. Padding lanes: indices -1,
+    zero displacement, r = 1.0 (safe divisor), mask bit False.
     """
 
-    i_idx: Lanes
-    j_idx: Lanes
-    dx: Lanes
-    dy: Lanes
-    dz: Lanes
-    r: Lanes
-    mask: Mask
-
-    @property
-    def width(self):
-        return self.r.width
+    i_idx: np.ndarray
+    j_idx: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    dz: np.ndarray
+    r: np.ndarray
+    mask: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -289,14 +285,15 @@ class PackedAdjacency:
         pad = width - nact
 
         def ints(vals):
-            return Lanes(np.concatenate(
-                [vals, np.full(pad, -1, dtype=np.int64)]) if pad
-                else vals.astype(np.int64, copy=True))
+            if pad:
+                return np.concatenate([vals, np.full(pad, -1, dtype=np.int64)])
+            return vals.astype(np.int64, copy=True)
 
         def reals(vals, fill):
-            return Lanes(np.concatenate(
-                [vals, np.full(pad, fill, dtype=np.float64)]) if pad
-                else vals.copy())
+            if pad:
+                return np.concatenate(
+                    [vals, np.full(pad, fill, dtype=np.float64)])
+            return vals.copy()
 
         mask = np.zeros(width, dtype=bool)
         mask[:nact] = True
@@ -304,7 +301,7 @@ class PackedAdjacency:
             i_idx=ints(self.i[rows]), j_idx=ints(self.j[rows]),
             dx=reals(self.dx[rows], 0.0), dy=reals(self.dy[rows], 0.0),
             dz=reals(self.dz[rows], 0.0), r=reals(self.r[rows], 1.0),
-            mask=Mask(mask))
+            mask=mask)
 
 
 def pack_adjacency(state, nl, r_cut=None):

@@ -19,9 +19,11 @@ gamma*(1 + c^2 x^2 / (d^2 (d^2 + x^2))) with x = h - cos.
 
 Every function exists in two mirrored forms: a scalar form used by the
 reference/scalar kernels (pass ``xm=math`` for double, ``xm=numpy`` with
-float32 inputs for single precision) and a ``*_lanes`` form over the SIMD
-layer. The two share expression trees operation for operation, so a strict
-width-1 lane run reproduces the scalar result bit for bit.
+float32 inputs for single precision) and a ``*_lanes`` form over lane
+arrays (numpy arrays of shape (W,)) that takes its transcendentals from the
+SIMD backend ``bk``. The two share expression trees operation for
+operation, so a strict width-1 lane run reproduces the scalar result bit
+for bit.
 """
 
 import math
@@ -300,8 +302,8 @@ def f_cutoff_lanes(bk, r, R, D):
     dtaper = (NEG_QUARTER_PI / D) * bk.cos(a)
     plateau = r <= R - D
     beyond = r >= R + D
-    fc = bk.where(plateau, 1.0, bk.where(beyond, 0.0, taper))
-    dfc = bk.where(plateau | beyond, 0.0, dtaper)
+    fc = np.where(plateau, 1.0, np.where(beyond, 0.0, taper))
+    dfc = np.where(plateau | beyond, 0.0, dtaper)
     return fc, dfc
 
 
@@ -331,15 +333,16 @@ def bond_order_lanes(bk, zeta, beta, eta):
     u = bk.pow(t, eta)
     b = bk.pow(1.0 + u, -0.5 / eta)
     tiny = zeta < ZETA_TINY
-    t_safe = bk.where(tiny, 1.0, t)
+    t_safe = np.where(tiny, 1.0, t)
     db = (-0.5 * beta) * bk.pow(t_safe, eta - 1.0) \
         * bk.pow(1.0 + u, -0.5 / eta - 1.0)
-    return b, bk.where(tiny, 0.0, db)
+    return b, np.where(tiny, 0.0, db)
 
 
 def zeta_parts_lanes(bk, dxj, dyj, dzj, rij, dxk, dyk, dzk, rik,
                      R, D, gamma, c, d, h, lam3, m_is3):
-    """Lane twin of _zeta_parts; m_is3 is a Mask selecting m == 3 lanes."""
+    """Lane twin of _zeta_parts; m_is3 is a bool array selecting m == 3
+    lanes."""
     fc, dfc = f_cutoff_lanes(bk, rik, R, D)
     inv_rij = 1.0 / rij
     inv_rik = 1.0 / rik
@@ -350,11 +353,11 @@ def zeta_parts_lanes(bk, dxj, dyj, dzj, rij, dxk, dyk, dzk, rik,
     eky = dyk * inv_rik
     ekz = dzk * inv_rik
     cost = ejx * ekx + ejy * eky + ejz * ekz
-    cost = bk.minimum(bk.maximum(cost, -1.0), 1.0)
+    cost = np.minimum(np.maximum(cost, -1.0), 1.0)
     gv, dgv = g_angle_lanes(bk, cost, gamma, c, d, h)
     t = lam3 * (rij - rik)
-    arg = bk.where(m_is3, t * t * t, t)
-    darg = bk.where(m_is3, (3.0 * lam3) * (t * t), lam3)
+    arg = np.where(m_is3, t * t * t, t)
+    darg = np.where(m_is3, (3.0 * lam3) * (t * t), lam3)
     ex = bk.exp(arg)
     val = fc * gv * ex
     dval_drij = val * darg

@@ -304,19 +304,20 @@ def test_pack_modes_enumerate_each_directed_pair_once(mode, width):
         batches = list(adj.batches_i(width))
     seen = []
     for b in batches:
-        assert b.width == width
-        act = b.mask.bits
-        assert np.all(b.i_idx.data[~act] == -1)
-        assert np.all(b.j_idx.data[~act] == -1)
-        assert np.all(b.r.data[~act] == 1.0)
-        assert np.all(b.r.data[act] < R_C)
-        seen += list(zip(b.i_idx.data[act].tolist(),
-                         b.j_idx.data[act].tolist()))
+        assert all(getattr(b, f).shape == (width,) for f in
+                   ("i_idx", "j_idx", "dx", "dy", "dz", "r", "mask"))
+        act = b.mask
+        assert np.all(b.i_idx[~act] == -1)
+        assert np.all(b.j_idx[~act] == -1)
+        assert np.all(b.r[~act] == 1.0)
+        assert np.all(b.r[act] < R_C)
+        seen += list(zip(b.i_idx[act].tolist(),
+                         b.j_idx[act].tolist()))
     assert len(seen) == len(set(seen))  # exactly once each
     assert set(seen) == brute_directed(fr.positions, fr.box, R_C)
     if mode == "J":
         for b in batches:
-            ii = b.i_idx.data[b.mask.bits]
+            ii = b.i_idx[b.mask]
             assert np.all(ii == ii[0])  # one i per batch
 
 
@@ -329,9 +330,9 @@ def test_pack_mode_j_batch_shapes():
     batches = list(adj.batches_j(0, 8))
     assert len(batches) == 1  # 3 neighbors fit one width-8 batch
     b = batches[0]
-    assert b.mask.count() == 3
-    assert b.i_idx.data.tolist() == [0, 0, 0, -1, -1, -1, -1, -1]
-    assert sorted(b.j_idx.data[:3].tolist()) == [1, 2, 3]
+    assert np.count_nonzero(b.mask) == 3
+    assert b.i_idx.tolist() == [0, 0, 0, -1, -1, -1, -1, -1]
+    assert sorted(b.j_idx[:3].tolist()) == [1, 2, 3]
     assert list(adj.batches_j(4, 8)) == []
     # a width-2 repack needs ceil(3/2) batches for atom 0
     assert len(list(adj.batches_j(0, 2))) == 2
@@ -343,15 +344,15 @@ def test_pack_mode_i_is_ascending_and_dense():
     nl = build_neighbor_list(fr, R_C, skin=0.3)
     adj = pack_adjacency(fr, nl)
     batches = list(adj.batches_i(4))
-    i_seq = np.concatenate([b.i_idx.data[b.mask.bits] for b in batches])
-    j_seq = np.concatenate([b.j_idx.data[b.mask.bits] for b in batches])
+    i_seq = np.concatenate([b.i_idx[b.mask] for b in batches])
+    j_seq = np.concatenate([b.j_idx[b.mask] for b in batches])
     # every CSR entry once, in row order: (i, j) follow the adjacency
     csr_i = np.repeat(np.arange(adj.natoms), np.diff(adj.offsets))
     assert np.array_equal(i_seq, csr_i)
     assert np.array_equal(j_seq, adj.j)
     assert np.all(np.diff(i_seq) >= 0)  # ascending i across the flat order
     # only the final batch may be partial
-    assert all(b.mask.count() == 4 for b in batches[:-1])
+    assert all(np.count_nonzero(b.mask) == 4 for b in batches[:-1])
 
 
 def test_pack_cutoff_wider_than_list_rejected():

@@ -1,4 +1,7 @@
-"""Lane-layer tests: every backend/width against a per-lane scalar oracle."""
+"""Lane-layer tests: every backend/width against a per-lane scalar oracle.
+
+Lane values are numpy arrays of shape (W,); masks are bool arrays.
+"""
 
 import math
 import os
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 import tersoffmd
-from tersoffmd.simd import Backend, Lanes, make_backend, EMULATED_WIDTHS
+from tersoffmd.simd import Backend, make_backend, EMULATED_WIDTHS
 
 RNG = np.random.default_rng(20260816)
 
@@ -34,16 +37,16 @@ def test_lane_arithmetic_matches_per_lane_python(width):
     a = random_lanes(bk)
     b = random_lanes(bk, 0.5, 4.0)
     cases = {
-        "add": (a + b, [x + y for x, y in zip(a.data.tolist(), b.data.tolist())]),
-        "sub": (a - b, [x - y for x, y in zip(a.data.tolist(), b.data.tolist())]),
-        "mul": (a * b, [x * y for x, y in zip(a.data.tolist(), b.data.tolist())]),
-        "div": (a / b, [x / y for x, y in zip(a.data.tolist(), b.data.tolist())]),
-        "rsub": (1.0 - a, [1.0 - x for x in a.data.tolist()]),
-        "rdiv": (1.0 / b, [1.0 / y for y in b.data.tolist()]),
-        "neg": (-a, [-x for x in a.data.tolist()]),
+        "add": (a + b, [x + y for x, y in zip(a.tolist(), b.tolist())]),
+        "sub": (a - b, [x - y for x, y in zip(a.tolist(), b.tolist())]),
+        "mul": (a * b, [x * y for x, y in zip(a.tolist(), b.tolist())]),
+        "div": (a / b, [x / y for x, y in zip(a.tolist(), b.tolist())]),
+        "rsub": (1.0 - a, [1.0 - x for x in a.tolist()]),
+        "rdiv": (1.0 / b, [1.0 / y for y in b.tolist()]),
+        "neg": (-a, [-x for x in a.tolist()]),
     }
     for name, (got, want) in cases.items():
-        assert bits_equal(got.data, np.array(want)), name
+        assert bits_equal(got, np.array(want)), name
 
 
 @pytest.mark.parametrize("width", EMULATED_WIDTHS)
@@ -52,30 +55,20 @@ def test_compare_minmax_blend(width):
     a = random_lanes(bk)
     b = random_lanes(bk)
     lt = a < b
-    assert lt.bits.tolist() == [x < y for x, y in zip(a.data, b.data)]
+    assert lt.tolist() == [x < y for x, y in zip(a.tolist(), b.tolist())]
     assert (a <= a).all()
     assert not (a != a).any()
-    mn = bk.minimum(a, b)
-    mx = bk.maximum(a, b)
-    assert mn.data.tolist() == [min(x, y) for x, y in zip(a.data.tolist(), b.data.tolist())]
-    assert mx.data.tolist() == [max(x, y) for x, y in zip(a.data.tolist(), b.data.tolist())]
-    sel = bk.where(lt, a, b)
-    assert sel.data.tolist() == [x if x < y else y
-                                 for x, y in zip(a.data.tolist(), b.data.tolist())]
+    mn = np.minimum(a, b)
+    mx = np.maximum(a, b)
+    assert mn.tolist() == [min(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert mx.tolist() == [max(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    sel = np.where(lt, a, b)
+    assert sel.tolist() == [x if x < y else y
+                            for x, y in zip(a.tolist(), b.tolist())]
     # blend against a scalar alternative
-    z = bk.where(lt, a, 0.0)
-    assert z.data.tolist() == [x if x < y else 0.0
-                               for x, y in zip(a.data.tolist(), b.data.tolist())]
-
-
-def test_mask_logic():
-    bk = make_backend("emulated", 8)
-    m = bk.mask([1, 0, 1, 0, 1, 0, 1, 0])
-    n = bk.mask([1, 1, 0, 0, 1, 1, 0, 0])
-    assert (m & n).bits.tolist() == [True, False, False, False, True, False, False, False]
-    assert (m | n).count() == 6
-    assert (~m).count() == 4
-    assert bk.true_mask().all() and not bk.false_mask().any()
+    z = np.where(lt, a, 0.0)
+    assert z.tolist() == [x if x < y else 0.0
+                          for x, y in zip(a.tolist(), b.tolist())]
 
 
 def _ascending_sum(values):
@@ -94,7 +87,7 @@ def test_reduce_sum_is_ascending_lane_order():
         bk = make_backend(name, width)
         for values in cases:
             v = bk.real(np.resize(values, width))
-            want = _ascending_sum(v.data.tolist())
+            want = _ascending_sum(v.tolist())
             got = bk.reduce_sum(v)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -103,9 +96,9 @@ def test_reduce_sum_is_ascending_lane_order():
         assert math.copysign(1.0, bk.reduce_sum(bk.real(-0.0))) == 1.0
         single = make_backend(name, width, precision="single")
         v = single.real(RNG.uniform(-1e4, 1e4, width))
-        assert v.data.dtype == np.float32
+        assert v.dtype == np.float32
         # float32 lanes are summed in double, as the scalar loop does
-        assert single.reduce_sum(v) == _ascending_sum(v.data.tolist())
+        assert single.reduce_sum(v) == _ascending_sum(v.tolist())
 
 
 # ---------------------------------------------------------------- memory ops
@@ -116,31 +109,33 @@ def test_masked_gather_and_padding(width):
     base = RNG.uniform(-5, 5, 40)
     idx_vals = RNG.integers(0, 40, width)
     idx_vals[::2] = -1  # padding lanes
-    mask = bk.mask(idx_vals >= 0)
-    out = bk.gather(base, bk.index(idx_vals), mask, fill=7.5)
+    out = bk.gather(base, idx_vals, idx_vals >= 0, fill=7.5)
+    assert out.shape == (width,)
     for lane in range(width):
         if idx_vals[lane] >= 0:
-            assert out.data[lane] == base[idx_vals[lane]]
+            assert out[lane] == base[idx_vals[lane]]
         else:
-            assert out.data[lane] == 7.5  # padding untouched by memory
+            assert out[lane] == 7.5  # padding untouched by memory
 
 
 def test_gather_counts_are_instrumented():
     bk = make_backend("emulated", 4)
     base = np.arange(10.0)
     before = bk.gather_count
-    bk.gather(base, bk.index([1, 2, 3, 4]), bk.true_mask())
-    bk.gather(base, bk.index([1, 2, 3, 4]), bk.true_mask())
+    idx, mask = np.array([1, 2, 3, 4]), np.ones(4, dtype=bool)
+    bk.gather(base, idx, mask)
+    bk.gather(base, idx, mask)
     assert bk.gather_count - before == 2
 
 
 def test_gather_out_of_bounds_active_lane_is_checked():
     bk = make_backend("emulated", 2)
     base = np.arange(4.0)
+    mask = np.ones(2, dtype=bool)
     with pytest.raises(IndexError):
-        bk.gather(base, bk.index([1, 9]), bk.true_mask())
+        bk.gather(base, np.array([1, 9]), mask)
     with pytest.raises(IndexError):
-        bk.gather(base, bk.index([-1, 2]), bk.true_mask())  # -1 must be masked
+        bk.gather(base, np.array([-1, 2]), mask)  # -1 must be masked
 
 
 @pytest.mark.parametrize("name", ["emulated", "native"])
@@ -149,8 +144,8 @@ def test_scatter_out_of_bounds_active_lane_is_checked(name):
     dest = np.zeros(4)
     for bad in ([1, 4], [-1, 2]):
         with pytest.raises(IndexError):
-            bk.scatter_add(dest, bk.index(bad), bk.real([1.0, 1.0]),
-                           bk.true_mask())
+            bk.scatter_add(dest, np.array(bad), bk.real([1.0, 1.0]),
+                           np.ones(2, dtype=bool))
     assert not dest.any()  # nothing written before the check
 
 
@@ -160,7 +155,8 @@ def test_bounds_checks_survive_python_O():
         "import numpy as np\n"
         "from tersoffmd.simd import make_backend\n"
         "bk = make_backend('emulated', 2)\n"
-        "idx, m = bk.index([0, -1]), bk.true_mask()\n"  # numpy would wrap -1
+        # numpy itself would wrap -1 to the last element
+        "idx, m = np.array([0, -1]), np.ones(2, dtype=bool)\n"
         "calls = [lambda: bk.gather(np.zeros(3), idx, m),\n"
         "         lambda: bk.gather_fields(np.zeros((3, 2)), idx, m),\n"
         "         lambda: bk.scatter_add(np.zeros(3), idx, bk.real([1, 1]),"
@@ -184,13 +180,13 @@ def test_gather_fields_matches_columnwise_gather():
     records = RNG.uniform(-2, 2, (30, 5))
     idx_vals = RNG.integers(0, 30, 8)
     idx_vals[3] = -1
-    mask = bk.mask(idx_vals >= 0)
-    idx = bk.index(idx_vals)
-    fields = bk.gather_fields(records, idx, mask, fill=0.25)
+    mask = idx_vals >= 0
+    fields = bk.gather_fields(records, idx_vals, mask, fill=0.25)
     assert len(fields) == 5
     for f in range(5):
-        ref = bk.gather(np.ascontiguousarray(records[:, f]), idx, mask, fill=0.25)
-        assert bits_equal(fields[f].data, ref.data)
+        ref = bk.gather(np.ascontiguousarray(records[:, f]), idx_vals, mask,
+                        fill=0.25)
+        assert bits_equal(fields[f], ref)
 
 
 @pytest.mark.parametrize("name,width", [("emulated", 8), ("emulated", 16),
@@ -203,7 +199,7 @@ def test_scatter_add_bit_equals_sequential_loop(name, width):
     idx_vals = RNG.integers(0, 13, width)
     vals = RNG.uniform(-1, 1, width)
     active = RNG.random(width) < 0.8
-    bk.scatter_add(dest, bk.index(idx_vals), bk.real(vals), bk.mask(active))
+    bk.scatter_add(dest, idx_vals, bk.real(vals), active)
     for lane in range(width):  # sequential scalar oracle
         if active[lane]:
             ref[idx_vals[lane]] += vals[lane]
@@ -213,12 +209,12 @@ def test_scatter_add_bit_equals_sequential_loop(name, width):
 def test_scatter_add_masked_lanes_do_not_write():
     bk = make_backend("emulated", 4)
     dest = np.zeros(3)
-    bk.scatter_add(dest, bk.index([0, 1, 2, 0]), bk.real([1.0, 2.0, 3.0, 4.0]),
-                   bk.mask([True, False, True, False]))
+    bk.scatter_add(dest, np.array([0, 1, 2, 0]), bk.real([1.0, 2.0, 3.0, 4.0]),
+                   np.array([True, False, True, False]))
     assert dest.tolist() == [1.0, 0.0, 3.0, 0.0][:3]
     # all-false mask: no write at all, even with junk indices
-    bk.scatter_add(dest, bk.index([-1, 99, -5, 7]), bk.real([9.0] * 4),
-                   bk.false_mask())
+    bk.scatter_add(dest, np.array([-1, 99, -5, 7]), bk.real([9.0] * 4),
+                   np.zeros(4, dtype=bool))
     assert dest.tolist() == [1.0, 0.0, 3.0]
 
 
@@ -226,14 +222,12 @@ def test_scatter_add_masked_lanes_do_not_write():
 
 def _run_little_program(bk, base, idx_vals, active):
     """A miniature masked compute: gather, arithmetic, transcendentals, sum."""
-    idx = bk.index(idx_vals)
-    mask = bk.mask(active)
-    x = bk.gather(base, idx, mask, fill=1.0)
+    x = bk.gather(base, idx_vals, active, fill=1.0)
     y = bk.sqrt(x * x + 1.0)
     z = bk.exp(-y) * bk.sin(y) + bk.cos(y * 0.5)
-    z = bk.where(mask, z, 0.0)
+    z = np.where(active, z, 0.0)
     dest = np.zeros(base.shape[0])
-    bk.scatter_add(dest, idx, z, mask)
+    bk.scatter_add(dest, idx_vals, z, active)
     return bk.reduce_sum(z), dest
 
 
@@ -269,12 +263,12 @@ def test_fast_transcendentals_within_4ulp_of_scalar(width):
     bk_strict = make_backend("emulated", width, strict=True)
     x = bk_fast.real(RNG.uniform(0.05, 4.0, width))
     for fn in ("exp", "sqrt", "sin", "cos"):
-        fast = getattr(bk_fast, fn)(x).data
-        strict = getattr(bk_strict, fn)(x).data
+        fast = getattr(bk_fast, fn)(x)
+        strict = getattr(bk_strict, fn)(x)
         for f, s in zip(fast, strict):
             assert abs(f - s) <= 4 * np.spacing(abs(s)), fn
-    fast = bk_fast.pow(x, 0.72751).data
-    strict = bk_strict.pow(x, 0.72751).data
+    fast = bk_fast.pow(x, 0.72751)
+    strict = bk_strict.pow(x, 0.72751)
     for f, s in zip(fast, strict):
         assert abs(f - s) <= 4 * np.spacing(abs(s)), "pow"
 
@@ -290,7 +284,7 @@ def test_transcendentals_within_4ulp_of_correctly_rounded():
         for i in range(0, 200, 4):
             v = bk.real(xs[i:i + 4])
             for fn, mpfn in exact_fns.items():
-                got = getattr(bk, fn)(v).data
+                got = getattr(bk, fn)(v)
                 for x, g in zip(xs[i:i + 4], got):
                     exact = float(mpfn(mpmath.mpf(x)))
                     assert abs(g - exact) <= 4 * np.spacing(abs(exact)), (name, fn)
@@ -331,14 +325,25 @@ def test_backend_validation():
     assert make_backend("scalar").strict
     assert make_backend("native").width == 1024
     assert make_backend("emulated").width == 8
+    assert make_backend("emulated", np.int64(4)).width == 4
+
+
+@pytest.mark.parametrize("width", [2.5, 7.9, True, "8"])
+def test_non_integer_width_rejected(width):
+    """A width is an integer: no silent truncation, no bool as 1."""
+    with pytest.raises(ValueError, match=f"width must be an integer, got "
+                                         f"{width!r}"):
+        make_backend("emulated", width)
 
 
 def test_single_precision_lanes():
     bk = make_backend("emulated", 4, precision="single")
     v = bk.real([1.0, 2.0, 3.0, 4.0])
-    assert v.data.dtype == np.float32
-    assert (v * 0.5).data.dtype == np.float32
-    assert bk.exp(v).data.dtype == np.float32
+    assert v.dtype == np.float32
+    assert (v * 0.5).dtype == np.float32
+    assert (0.5 * v).dtype == np.float32
+    assert bk.exp(v).dtype == np.float32
+    assert np.where(v > 2.0, v, 0.0).dtype == np.float32
     # conversion from double positions happens explicitly
-    dd = Lanes(np.array([0.1, 0.2, 0.3, 0.4]))
-    assert bk.to_real(dd).data.dtype == np.float32
+    dd = np.array([0.1, 0.2, 0.3, 0.4])
+    assert bk.to_real(dd).dtype == np.float32

@@ -313,6 +313,22 @@ class TestCli:
         assert [r["variant"] for r in rows] == \
             ["Reference", "ScalarOpt", "VecI"]
 
+    @pytest.mark.parametrize("lane_opts,lanes", [
+        (("--width", "16"), ("native", 16)),
+        (("--backend", "emulated"), ("emulated", 8))],
+        ids=["width", "backend"])
+    def test_bench_lane_options_reach_lane_kernels_only(self, lane_opts,
+                                                        lanes, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "--structure", "nanotube:n=3,cells=2",
+            "--steps", "1", "--repeats", "1", "--warmup", "0",
+            "--variant", "reference,scalar,vec-i", "--format", "json",
+            *lane_opts)
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert [(r["backend"], r["width"]) for r in rows] == \
+            [("scalar", 1), ("scalar", 1), lanes]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verify_cli_passes_and_fails(self, tmp_path, capsys):
         base = ("verify", "--structure", "nanotube:n=4,cells=3",
