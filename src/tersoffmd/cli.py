@@ -181,8 +181,13 @@ def cmd_run(args):
 def cmd_bench(args):
     params = _load_params(args)
     state = _load_structure(args.structure, params)
+    if args.variant is None:  # every kernel that runs on --backend
+        names = [n for n in _VARIANT_NAMES
+                 if n != "vec-j" or args.backend != "native"]
+    else:
+        names = args.variant.split(",")
     variants = []
-    for name in args.variant.split(","):
+    for name in names:
         name = name.strip()
         if name not in _VARIANT_NAMES:
             raise ConfigurationError(
@@ -204,7 +209,7 @@ def cmd_bench(args):
 def cmd_verify(args):
     params = _load_params(args)
     state = _load_structure(args.structure, params)
-    variant = _variant_from_args(args) if args.variant else None
+    variant = _variant_from_args(args)
     report = run_verification(
         state, params, variant=variant, tol_scale=args.tol_scale,
         conservation_steps=200 if args.steps is None else args.steps,
@@ -231,11 +236,12 @@ def _add_common(p, bench=False):
     p.add_argument("--params", metavar="PATH", default=None,
                    help="parameter file (default: bundled carbon table)")
     if bench:
-        p.add_argument("--variant", default="reference,scalar,vec-j,vec-i",
-                       help="comma-separated list of kernels to time")
+        p.add_argument("--variant", default=None,
+                       help="comma-separated list of kernels to time "
+                            "(default: every kernel that runs on --backend)")
     else:
         p.add_argument("--variant", choices=sorted(_VARIANT_NAMES),
-                       default="scalar", help="kernel to run")
+                       default="vec-i", help="kernel to run")
     p.add_argument("--backend", choices=("scalar", "emulated", "native"),
                    default=None,
                    help="lane backend (default: native for vec-i, "

@@ -7,18 +7,17 @@
 * ScalarOpt: one k walk per (i,j). Values and gradient sums are
   accumulated on the fly, per-k gradients cached, the second walk only
   multiplies by delta_zeta: sum(n_i^2) visits.
-* VecJ: ScalarOpt with the j loop spread across lanes (one i per batch,
-  k broadcast). F_i contributions are lane-reduced, F_j/F_k go through
-  the ordered scatter. A row holds a few neighbors, so VecJ runs on the
-  scalar and emulated backends only.
-* VecI: lanes hold consecutive (i,j) pairs across atoms; the k iteration
-  advances a private cursor per lane, so lanes may share i or k and every
-  force update goes through the ordered scatter.
+* VecJ and VecI: two batch schedules of one lane kernel. VecJ fills a
+  batch with one atom's neighbor row (one i per batch); VecI fills it
+  with consecutive (i,j) pairs across atoms. In both, the k iteration
+  advances a private cursor per lane, so lanes may share i or k and
+  every force update goes through the ordered scatter. A row holds a
+  few neighbors, so VecJ runs on the scalar and emulated backends only.
 
 All optimized variants share the scalar forms' expression trees operation
 for operation and accumulate per (i,j) at the same granularity: zeta, the
 gradient sums over k, and the per-k F_k updates. On a strict double
-emulated backend at width 1, VecJ and VecI reproduce ScalarOpt bit for
+emulated backend at width 1, both schedules reproduce ScalarOpt bit for
 bit (forces are flushed with +0.0 on output so a masked-lane zero cannot
 differ in sign). Energies and forces accumulate in float64 in both
 precision modes; "single" converts distances, parameters and all
@@ -303,7 +302,7 @@ def compute_scalar_opt(state, nl, params, precision="double"):
 
 
 # ======================================================================
-# vector kernels
+# the lane kernel: VecJ and VecI
 # ======================================================================
 
 def _gather_trip(bk, trip_mat, idx, mask):
@@ -312,16 +311,17 @@ def _gather_trip(bk, trip_mat, idx, mask):
     return R, D, gamma, c, d, h, lam3, (m == 3.0)
 
 
-def compute_vec_j(state, nl, params, backend):
+def compute_lanes(state, nl, params, variant):
+    """VecJ and VecI: one body, the tag picks the batch schedule."""
     species = _validate(state, params)
     adj = pack_adjacency(state, nl, params.r_cut)
-    views = params.views(backend.precision)
+    bk = variant.backend
+    views = params.views(bk.precision)
     pair_mat = views["pair_matrix"]
     trip_mat = views["trip_matrix"]
     S = params.nspecies
     n = adj.natoms
-    W = backend.width
-    bk = backend
+    W = bk.width
     gathers0 = bk.gather_count
 
     fx = np.zeros(n)
@@ -332,95 +332,8 @@ def compute_vec_j(state, nl, params, backend):
     visits = 0
     active = 0
     total = 0
-    for i in range(n):
-        b0, b1 = adj.row_bounds(i)
-        if b0 == b1:
-            continue
-        base_i = int(species[i]) * S
-        for batch in adj.batches_j(i, W):
-            mask = batch.mask
-            nact = int(np.count_nonzero(mask))
-            active += nact
-            total += W
-            dxj = bk.to_real(batch.dx)
-            dyj = bk.to_real(batch.dy)
-            dzj = bk.to_real(batch.dz)
-            r_ij = bk.to_real(batch.r)
-            sj = bk.gather(species, batch.j_idx, mask, fill=0)
-            pair_idx = base_i + sj
-            # one array each: += on a shared buffer would alias the sums
-            zeta, gix, giy, giz, gjxs, gjys, gjzs = (bk.zeros()
-                                                     for _ in range(7))
-            cache = []
-            for kk in range(b0, b1):
-                visits += nact
-                k = int(adj.j[kk])
-                act = mask & (batch.j_idx != k)
-                trip_idx = pair_idx * S + int(species[k])
-                tR, tD, tg, tc, td, th, tl3, m_is3 = _gather_trip(
-                    bk, trip_mat, trip_idx, mask)
-                dxk = bk.real(adj.dx[kk])
-                dyk = bk.real(adj.dy[kk])
-                dzk = bk.real(adj.dz[kk])
-                rik = bk.real(adj.r[kk])
-                val, gjx, gjy, gjz, gkx, gky, gkz = zeta_parts_lanes(
-                    bk, dxj, dyj, dzj, r_ij, dxk, dyk, dzk, rik,
-                    tR, tD, tg, tc, td, th, tl3, m_is3)
-                zeta = zeta + np.where(act, val, 0.0)
-                gix = gix + np.where(act, -(gjx + gkx), 0.0)
-                giy = giy + np.where(act, -(gjy + gky), 0.0)
-                giz = giz + np.where(act, -(gjz + gkz), 0.0)
-                gjxs = gjxs + np.where(act, gjx, 0.0)
-                gjys = gjys + np.where(act, gjy, 0.0)
-                gjzs = gjzs + np.where(act, gjz, 0.0)
-                cache.append((k, np.where(act, gkx, 0.0),
-                              np.where(act, gky, 0.0),
-                              np.where(act, gkz, 0.0)))
-            pR, pD, pA, pl1, pB, pl2, pbe, pet = bk.gather_fields(
-                pair_mat, pair_idx, mask, fill=1.0)
-            v, dv_dr, dz = pair_parts_lanes(
-                bk, r_ij, zeta, pR, pD, pA, pl1, pB, pl2, pbe, pet)
-            ev = bk.reduce_sum(np.where(mask, v, 0.0))
-            energy += ev
-            e_at[i] += ev
-            fxv = dv_dr * (dxj / r_ij)
-            fyv = dv_dr * (dyj / r_ij)
-            fzv = dv_dr * (dzj / r_ij)
-            fx[i] += bk.reduce_sum(np.where(mask, fxv - dz * gix, 0.0))
-            fy[i] += bk.reduce_sum(np.where(mask, fyv - dz * giy, 0.0))
-            fz[i] += bk.reduce_sum(np.where(mask, fzv - dz * giz, 0.0))
-            bk.scatter_add(fx, batch.j_idx, -fxv - dz * gjxs, mask)
-            bk.scatter_add(fy, batch.j_idx, -fyv - dz * gjys, mask)
-            bk.scatter_add(fz, batch.j_idx, -fzv - dz * gjzs, mask)
-            for k, gkx, gky, gkz in cache:
-                fx[k] -= bk.reduce_sum(dz * gkx)
-                fy[k] -= bk.reduce_sum(dz * gky)
-                fz[k] -= bk.reduce_sum(dz * gkz)
-    return _result(fx, fy, fz, e_at, energy, visits,
-                   bk.gather_count - gathers0, active, total)
-
-
-def compute_vec_i(state, nl, params, backend):
-    species = _validate(state, params)
-    adj = pack_adjacency(state, nl, params.r_cut)
-    views = params.views(backend.precision)
-    pair_mat = views["pair_matrix"]
-    trip_mat = views["trip_matrix"]
-    S = params.nspecies
-    n = adj.natoms
-    W = backend.width
-    bk = backend
-    gathers0 = bk.gather_count
-
-    fx = np.zeros(n)
-    fy = np.zeros(n)
-    fz = np.zeros(n)
-    e_at = np.zeros(n)
-    energy = 0.0
-    visits = 0
-    active = 0
-    total = 0
-    for batch in adj.batches_i(W):
+    schedule = adj.batches_j if variant.tag == "VecJ" else adj.batches_i
+    for batch in schedule(W):
         mask = batch.mask
         active += int(np.count_nonzero(mask))
         total += W
@@ -501,6 +414,4 @@ def compute(state, nl, params, variant, threads=1):
         return compute_reference(state, nl, params, variant.precision)
     if tag == "ScalarOpt":
         return compute_scalar_opt(state, nl, params, variant.precision)
-    if tag == "VecJ":
-        return compute_vec_j(state, nl, params, variant.backend)
-    return compute_vec_i(state, nl, params, variant.backend)
+    return compute_lanes(state, nl, params, variant)

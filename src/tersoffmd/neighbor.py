@@ -262,17 +262,16 @@ class PackedAdjacency:
     def npairs(self):
         return self.j.shape[0]
 
-    def row_bounds(self, i):
-        return int(self.offsets[i]), int(self.offsets[i + 1])
-
     # ---- batch generators ----------------------------------------------
 
-    def batches_j(self, i, width):
-        """Mode J: the batches of atom i, lanes = its packed neighbors."""
-        begin, end = self.row_bounds(i)
-        for s in range(begin, end, width):
-            e = min(s + width, end)
-            yield self._make_batch(np.arange(s, e), width)
+    def batches_j(self, width):
+        """Mode J: one atom's packed neighbors per batch, rows in ascending
+        i; an empty row yields no batch."""
+        offs = self.offsets.tolist()
+        for begin, end in zip(offs[:-1], offs[1:]):
+            for s in range(begin, end, width):
+                e = min(s + width, end)
+                yield self._make_batch(np.arange(s, e), width)
 
     def batches_i(self, width):
         """Mode I: lanes = consecutive packed pairs across all atoms."""

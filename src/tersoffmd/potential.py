@@ -17,13 +17,14 @@ docs/math_notes.md for conventions, stability rewrites, and derivative
 formulas). g is evaluated in the cancellation-free form
 gamma*(1 + c^2 x^2 / (d^2 (d^2 + x^2))) with x = h - cos.
 
-Every function exists in two mirrored forms: a scalar form used by the
-reference/scalar kernels (pass ``xm=math`` for double, ``xm=numpy`` with
-float32 inputs for single precision) and a ``*_lanes`` form over lane
-arrays (numpy arrays of shape (W,)) that takes its transcendentals from the
-SIMD backend ``bk``. The two share expression trees operation for
-operation, so a strict width-1 lane run reproduces the scalar result bit
-for bit.
+The scalar forms serve the reference/scalar kernels (pass ``xm=math`` for
+double, ``xm=numpy`` with float32 inputs for single precision) and, where
+they do not branch on a value, the lane kernel too: lane arrays (numpy
+arrays of shape (W,)) with ``xm=bk`` take their transcendentals from the
+SIMD backend ``bk``. The cutoff, the bond order and the zeta term branch,
+so they and the pair composition have ``*_lanes`` twins that select with
+``np.where``. Both share expression trees operation for operation, so a
+strict width-1 lane run reproduces the scalar result bit for bit.
 """
 
 import math
@@ -293,7 +294,7 @@ def _pair_parts(r, zeta, R, D, A, lam1, B, lam2, beta, eta, xm=math):
 
 
 # ======================================================================
-# lane forms (mirror the scalar expression trees exactly)
+# lane forms of the branching functions (same expression trees)
 # ======================================================================
 
 def f_cutoff_lanes(bk, r, R, D):
@@ -305,27 +306,6 @@ def f_cutoff_lanes(bk, r, R, D):
     fc = np.where(plateau, 1.0, np.where(beyond, 0.0, taper))
     dfc = np.where(plateau | beyond, 0.0, dtaper)
     return fc, dfc
-
-
-def f_repulsive_lanes(bk, r, A, lam1):
-    fr = A * bk.exp(-lam1 * r)
-    return fr, -lam1 * fr
-
-
-def f_attractive_lanes(bk, r, B, lam2):
-    fa = -B * bk.exp(-lam2 * r)
-    return fa, -lam2 * fa
-
-
-def g_angle_lanes(bk, cos_theta, gamma, c, d, h):
-    x = h - cos_theta
-    x2 = x * x
-    c2 = c * c
-    d2 = d * d
-    den = d2 + x2
-    gv = gamma * (1.0 + c2 * x2 / (d2 * den))
-    dgv = (-2.0 * gamma) * c2 * x / (den * den)
-    return gv, dgv
 
 
 def bond_order_lanes(bk, zeta, beta, eta):
@@ -354,7 +334,7 @@ def zeta_parts_lanes(bk, dxj, dyj, dzj, rij, dxk, dyk, dzk, rik,
     ekz = dzk * inv_rik
     cost = ejx * ekx + ejy * eky + ejz * ekz
     cost = np.minimum(np.maximum(cost, -1.0), 1.0)
-    gv, dgv = g_angle_lanes(bk, cost, gamma, c, d, h)
+    gv, dgv = g_angle(cost, gamma, c, d, h)
     t = lam3 * (rij - rik)
     arg = np.where(m_is3, t * t * t, t)
     darg = np.where(m_is3, (3.0 * lam3) * (t * t), lam3)
@@ -374,8 +354,8 @@ def zeta_parts_lanes(bk, dxj, dyj, dzj, rij, dxk, dyk, dzk, rik,
 
 def pair_parts_lanes(bk, r, zeta, R, D, A, lam1, B, lam2, beta, eta):
     fc, dfc = f_cutoff_lanes(bk, r, R, D)
-    fr, dfr = f_repulsive_lanes(bk, r, A, lam1)
-    fa, dfa = f_attractive_lanes(bk, r, B, lam2)
+    fr, dfr = f_repulsive(r, A, lam1, bk)
+    fa, dfa = f_attractive(r, B, lam2, bk)
     b, db = bond_order_lanes(bk, zeta, beta, eta)
     inner = fr + b * fa
     v = fc * inner

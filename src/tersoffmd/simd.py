@@ -37,12 +37,16 @@ _REAL_DTYPES = {"double": np.float64, "single": np.float32}
 EMULATED_WIDTHS = (1, 2, 4, 8, 16)
 
 
-def _strict_unary(fn, arr, dtype):
-    # libm per lane; mirror IEEE special-value behaviour instead of raising
-    out = np.empty(arr.shape[0], dtype=dtype)
-    for i, x in enumerate(arr.tolist()):
+def _strict(fn, dtype, *args):
+    """fn per lane with libm; IEEE special values instead of exceptions.
+
+    Each argument is a lane array or a scalar, which every lane shares.
+    """
+    lanes = [a.tolist() for a in np.broadcast_arrays(*args)]
+    out = np.empty(len(lanes[0]), dtype=dtype)
+    for i, xs in enumerate(zip(*lanes)):
         try:
-            out[i] = fn(x)
+            out[i] = fn(*xs)
         except OverflowError:
             out[i] = math.inf
         except ValueError:
@@ -164,37 +168,27 @@ class Backend:
 
     def exp(self, v):
         if self.strict:
-            return _strict_unary(math.exp, v, self.real_dtype)
+            return _strict(math.exp, self.real_dtype, v)
         return np.exp(v)
 
     def sqrt(self, v):
         if self.strict:
-            return _strict_unary(math.sqrt, v, self.real_dtype)
+            return _strict(math.sqrt, self.real_dtype, v)
         return np.sqrt(v)
 
     def sin(self, v):
         if self.strict:
-            return _strict_unary(math.sin, v, self.real_dtype)
+            return _strict(math.sin, self.real_dtype, v)
         return np.sin(v)
 
     def cos(self, v):
         if self.strict:
-            return _strict_unary(math.cos, v, self.real_dtype)
+            return _strict(math.cos, self.real_dtype, v)
         return np.cos(v)
 
     def pow(self, v, e):
         if self.strict:
-            exps = e.tolist() if isinstance(e, np.ndarray) else \
-                [e] * self.width
-            out = np.empty(self.width, dtype=self.real_dtype)
-            for i, (x, y) in enumerate(zip(v.tolist(), exps)):
-                try:
-                    out[i] = math.pow(x, y)
-                except OverflowError:
-                    out[i] = math.inf
-                except ValueError:
-                    out[i] = math.nan
-            return out
+            return _strict(math.pow, self.real_dtype, v, e)
         return np.power(v, e)
 
 

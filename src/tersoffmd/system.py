@@ -325,7 +325,7 @@ class ForceField:
     def __init__(self, params, variant=None, skin=0.3, threads=1):
         check_threads(threads)
         self.params = params
-        self.variant = variant or make_variant("ScalarOpt")
+        self.variant = variant or make_variant("VecI")
         self.skin = skin
         self.nl = None
         self.rebuilds = 0
@@ -411,7 +411,7 @@ class StretchSpec:
 class RunConfig:
     dt: float = 0.5
     steps: int = 100
-    variant: object = None          # KernelVariant; default ScalarOpt
+    variant: object = None          # KernelVariant; default VecI/native
     skin: float = 0.3
     threads: InitVar[int] = 1
     dump_every: int = 0

@@ -93,7 +93,7 @@ def check_gradients(state, params, variant=None, probes=4, step=2e-4,
     below 1e-2 eV/A are skipped: relative error is meaningless at the
     noise floor.
     """
-    variant = variant or make_variant("ScalarOpt")
+    variant = variant or make_variant("VecI")
     nl = build_neighbor_list(state, params.r_cut, skin)
     base = compute(state, nl, params, variant)
     _finite_or_raise(base, variant.describe())

@@ -13,7 +13,7 @@ from helpers import (Box, Frame, carbon_table, free_frame,
 from oracle import oracle_energy, oracle_forces
 from tersoffmd.errors import ConfigurationError, InputError
 from tersoffmd.kernels import KernelVariant, compute, make_variant
-from tersoffmd.neighbor import build_neighbor_list
+from tersoffmd.neighbor import build_neighbor_list, pack_adjacency
 from tersoffmd.simd import EMULATED_WIDTHS, make_backend
 from tersoffmd.system import gen_diamond, gen_nanotube
 
@@ -193,6 +193,24 @@ def test_native_is_emulated_at_the_same_width(width):
         assert nat.forces.tobytes() == emu.forces.tobytes()
         assert nat.per_atom_energy.tobytes() == emu.per_atom_energy.tobytes()
         assert nat.potential_energy == emu.potential_energy
+
+
+def test_vec_j_is_vec_i_when_each_batch_is_one_row():
+    """VecJ and VecI are schedules of one lane kernel: when every row of
+    the packed adjacency fills a batch exactly, both schedules make the
+    same batches, so every output is the same."""
+    state = gen_diamond(2)
+    state.positions = state.positions + np.random.default_rng(8).normal(
+        0.0, 0.05, state.positions.shape)
+    table = carbon_table()
+    nl = build_neighbor_list(state, table.r_cut, skin=0.3)
+    assert np.all(np.diff(pack_adjacency(state, nl).offsets) == 4)
+    vj = compute(state, nl, table, make_variant("VecJ", "emulated", 4))
+    vi = compute(state, nl, table, make_variant("VecI", "emulated", 4))
+    assert vj.forces.tobytes() == vi.forces.tobytes()
+    assert vj.per_atom_energy.tobytes() == vi.per_atom_energy.tobytes()
+    assert vj.potential_energy == vi.potential_energy
+    assert vj.stats == vi.stats
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=VIDS)

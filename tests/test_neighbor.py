@@ -298,8 +298,7 @@ def test_pack_modes_enumerate_each_directed_pair_once(mode, width):
     nl = build_neighbor_list(fr, R_C, skin=0.3)
     adj = pack_adjacency(fr, nl)
     if mode == "J":
-        batches = [b for i in range(adj.natoms)
-                   for b in adj.batches_j(i, width)]
+        batches = list(adj.batches_j(width))
     else:
         batches = list(adj.batches_i(width))
     seen = []
@@ -316,9 +315,12 @@ def test_pack_modes_enumerate_each_directed_pair_once(mode, width):
     assert len(seen) == len(set(seen))  # exactly once each
     assert set(seen) == brute_directed(fr.positions, fr.box, R_C)
     if mode == "J":
+        first_i = []
         for b in batches:
             ii = b.i_idx[b.mask]
             assert np.all(ii == ii[0])  # one i per batch
+            first_i.append(ii[0])
+        assert first_i == sorted(first_i)  # rows in ascending i
 
 
 def test_pack_mode_j_batch_shapes():
@@ -327,15 +329,16 @@ def test_pack_mode_j_batch_shapes():
                      [30.0, 30.0, 30.0]])
     nl = build_neighbor_list(fr, R_C, skin=0.3)
     adj = pack_adjacency(fr, nl)
-    batches = list(adj.batches_j(0, 8))
-    assert len(batches) == 1  # 3 neighbors fit one width-8 batch
-    b = batches[0]
+    batches = list(adj.batches_j(8))
+    # one batch per non-empty row: the loner's empty row yields none
+    assert [int(b.i_idx[0]) for b in batches] == [0, 1, 2, 3]
+    b = batches[0]  # 3 neighbors fit one width-8 batch
     assert np.count_nonzero(b.mask) == 3
     assert b.i_idx.tolist() == [0, 0, 0, -1, -1, -1, -1, -1]
     assert sorted(b.j_idx[:3].tolist()) == [1, 2, 3]
-    assert list(adj.batches_j(4, 8)) == []
-    # a width-2 repack needs ceil(3/2) batches for atom 0
-    assert len(list(adj.batches_j(0, 2))) == 2
+    # a width-2 repack needs ceil(3/2) batches per 3-neighbor row
+    assert [int(b.i_idx[0]) for b in adj.batches_j(2)] == \
+        [0, 0, 1, 1, 2, 2, 3, 3]
 
 
 def test_pack_mode_i_is_ascending_and_dense():

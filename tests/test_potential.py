@@ -8,9 +8,8 @@ import pytest
 
 from tersoffmd.potential import (
     TersoffParams, ZETA_TINY,
-    bond_order, bond_order_lanes, f_attractive, f_attractive_lanes,
-    f_cutoff, f_cutoff_lanes, f_repulsive, f_repulsive_lanes,
-    g_angle, g_angle_lanes,
+    bond_order, bond_order_lanes, f_attractive, f_cutoff, f_cutoff_lanes,
+    f_repulsive, g_angle,
     _pair_parts, _zeta_parts, _zeta_value, pair_parts_lanes, zeta_parts_lanes)
 from tersoffmd.simd import make_backend
 
@@ -348,19 +347,21 @@ def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
             assert got[lane] == want
 
     # --- individual functions
+    # the scalar forms that do not branch run on lanes with xm=bk
     r = bk.real(rng.uniform(1.0, 2.2, width))
-    for lane_fn, sc_fn, args in [
-            (f_cutoff_lanes, f_cutoff, (CP.R, CP.D)),
-            (f_repulsive_lanes, f_repulsive, (CP.A, CP.lam1)),
-            (f_attractive_lanes, f_attractive, (CP.B, CP.lam2))]:
-        got = lane_fn(bk, r, *[bk.real(a) for a in args])
+    lanes = [bk.real(a) for a in (CP.R, CP.D, CP.A, CP.lam1, CP.B, CP.lam2)]
+    for got, sc_fn, args in [
+            (f_cutoff_lanes(bk, r, *lanes[0:2]), f_cutoff, (CP.R, CP.D)),
+            (f_repulsive(r, *lanes[2:4], bk), f_repulsive, (CP.A, CP.lam1)),
+            (f_attractive(r, *lanes[4:6], bk), f_attractive,
+             (CP.B, CP.lam2))]:
         for lane in range(width):
             want = sc_fn(float(r[lane]), *args)
             assert got[0][lane] == want[0]
             assert got[1][lane] == want[1]
     cost = bk.real(rng.uniform(-1, 1, width))
-    got = g_angle_lanes(bk, cost, bk.real(CP.gamma), bk.real(CP.c),
-                        bk.real(CP.d), bk.real(CP.h))
+    got = g_angle(cost, bk.real(CP.gamma), bk.real(CP.c), bk.real(CP.d),
+                  bk.real(CP.h))
     for lane in range(width):
         want = g_angle(float(cost[lane]), CP.gamma, CP.c, CP.d, CP.h)
         assert got[0][lane] == want[0]

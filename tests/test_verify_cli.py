@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tersoffmd import cli
+from tersoffmd import cli, system, verify
 from tersoffmd.bench import CSV_FIELDS, run_benchmark
 from tersoffmd.kernels import compute, make_variant
 from tersoffmd.neighbor import build_neighbor_list
@@ -16,9 +16,9 @@ from tersoffmd.errors import ConfigurationError, InputError
 from tersoffmd.potential import ParamTable
 from tersoffmd.system import (ELEMENT_MASSES, ForceField, RunConfig,
                               SimulationBox, SimulationState, gen_diamond,
-                              gen_nanotube, read_xyz, state_from_xyz,
+                              gen_nanotube, read_xyz, run_nve, state_from_xyz,
                               write_xyz)
-from tersoffmd.verify import run_verification
+from tersoffmd.verify import check_gradients, run_verification
 
 from helpers import (carbon_table, random_cluster_positions,
                      two_species_table)
@@ -116,6 +116,34 @@ def test_harness_threads_argument(entry, tube, table):
     for threads in (0, 2):
         with pytest.raises(ConfigurationError, match="threads"):
             call(threads)
+
+
+# ---------------------------------------------------------------------
+# defaults: VecI on native lanes
+# ---------------------------------------------------------------------
+
+PRODUCTION = "VecI[native,W=1024,double]"
+
+
+def test_defaults_are_vec_i_native(tube, table, monkeypatch, capsys):
+    assert ForceField(table).variant.describe() == PRODUCTION
+    used = []
+
+    def recording(state, nl, params, variant, threads=1):
+        used.append(variant.describe())
+        return compute(state, nl, params, variant, threads)
+
+    monkeypatch.setattr(system, "compute", recording)
+    run_nve(tube.copy(), table, RunConfig(steps=1))
+    assert used == [PRODUCTION] * 2
+    used.clear()
+    monkeypatch.setattr(verify, "compute", recording)
+    check_gradients(tube, table, probes=1)
+    assert used and set(used) == {PRODUCTION}
+    code, out, _ = run_cli(capsys, "run", "--structure",
+                           "nanotube:n=4,cells=3", "--steps", "0")
+    assert code == 0
+    assert json.loads(out)["variant"] == PRODUCTION
 
 
 # ---------------------------------------------------------------------
@@ -328,6 +356,17 @@ class TestCli:
         rows = json.loads(out)["rows"]
         assert [(r["backend"], r["width"]) for r in rows] == \
             [("scalar", 1), ("scalar", 1), lanes]
+
+    def test_bench_native_default_list_skips_vec_j(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "--structure", "nanotube:n=3,cells=2",
+            "--backend", "native", "--steps", "1", "--repeats", "1",
+            "--warmup", "0", "--format", "json")
+        assert code == 0, err
+        rows = json.loads(out)["rows"]
+        assert [(r["variant"], r["backend"], r["width"]) for r in rows] == \
+            [("Reference", "scalar", 1), ("ScalarOpt", "scalar", 1),
+             ("VecI", "native", 1024)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verify_cli_passes_and_fails(self, tmp_path, capsys):
