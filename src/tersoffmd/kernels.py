@@ -145,15 +145,11 @@ def check_threads(threads):
 
 def _scalar_views(adj, species, params, precision):
     views = params.views(precision)
+    ints = (adj.j.tolist(), species.tolist(), adj.offsets.tolist())
     if precision == "double":
-        arrays = (adj.j.tolist(), species.tolist(), adj.offsets.tolist(),
-                  adj.dx.tolist(), adj.dy.tolist(), adj.dz.tolist(),
-                  adj.r.tolist())
+        arrays = ints + tuple(adj.geom.T.tolist())
         return arrays, views["pair_scalar"], views["trip_scalar"], math
-    f32 = np.float32
-    arrays = (adj.j.tolist(), species.tolist(), adj.offsets.tolist(),
-              adj.dx.astype(f32), adj.dy.astype(f32), adj.dz.astype(f32),
-              adj.r.astype(f32))
+    arrays = ints + tuple(adj.geom.T.astype(np.float32))
     return arrays, views["pair_scalar"], views["trip_scalar"], np
 
 
@@ -323,6 +319,10 @@ def compute_lanes(state, nl, params, variant):
     n = adj.natoms
     W = bk.width
     gathers0 = bk.gather_count
+    geom = adj.geom.astype(bk.real_dtype)
+    # per pair: i, j, pair type, then the bounds of row i (the k walk)
+    pairs = np.stack([adj.i, adj.j, species[adj.i] * S + species[adj.j],
+                      adj.offsets[adj.i], adj.offsets[adj.i + 1]], axis=1)
 
     fx = np.zeros(n)
     fy = np.zeros(n)
@@ -333,19 +333,12 @@ def compute_lanes(state, nl, params, variant):
     active = 0
     total = 0
     schedule = adj.batches_j if variant.tag == "VecJ" else adj.batches_i
-    for batch in schedule(W):
-        mask = batch.mask
+    for slot, mask in schedule(W):
         active += int(np.count_nonzero(mask))
         total += W
-        dxj = bk.to_real(batch.dx)
-        dyj = bk.to_real(batch.dy)
-        dzj = bk.to_real(batch.dz)
-        r_ij = bk.to_real(batch.r)
-        si = bk.gather(species, batch.i_idx, mask, fill=0)
-        sj = bk.gather(species, batch.j_idx, mask, fill=0)
-        pair_idx = si * S + sj
-        cur = bk.gather(adj.offsets, batch.i_idx, mask, fill=0)
-        end = bk.gather(adj.offsets, batch.i_idx + 1, mask, fill=0)
+        i_idx, j_idx, pair_idx, cur, end = bk.gather_fields(
+            pairs, slot, mask, fill=-1)
+        dxj, dyj, dzj, r_ij = bk.gather_fields(geom, slot, mask, fill=1.0)
         # one array each: += on a shared buffer would alias the sums
         zeta, gix, giy, giz, gjxs, gjys, gjzs = (bk.zeros()
                                                  for _ in range(7))
@@ -359,13 +352,10 @@ def compute_lanes(state, nl, params, variant):
             k_idx = bk.gather(adj.j, kk, alive, fill=-1)
             sk = bk.gather(species, k_idx, alive, fill=0)
             trip_idx = pair_idx * S + sk
-            act = alive & (k_idx != batch.j_idx)
+            act = alive & (k_idx != j_idx)
             tR, tD, tg, tc, td, th, tl3, m_is3 = _gather_trip(
                 bk, trip_mat, trip_idx, alive)
-            dxk = bk.to_real(bk.gather(adj.dx, kk, alive, fill=0.0))
-            dyk = bk.to_real(bk.gather(adj.dy, kk, alive, fill=0.0))
-            dzk = bk.to_real(bk.gather(adj.dz, kk, alive, fill=0.0))
-            rik = bk.to_real(bk.gather(adj.r, kk, alive, fill=1.0))
+            dxk, dyk, dzk, rik = bk.gather_fields(geom, kk, alive, fill=1.0)
             val, gjx, gjy, gjz, gkx, gky, gkz = zeta_parts_lanes(
                 bk, dxj, dyj, dzj, r_ij, dxk, dyk, dzk, rik,
                 tR, tD, tg, tc, td, th, tl3, m_is3)
@@ -385,16 +375,16 @@ def compute_lanes(state, nl, params, variant):
         v, dv_dr, dz = pair_parts_lanes(
             bk, r_ij, zeta, pR, pD, pA, pl1, pB, pl2, pbe, pet)
         energy += bk.reduce_sum(np.where(mask, v, 0.0))
-        bk.scatter_add(e_at, batch.i_idx, np.where(mask, v, 0.0), mask)
+        bk.scatter_add(e_at, i_idx, np.where(mask, v, 0.0), mask)
         fxv = dv_dr * (dxj / r_ij)
         fyv = dv_dr * (dyj / r_ij)
         fzv = dv_dr * (dzj / r_ij)
-        bk.scatter_add(fx, batch.i_idx, fxv - dz * gix, mask)
-        bk.scatter_add(fy, batch.i_idx, fyv - dz * giy, mask)
-        bk.scatter_add(fz, batch.i_idx, fzv - dz * giz, mask)
-        bk.scatter_add(fx, batch.j_idx, -fxv - dz * gjxs, mask)
-        bk.scatter_add(fy, batch.j_idx, -fyv - dz * gjys, mask)
-        bk.scatter_add(fz, batch.j_idx, -fzv - dz * gjzs, mask)
+        bk.scatter_add(fx, i_idx, fxv - dz * gix, mask)
+        bk.scatter_add(fy, i_idx, fyv - dz * giy, mask)
+        bk.scatter_add(fz, i_idx, fzv - dz * giz, mask)
+        bk.scatter_add(fx, j_idx, -fxv - dz * gjxs, mask)
+        bk.scatter_add(fy, j_idx, -fyv - dz * gjys, mask)
+        bk.scatter_add(fz, j_idx, -fzv - dz * gjzs, mask)
         for k_idx, act, gkx, gky, gkz in cache:
             bk.scatter_add(fx, k_idx, -(dz * gkx), act)
             bk.scatter_add(fy, k_idx, -(dz * gky), act)

@@ -12,10 +12,10 @@ Three layers:
   False, every pair inside r_C is guaranteed present in the list.
 * ``pack_adjacency``: re-filter the (stale, padded with skin) list
   against the true cutoff at the *current* positions; its batch
-  generators emit lane batches for the vector kernels. Mode J fills the
-  lanes of one batch with the neighbors of a single i; mode I fills them
-  with consecutive (i, j) pairs across atoms. Padding lanes carry index -1,
-  distance 1.0 and a False mask bit.
+  generators emit lane batches of packed-pair indices for the vector
+  kernels, which load each lane's data through the Backend's masked
+  gathers. Mode J fills the lanes of one batch with the neighbors of a
+  single i; mode I fills them with consecutive (i, j) pairs across atoms.
 
 Boxes are orthorhombic with per-axis periodic flags; displacements use the
 minimum image on periodic axes. Anything with ``positions`` (N,3 float64),
@@ -24,7 +24,7 @@ minimum image on periodic axes. Anything with ``positions`` (N,3 float64),
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,9 +172,6 @@ class NeighborList:
     def natoms(self):
         return self.offsets.shape[0] - 1
 
-    def row(self, i):
-        return self.neighbors[self.offsets[i]:self.offsets[i + 1]]
-
 
 def build_neighbor_list(state, r_cut, skin=0.3):
     if not (math.isfinite(skin) and skin >= 0):
@@ -219,39 +216,19 @@ def needs_rebuild(state, nl):
 # ======================================================================
 
 @dataclass(frozen=True, eq=False)
-class PackedNeighbors:
-    """One lane batch of directed (i, j) pairs for the vector kernels.
-
-    Every field is an array of shape (W,): int64 indices, float64
-    displacements and distances, a bool mask. Padding lanes: indices -1,
-    zero displacement, r = 1.0 (safe divisor), mask bit False.
-    """
-
-    i_idx: np.ndarray
-    j_idx: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    dz: np.ndarray
-    r: np.ndarray
-    mask: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class PackedAdjacency:
     """Skin-free directed adjacency at the current positions.
 
     CSR rows keep the neighbor list's ascending-j order; every entry
     satisfies r < r_cut now (not merely at neighbor-list build time).
-    Displacements point i -> j with the minimum image applied.
+    Pair p runs i[p] -> j[p]; geom[p] = [dx, dy, dz, r] with the
+    displacement pointing i -> j under the minimum image.
     """
 
     offsets: np.ndarray
     i: np.ndarray
     j: np.ndarray
-    dx: np.ndarray
-    dy: np.ndarray
-    dz: np.ndarray
-    r: np.ndarray
+    geom: np.ndarray
     r_cut: float
 
     @property
@@ -263,6 +240,7 @@ class PackedAdjacency:
         return self.j.shape[0]
 
     # ---- batch generators ----------------------------------------------
+    # A batch is (slot, mask): W packed-pair indices, -1 on padding lanes.
 
     def batches_j(self, width):
         """Mode J: one atom's packed neighbors per batch, rows in ascending
@@ -270,37 +248,19 @@ class PackedAdjacency:
         offs = self.offsets.tolist()
         for begin, end in zip(offs[:-1], offs[1:]):
             for s in range(begin, end, width):
-                e = min(s + width, end)
-                yield self._make_batch(np.arange(s, e), width)
+                yield _slots(s, min(s + width, end), width)
 
     def batches_i(self, width):
         """Mode I: lanes = consecutive packed pairs across all atoms."""
         for s in range(0, self.npairs, width):
-            e = min(s + width, self.npairs)
-            yield self._make_batch(np.arange(s, e), width)
+            yield _slots(s, min(s + width, self.npairs), width)
 
-    def _make_batch(self, rows, width):
-        nact = rows.shape[0]
-        pad = width - nact
 
-        def ints(vals):
-            if pad:
-                return np.concatenate([vals, np.full(pad, -1, dtype=np.int64)])
-            return vals.astype(np.int64, copy=True)
-
-        def reals(vals, fill):
-            if pad:
-                return np.concatenate(
-                    [vals, np.full(pad, fill, dtype=np.float64)])
-            return vals.copy()
-
-        mask = np.zeros(width, dtype=bool)
-        mask[:nact] = True
-        return PackedNeighbors(
-            i_idx=ints(self.i[rows]), j_idx=ints(self.j[rows]),
-            dx=reals(self.dx[rows], 0.0), dy=reals(self.dy[rows], 0.0),
-            dz=reals(self.dz[rows], 0.0), r=reals(self.r[rows], 1.0),
-            mask=mask)
+def _slots(begin, end, width):
+    slot = np.arange(begin, begin + width, dtype=np.int64)
+    mask = slot < end
+    slot[~mask] = -1
+    return slot, mask
 
 
 def pack_adjacency(state, nl, r_cut=None):
@@ -328,10 +288,7 @@ def pack_adjacency(state, nl, r_cut=None):
                 f"(r = {math.sqrt(r2min):.3e} A)")
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(i_k, minlength=n), out=offsets[1:])
-    return PackedAdjacency(
-        offsets=offsets, i=i_k, j=j_k,
-        dx=np.ascontiguousarray(d_k[:, 0]),
-        dy=np.ascontiguousarray(d_k[:, 1]),
-        dz=np.ascontiguousarray(d_k[:, 2]),
-        r=np.sqrt(r2[keep]), r_cut=float(r_cut))
+    geom = np.column_stack([d_k, np.sqrt(r2[keep])])
+    return PackedAdjacency(offsets=offsets, i=i_k, j=j_k, geom=geom,
+                           r_cut=float(r_cut))
 

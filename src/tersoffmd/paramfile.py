@@ -10,6 +10,7 @@ line number.
 """
 
 import importlib.resources
+import math
 
 from .potential import ParamTable, TersoffParams
 
@@ -46,7 +47,7 @@ def parse_params(text, source="<string>"):
                     f"for {field}") from None
             values[field] = x
         m = values["m"]
-        if m != int(m):
+        if not (math.isfinite(m) and m == int(m)):
             raise ParamFileError(f"{source}:{line_no}: m must be integral, "
                                  f"got {m}")
         values["m"] = int(m)

@@ -28,7 +28,7 @@ strict width-1 lane run reproduces the scalar result bit for bit.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -65,6 +65,10 @@ class TersoffParams:
     A: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         if self.m not in (1, 3):
             raise ValueError(f"m must be 1 or 3, got {self.m}")
         if not self.A > 0:

@@ -23,9 +23,11 @@ running the scalar backend once per lane, so at the same width ``native`` and
 4 ulp of libm, or exact libm per lane when ``strict=True``.
 
 Conventions: index -1 marks a padding lane and must be masked off;
-masked-off lanes are never read from or written to memory. scatter_add
-applies active lanes in ascending lane order and reduce_sum adds lanes in
-ascending order starting from 0.0.
+masked-off lanes are never read from or written to memory. A masked gather
+gives its ``fill`` on masked-off lanes, which is the only place a padding
+lane's value is chosen; kernels pick fills that keep the math on padding
+lanes finite. scatter_add applies active lanes in ascending lane order and
+reduce_sum adds lanes in ascending order starting from 0.0.
 """
 
 import math
@@ -52,6 +54,17 @@ def _strict(fn, dtype, *args):
         except ValueError:
             out[i] = math.nan
     return out
+
+
+def _active(idx, mask, array, op):
+    """The active lanes' indices; IndexError unless all address array.
+
+    mask must have at least one lane set.
+    """
+    ia = idx[mask]
+    if ia.min() < 0 or ia.max() >= array.shape[0]:
+        raise IndexError(f"active {op} lane out of bounds")
+    return ia
 
 
 class Backend:
@@ -89,19 +102,8 @@ class Backend:
 
     # ---- constructors -------------------------------------------------
 
-    def real(self, values):
-        """Real lanes from a scalar or a length-W sequence/array."""
-        arr = np.asarray(values, dtype=self.real_dtype)
-        if arr.ndim == 0:
-            arr = np.full(self.width, arr, dtype=self.real_dtype)
-        return arr
-
     def zeros(self):
         return np.zeros(self.width, dtype=self.real_dtype)
-
-    def to_real(self, v):
-        """Cast lanes to the backend's working real dtype (a copy)."""
-        return v.astype(self.real_dtype)
 
     # ---- memory -------------------------------------------------------
 
@@ -114,10 +116,7 @@ class Backend:
         self.gather_count += 1
         out = np.full(self.width, fill, dtype=base.dtype)
         if mask.any():
-            ia = idx[mask]
-            if ia.min() < 0 or ia.max() >= base.shape[0]:
-                raise IndexError("active gather lane out of bounds")
-            out[mask] = base[ia]
+            out[mask] = base.take(_active(idx, mask, base, "gather"))
         return out
 
     def gather_fields(self, records, idx, mask, fill=0.0):
@@ -126,16 +125,15 @@ class Backend:
 
         records has shape (nrecords, nfields); the result is a tuple of
         nfields arrays of shape (W,). This is the gather-and-transpose
-        primitive the vector kernels use for per-lane parameter lookup.
+        primitive the vector kernels load their pair records, geometry and
+        parameters with.
         """
         self.gather_count += 1
         nfields = records.shape[1]
         outs = np.full((nfields, self.width), fill, dtype=records.dtype)
         if mask.any():
-            ia = idx[mask]
-            if ia.min() < 0 or ia.max() >= records.shape[0]:
-                raise IndexError("active gather lane out of bounds")
-            outs[:, mask] = records[ia].T
+            ia = _active(idx, mask, records, "gather")
+            outs[:, mask] = records.take(ia, axis=0).T
         return tuple(outs)
 
     def scatter_add(self, dest, idx, vals, mask):
@@ -144,12 +142,8 @@ class Backend:
         Duplicate indices accumulate. The result is bit-for-bit what the
         equivalent sequential scalar loop produces, on every backend.
         """
-        if not mask.any():
-            return
-        ia = idx[mask]
-        if ia.min() < 0 or ia.max() >= dest.shape[0]:
-            raise IndexError("active scatter lane out of bounds")
-        np.add.at(dest, ia, vals[mask])
+        if mask.any():
+            np.add.at(dest, _active(idx, mask, dest, "scatter"), vals[mask])
 
     # ---- reduction ----------------------------------------------------
 

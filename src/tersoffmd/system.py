@@ -138,13 +138,6 @@ def total_momentum(state):
     return (state.atom_masses[:, None] * state.velocities).sum(axis=0)
 
 
-def instantaneous_temperature(state):
-    n = state.natoms
-    if n == 0:
-        return 0.0
-    return 2.0 * kinetic_energy(state) / (3.0 * n * KB_EV)
-
-
 def seed_velocities(state, temperature, rng=0):
     """Maxwell-Boltzmann velocities at `temperature` K, zero net momentum."""
     if not (math.isfinite(temperature) and temperature >= 0.0):
@@ -239,16 +232,21 @@ def _box_comment(state):
             f"periodic {p} time {state.time:.10g}")
 
 
-def _parse_box_comment(comment):
+def _parse_box_comment(comment, path):
+    """The box a write_xyz comment records; None if it names no box."""
     toks = comment.split()
-    try:
-        i = toks.index("box")
-        lengths = [float(t) for t in toks[i + 1:i + 4]]
-        j = toks.index("periodic")
-        flags = tuple(ch == "1" for ch in toks[j + 1])
-        return SimulationBox(lengths, flags)
-    except (ValueError, IndexError):
+    if "box" not in toks:
         return None
+    i = toks.index("box")
+    try:
+        lengths = [float(t) for t in toks[i + 1:i + 4]]
+        flags = toks[toks.index("periodic") + 1]
+    except (ValueError, IndexError):
+        lengths, flags = [], ""
+    if (len(lengths) != 3 or not all(map(math.isfinite, lengths))
+            or len(flags) != 3 or set(flags) - {"0", "1"}):
+        raise InputError(f"{path}: malformed box comment {comment!r}")
+    return SimulationBox(lengths, tuple(ch == "1" for ch in flags))
 
 
 def write_xyz(path, state, comment=None, append=False):
@@ -296,7 +294,7 @@ def state_from_xyz(path, frame=-1, box=None):
         raise InputError(f"no frames in {path}")
     symbols, pos, comment = frames[frame]
     if box is None:
-        box = _parse_box_comment(comment)
+        box = _parse_box_comment(comment, path)
     if box is None:
         span = pos.max(axis=0) - pos.min(axis=0)
         box = SimulationBox(span + 12.0)

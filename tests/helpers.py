@@ -95,3 +95,11 @@ def free_frame(positions):
     positions = np.asarray(positions, dtype=np.float64)
     span = positions.max(axis=0) - positions.min(axis=0) + 8.0
     return Frame(positions, Box(span))
+
+
+def real_lanes(bk, values):
+    """Lanes in bk's real dtype from a length-W sequence or one scalar."""
+    arr = np.asarray(values, dtype=bk.real_dtype)
+    if arr.ndim == 0:
+        arr = np.full(bk.width, arr, dtype=bk.real_dtype)
+    return arr

@@ -213,6 +213,31 @@ def test_vec_j_is_vec_i_when_each_batch_is_one_row():
     assert vj.stats == vi.stats
 
 
+def _padding_frames():
+    jittered = gen_nanotube(5, 10)
+    rng = np.random.default_rng(11)
+    jittered.positions += rng.uniform(-0.1, 0.1, jittered.positions.shape)
+    lone = free_frame([[0, 0, 0], [1.45, 0, 0], [0, 1.45, 0], [30, 30, 30]])
+    lone.species = np.zeros(4, dtype=np.int64)
+    return [gen_nanotube(5, 10), jittered, gen_diamond(2), lone]
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("tag,backend,width", [
+    ("VecJ", "emulated", 8), ("VecJ", "emulated", 16),
+    ("VecI", "emulated", 16), ("VecI", "native", None)])
+def test_padding_lanes_raise_no_floating_point_error(tag, backend, width,
+                                                     precision):
+    """The gathers' fill values keep the math on padding and finished lanes
+    finite: no overflow, invalid or divide-by-zero anywhere in a call."""
+    table = carbon_table()
+    variant = make_variant(tag, backend, width, precision)
+    for fr in _padding_frames():
+        nl = build_neighbor_list(fr, table.r_cut, skin=0.3)
+        with np.errstate(all="raise"):
+            compute(fr, nl, table, variant)
+
+
 @pytest.mark.parametrize("variant", ALL_VARIANTS, ids=VIDS)
 def test_total_force_vanishes(variant):
     fr, nl, table = cluster(4, 30)

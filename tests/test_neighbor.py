@@ -8,6 +8,7 @@ import pytest
 from tersoffmd.errors import ConfigurationError
 from tersoffmd.neighbor import (
     build_cell_list, build_neighbor_list, needs_rebuild, pack_adjacency)
+from tersoffmd.simd import make_backend
 from tersoffmd.system import gen_diamond, gen_nanotube
 
 from helpers import Box, Frame, free_frame
@@ -191,7 +192,7 @@ def test_neighbor_list_invariants_and_completeness():
     assert np.all(np.diff(nl.offsets) >= 0)
     got = set()
     for i in range(nl.natoms):
-        row = nl.row(i)
+        row = nl.neighbors[nl.offsets[i]:nl.offsets[i + 1]]
         assert np.all(np.diff(row) > 0)  # ascending, so also no duplicates
         assert i not in row
         got.update((i, int(j)) for j in row)
@@ -218,7 +219,8 @@ def test_skin_zero_list_is_exactly_true_cutoff():
     rng = np.random.default_rng(4)
     fr = random_frame(rng, 100, 9.0)
     nl = build_neighbor_list(fr, R_C, skin=0.0)
-    got = {(i, int(j)) for i in range(nl.natoms) for j in nl.row(i)}
+    got = {(i, int(j)) for i in range(nl.natoms)
+           for j in nl.neighbors[nl.offsets[i]:nl.offsets[i + 1]]}
     assert got == brute_directed(fr.positions, fr.box, R_C)
 
 
@@ -279,15 +281,17 @@ def test_pack_refilters_to_current_positions():
     adj = pack_adjacency(fr, nl)
     got = set(zip(adj.i.tolist(), adj.j.tolist()))
     assert got == brute_directed(fr.positions, fr.box, R_C)
-    assert adj.r.max(initial=0.0) < R_C  # no skin leakage
+    assert adj.geom.shape == (adj.npairs, 4)
+    assert adj.geom[:, 3].max(initial=0.0) < R_C  # no skin leakage
     # displacements and distances are from the current positions
     want = fr.positions[adj.j] - fr.positions[adj.i]
     for ax in range(3):
         if fr.box.periodic[ax]:
             edge = fr.box.lengths[ax]
             want[:, ax] -= edge * np.round(want[:, ax] / edge)
-    assert np.array_equal(np.stack([adj.dx, adj.dy, adj.dz], axis=1), want)
-    assert np.allclose(adj.r, np.linalg.norm(want, axis=1), rtol=0, atol=0)
+    assert np.array_equal(adj.geom[:, :3], want)
+    assert np.allclose(adj.geom[:, 3], np.linalg.norm(want, axis=1), rtol=0,
+                       atol=0)
 
 
 @pytest.mark.parametrize("mode", ["J", "I"])
@@ -302,22 +306,26 @@ def test_pack_modes_enumerate_each_directed_pair_once(mode, width):
     else:
         batches = list(adj.batches_i(width))
     seen = []
-    for b in batches:
-        assert all(getattr(b, f).shape == (width,) for f in
-                   ("i_idx", "j_idx", "dx", "dy", "dz", "r", "mask"))
-        act = b.mask
-        assert np.all(b.i_idx[~act] == -1)
-        assert np.all(b.j_idx[~act] == -1)
-        assert np.all(b.r[~act] == 1.0)
-        assert np.all(b.r[act] < R_C)
-        seen += list(zip(b.i_idx[act].tolist(),
-                         b.j_idx[act].tolist()))
+    bk = make_backend("emulated", width)
+    ij = np.stack([adj.i, adj.j], axis=1)
+    for slot, act in batches:
+        assert slot.shape == act.shape == (width,)
+        assert slot.dtype == np.int64 and act.dtype == bool
+        assert np.all(slot[~act] == -1)
+        # lanes loaded as the lane kernel loads them
+        i_idx, j_idx = bk.gather_fields(ij, slot, act, fill=-1)
+        r = bk.gather_fields(adj.geom, slot, act, fill=1.0)[3]
+        assert np.all(i_idx[~act] == -1)
+        assert np.all(j_idx[~act] == -1)
+        assert np.all(r[~act] == 1.0)
+        assert np.all(r[act] < R_C)
+        seen += list(zip(i_idx[act].tolist(), j_idx[act].tolist()))
     assert len(seen) == len(set(seen))  # exactly once each
     assert set(seen) == brute_directed(fr.positions, fr.box, R_C)
     if mode == "J":
         first_i = []
-        for b in batches:
-            ii = b.i_idx[b.mask]
+        for slot, act in batches:
+            ii = adj.i[slot[act]]
             assert np.all(ii == ii[0])  # one i per batch
             first_i.append(ii[0])
         assert first_i == sorted(first_i)  # rows in ascending i
@@ -331,13 +339,14 @@ def test_pack_mode_j_batch_shapes():
     adj = pack_adjacency(fr, nl)
     batches = list(adj.batches_j(8))
     # one batch per non-empty row: the loner's empty row yields none
-    assert [int(b.i_idx[0]) for b in batches] == [0, 1, 2, 3]
-    b = batches[0]  # 3 neighbors fit one width-8 batch
-    assert np.count_nonzero(b.mask) == 3
-    assert b.i_idx.tolist() == [0, 0, 0, -1, -1, -1, -1, -1]
-    assert sorted(b.j_idx[:3].tolist()) == [1, 2, 3]
+    assert [int(adj.i[slot[0]]) for slot, _ in batches] == [0, 1, 2, 3]
+    slot, mask = batches[0]  # 3 neighbors fit one width-8 batch
+    assert np.count_nonzero(mask) == 3
+    assert slot.tolist() == [0, 1, 2, -1, -1, -1, -1, -1]
+    assert adj.i[slot[mask]].tolist() == [0, 0, 0]
+    assert sorted(adj.j[slot[:3]].tolist()) == [1, 2, 3]
     # a width-2 repack needs ceil(3/2) batches per 3-neighbor row
-    assert [int(b.i_idx[0]) for b in adj.batches_j(2)] == \
+    assert [int(adj.i[slot[0]]) for slot, _ in adj.batches_j(2)] == \
         [0, 0, 1, 1, 2, 2, 3, 3]
 
 
@@ -347,15 +356,15 @@ def test_pack_mode_i_is_ascending_and_dense():
     nl = build_neighbor_list(fr, R_C, skin=0.3)
     adj = pack_adjacency(fr, nl)
     batches = list(adj.batches_i(4))
-    i_seq = np.concatenate([b.i_idx[b.mask] for b in batches])
-    j_seq = np.concatenate([b.j_idx[b.mask] for b in batches])
+    i_seq = np.concatenate([adj.i[slot[mask]] for slot, mask in batches])
+    j_seq = np.concatenate([adj.j[slot[mask]] for slot, mask in batches])
     # every CSR entry once, in row order: (i, j) follow the adjacency
     csr_i = np.repeat(np.arange(adj.natoms), np.diff(adj.offsets))
     assert np.array_equal(i_seq, csr_i)
     assert np.array_equal(j_seq, adj.j)
     assert np.all(np.diff(i_seq) >= 0)  # ascending i across the flat order
     # only the final batch may be partial
-    assert all(np.count_nonzero(b.mask) == 4 for b in batches[:-1])
+    assert all(np.count_nonzero(mask) == 4 for _, mask in batches[:-1])
 
 
 def test_pack_cutoff_wider_than_list_rejected():

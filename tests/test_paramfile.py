@@ -105,6 +105,11 @@ def test_invalid_values_rejected_with_line():
         (9, "0.0", "eta must be positive"),
         (7, "0.0", "d must be nonzero"),
         (4, "-1.0", "gamma must be positive"),
+        (3, "inf", "m must be integral"),
+        (3, "nan", "m must be integral"),
+        (15, "nan", "lam1 must be finite"),
+        (8, "inf", "h must be finite"),
+        (5, "-inf", "lam3 must be finite"),
     ]:
         with pytest.raises(ParamFileError, match=f":1: {msg}"):
             parse_params(mutate(pos, val))

@@ -13,7 +13,7 @@ from tersoffmd.potential import (
     _pair_parts, _zeta_parts, _zeta_value, pair_parts_lanes, zeta_parts_lanes)
 from tersoffmd.simd import make_backend
 
-from helpers import carbon_table, two_species_table
+from helpers import carbon_table, real_lanes, two_species_table
 
 RNG = np.random.default_rng(7)
 mpmath.mp.dps = 40
@@ -290,7 +290,7 @@ def test_delta_zeta_sign_and_magnitude():
 
 def _lane_params_pair(bk, rows):
     cols = list(zip(*rows))
-    return [bk.real(np.array(c)) for c in cols]
+    return [real_lanes(bk, np.array(c)) for c in cols]
 
 
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
@@ -314,8 +314,8 @@ def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
     # --- zeta parts
     lanes_out = zeta_parts_lanes(
         bk,
-        bk.real(dj[:, 0]), bk.real(dj[:, 1]), bk.real(dj[:, 2]), bk.real(rij),
-        bk.real(dk[:, 0]), bk.real(dk[:, 1]), bk.real(dk[:, 2]), bk.real(rik),
+        *[real_lanes(bk, a) for a in (dj[:, 0], dj[:, 1], dj[:, 2], rij,
+                                      dk[:, 0], dk[:, 1], dk[:, 2], rik)],
         *_lane_params_pair(bk, [(p.R, p.D, p.gamma, p.c, p.d, p.h, p.lam3)
                                 for p in trips]),
         np.array([p.m == 3 for p in trips]))
@@ -335,7 +335,7 @@ def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
 
     # --- pair parts
     lanes_out = pair_parts_lanes(
-        bk, bk.real(rij), bk.real(zeta),
+        bk, real_lanes(bk, rij), real_lanes(bk, zeta),
         *_lane_params_pair(bk, [(p.R, p.D, p.A, p.lam1, p.B, p.lam2,
                                  p.beta, p.eta) for p in pairs]))
     for lane in range(width):
@@ -348,8 +348,9 @@ def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
 
     # --- individual functions
     # the scalar forms that do not branch run on lanes with xm=bk
-    r = bk.real(rng.uniform(1.0, 2.2, width))
-    lanes = [bk.real(a) for a in (CP.R, CP.D, CP.A, CP.lam1, CP.B, CP.lam2)]
+    r = real_lanes(bk, rng.uniform(1.0, 2.2, width))
+    lanes = [real_lanes(bk, a)
+             for a in (CP.R, CP.D, CP.A, CP.lam1, CP.B, CP.lam2)]
     for got, sc_fn, args in [
             (f_cutoff_lanes(bk, r, *lanes[0:2]), f_cutoff, (CP.R, CP.D)),
             (f_repulsive(r, *lanes[2:4], bk), f_repulsive, (CP.A, CP.lam1)),
@@ -359,14 +360,15 @@ def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
             want = sc_fn(float(r[lane]), *args)
             assert got[0][lane] == want[0]
             assert got[1][lane] == want[1]
-    cost = bk.real(rng.uniform(-1, 1, width))
-    got = g_angle(cost, bk.real(CP.gamma), bk.real(CP.c), bk.real(CP.d),
-                  bk.real(CP.h))
+    cost = real_lanes(bk, rng.uniform(-1, 1, width))
+    got = g_angle(cost, *[real_lanes(bk, a)
+                          for a in (CP.gamma, CP.c, CP.d, CP.h)])
     for lane in range(width):
         want = g_angle(float(cost[lane]), CP.gamma, CP.c, CP.d, CP.h)
         assert got[0][lane] == want[0]
         assert got[1][lane] == want[1]
-    got = bond_order_lanes(bk, bk.real(zeta), bk.real(CP.beta), bk.real(CP.eta))
+    got = bond_order_lanes(bk, *[real_lanes(bk, a)
+                                 for a in (zeta, CP.beta, CP.eta)])
     for lane in range(width):
         want = bond_order(float(zeta[lane]), CP.beta, CP.eta)
         assert got[0][lane] == want[0]
@@ -380,16 +382,9 @@ def test_fast_mode_lane_forms_close_to_strict():
     rng = np.random.default_rng(3)
     r = rng.uniform(1.0, 2.05, width)
     z = rng.uniform(0, 4e4, width)
-    vf = pair_parts_lanes(fast, fast.real(r), fast.real(z),
-                          fast.real(CP.R), fast.real(CP.D), fast.real(CP.A),
-                          fast.real(CP.lam1), fast.real(CP.B),
-                          fast.real(CP.lam2), fast.real(CP.beta),
-                          fast.real(CP.eta))
-    vs = pair_parts_lanes(strict, strict.real(r), strict.real(z),
-                          strict.real(CP.R), strict.real(CP.D),
-                          strict.real(CP.A), strict.real(CP.lam1),
-                          strict.real(CP.B), strict.real(CP.lam2),
-                          strict.real(CP.beta), strict.real(CP.eta))
+    args = (r, z, CP.R, CP.D, CP.A, CP.lam1, CP.B, CP.lam2, CP.beta, CP.eta)
+    vf = pair_parts_lanes(fast, *[real_lanes(fast, a) for a in args])
+    vs = pair_parts_lanes(strict, *[real_lanes(strict, a) for a in args])
     for got, want in zip(vf, vs):
         assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
 

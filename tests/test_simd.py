@@ -15,6 +15,8 @@ import pytest
 import tersoffmd
 from tersoffmd.simd import Backend, make_backend, EMULATED_WIDTHS
 
+from helpers import real_lanes
+
 RNG = np.random.default_rng(20260816)
 
 
@@ -25,7 +27,7 @@ def bits_equal(a, b):
 
 
 def random_lanes(bk, lo=-3.0, hi=3.0, rng=RNG):
-    return bk.real(rng.uniform(lo, hi, bk.width))
+    return real_lanes(bk, rng.uniform(lo, hi, bk.width))
 
 
 # ---------------------------------------------------------------- arithmetic
@@ -86,16 +88,16 @@ def test_reduce_sum_is_ascending_lane_order():
                         ("native", 1024)):
         bk = make_backend(name, width)
         for values in cases:
-            v = bk.real(np.resize(values, width))
+            v = real_lanes(bk, np.resize(values, width))
             want = _ascending_sum(v.tolist())
             got = bk.reduce_sum(v)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
         if width == 4:
-            assert bk.reduce_sum(bk.real(cases[0])) == 1.0
-        assert math.copysign(1.0, bk.reduce_sum(bk.real(-0.0))) == 1.0
+            assert bk.reduce_sum(real_lanes(bk, cases[0])) == 1.0
+        assert math.copysign(1.0, bk.reduce_sum(real_lanes(bk, -0.0))) == 1.0
         single = make_backend(name, width, precision="single")
-        v = single.real(RNG.uniform(-1e4, 1e4, width))
+        v = real_lanes(single, RNG.uniform(-1e4, 1e4, width))
         assert v.dtype == np.float32
         # float32 lanes are summed in double, as the scalar loop does
         assert single.reduce_sum(v) == _ascending_sum(v.tolist())
@@ -144,7 +146,7 @@ def test_scatter_out_of_bounds_active_lane_is_checked(name):
     dest = np.zeros(4)
     for bad in ([1, 4], [-1, 2]):
         with pytest.raises(IndexError):
-            bk.scatter_add(dest, np.array(bad), bk.real([1.0, 1.0]),
+            bk.scatter_add(dest, np.array(bad), real_lanes(bk, [1.0, 1.0]),
                            np.ones(2, dtype=bool))
     assert not dest.any()  # nothing written before the check
 
@@ -159,8 +161,7 @@ def test_bounds_checks_survive_python_O():
         "idx, m = np.array([0, -1]), np.ones(2, dtype=bool)\n"
         "calls = [lambda: bk.gather(np.zeros(3), idx, m),\n"
         "         lambda: bk.gather_fields(np.zeros((3, 2)), idx, m),\n"
-        "         lambda: bk.scatter_add(np.zeros(3), idx, bk.real([1, 1]),"
-        " m)]\n"
+        "         lambda: bk.scatter_add(np.zeros(3), idx, np.ones(2), m)]\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -199,7 +200,7 @@ def test_scatter_add_bit_equals_sequential_loop(name, width):
     idx_vals = RNG.integers(0, 13, width)
     vals = RNG.uniform(-1, 1, width)
     active = RNG.random(width) < 0.8
-    bk.scatter_add(dest, idx_vals, bk.real(vals), active)
+    bk.scatter_add(dest, idx_vals, real_lanes(bk, vals), active)
     for lane in range(width):  # sequential scalar oracle
         if active[lane]:
             ref[idx_vals[lane]] += vals[lane]
@@ -209,11 +210,12 @@ def test_scatter_add_bit_equals_sequential_loop(name, width):
 def test_scatter_add_masked_lanes_do_not_write():
     bk = make_backend("emulated", 4)
     dest = np.zeros(3)
-    bk.scatter_add(dest, np.array([0, 1, 2, 0]), bk.real([1.0, 2.0, 3.0, 4.0]),
+    bk.scatter_add(dest, np.array([0, 1, 2, 0]),
+                   real_lanes(bk, [1.0, 2.0, 3.0, 4.0]),
                    np.array([True, False, True, False]))
     assert dest.tolist() == [1.0, 0.0, 3.0, 0.0][:3]
     # all-false mask: no write at all, even with junk indices
-    bk.scatter_add(dest, np.array([-1, 99, -5, 7]), bk.real([9.0] * 4),
+    bk.scatter_add(dest, np.array([-1, 99, -5, 7]), real_lanes(bk, [9.0] * 4),
                    np.zeros(4, dtype=bool))
     assert dest.tolist() == [1.0, 0.0, 3.0]
 
@@ -261,7 +263,7 @@ def test_emulated_strict_bit_identical_to_scalar_backend(width):
 def test_fast_transcendentals_within_4ulp_of_scalar(width):
     bk_fast = make_backend("emulated", width)
     bk_strict = make_backend("emulated", width, strict=True)
-    x = bk_fast.real(RNG.uniform(0.05, 4.0, width))
+    x = real_lanes(bk_fast, RNG.uniform(0.05, 4.0, width))
     for fn in ("exp", "sqrt", "sin", "cos"):
         fast = getattr(bk_fast, fn)(x)
         strict = getattr(bk_strict, fn)(x)
@@ -282,7 +284,7 @@ def test_transcendentals_within_4ulp_of_correctly_rounded():
     for name, bk in (("fast", make_backend("emulated", 4)),
                      ("strict", make_backend("emulated", 4, strict=True))):
         for i in range(0, 200, 4):
-            v = bk.real(xs[i:i + 4])
+            v = real_lanes(bk, xs[i:i + 4])
             for fn, mpfn in exact_fns.items():
                 got = getattr(bk, fn)(v)
                 for x, g in zip(xs[i:i + 4], got):
@@ -338,12 +340,15 @@ def test_non_integer_width_rejected(width):
 
 def test_single_precision_lanes():
     bk = make_backend("emulated", 4, precision="single")
-    v = bk.real([1.0, 2.0, 3.0, 4.0])
+    v = real_lanes(bk, [1.0, 2.0, 3.0, 4.0])
     assert v.dtype == np.float32
     assert (v * 0.5).dtype == np.float32
     assert (0.5 * v).dtype == np.float32
     assert bk.exp(v).dtype == np.float32
     assert np.where(v > 2.0, v, 0.0).dtype == np.float32
-    # conversion from double positions happens explicitly
-    dd = np.array([0.1, 0.2, 0.3, 0.4])
-    assert bk.to_real(dd).dtype == np.float32
+    # records cast once to float32 come back from the gather as float32
+    records = np.array([[0.1, 1.0], [0.2, 2.0], [0.3, 3.0]], dtype=np.float32)
+    mask = np.array([True, True, False, True])
+    for lane in bk.gather_fields(records, np.array([2, 0, -1, 1]), mask,
+                                 fill=1.0):
+        assert lane.dtype == np.float32

@@ -12,8 +12,7 @@ from tersoffmd.neighbor import build_neighbor_list
 from tersoffmd.system import (ACCEL, ELEMENT_MASSES, KB_EV, ForceField,
                               RunConfig, SimulationBox, SimulationState,
                               StretchSpec, gen_diamond, gen_nanotube,
-                              instantaneous_temperature, kinetic_energy,
-                              read_xyz, run_nve, run_stretch,
+                              kinetic_energy, read_xyz, run_nve, run_stretch,
                               seed_velocities, select_grips, state_from_xyz,
                               total_momentum, velocity_verlet_step,
                               write_xyz)
@@ -135,7 +134,8 @@ def test_seed_velocities_momentum_and_temperature():
     st = gen_nanotube(5, 10)
     seed_velocities(st, 300.0, rng=7)
     assert np.max(np.abs(total_momentum(st))) < 1e-12 * st.natoms
-    assert instantaneous_temperature(st) == pytest.approx(300.0, rel=0.2)
+    temperature = 2.0 * kinetic_energy(st) / (3.0 * st.natoms * KB_EV)
+    assert temperature == pytest.approx(300.0, rel=0.2)
     assert kinetic_energy(st) > 0.0
 
 
@@ -168,6 +168,24 @@ def test_xyz_round_trip(tmp_path):
     assert np.max(np.abs(back.positions - st.positions)) < 1e-9
     write_xyz(path, st, comment="frame 2", append=True)
     assert len(read_xyz(path)) == 2
+
+
+@pytest.mark.parametrize("comment", [
+    "box 10 10 periodic 111", "box 10 10 abc periodic 111",
+    "box 10 10 10 periodic 1x1", "box 10 10 10 periodic 11",
+    "box 10 10 10", "box 10 10 inf periodic 000"])
+def test_xyz_malformed_box_comment_rejected(tmp_path, comment):
+    """A box line that does not parse fails; it does not fall back to a
+    free bounding box with shifted atoms."""
+    path = tmp_path / "bad.xyz"
+    write_xyz(path, gen_nanotube(3, 2), comment=comment)
+    with pytest.raises(InputError, match="bad.xyz: malformed box"):
+        state_from_xyz(path)
+    # a comment with no box token keeps the bounding-box fallback
+    write_xyz(path, gen_nanotube(3, 2), comment="frame 2")
+    back = state_from_xyz(path)
+    assert back.box.periodic == (False, False, False)
+    assert np.allclose(back.positions.min(axis=0), 6.0)
 
 
 # ---------------------------------------------------------------------

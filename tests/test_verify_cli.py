@@ -394,6 +394,10 @@ class TestCli:
             ("bench", "--structure", "nanotube:n=3,cells=2",
              "--variant", "scalar,warp", "--steps", "1", "--repeats", "1"),
         ]
+        bad_box = tmp_path / "bad_box.xyz"
+        write_xyz(bad_box, gen_nanotube(3, 2),
+                  comment="box 10 10 periodic 111")
+        cases.append(("run", "--structure", str(bad_box), "--steps", "0"))
         unparseable = tmp_path / "broken.tersoff"
         unparseable.write_text("C C C 3 1.0\n")
         cases.append(("run", "--structure", "nanotube:n=3,cells=2",
@@ -401,6 +405,25 @@ class TestCli:
         for argv in cases:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
+
+    @pytest.mark.parametrize("command", ["run", "bench", "verify"])
+    @pytest.mark.parametrize("field,value", [(3, "inf"), (3, "nan"),
+                                             (15, "nan"), (8, "inf")])
+    def test_non_finite_params_exit_two(self, command, field, value,
+                                        tmp_path, capsys):
+        """m, lambda1 and h: inf or nan is a file error, not a traceback
+        or a NaN energy."""
+        lines = serialize_params(builtin_params("C")).splitlines()
+        toks = lines[1].split()
+        toks[field] = value
+        lines[1] = " ".join(toks)
+        bad = tmp_path / "nonfinite.tersoff"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run_cli(capsys, command, "--structure",
+                               "nanotube:n=3,cells=2", "--steps", "1",
+                               "--params", str(bad))
+        assert code == 2
+        assert "nonfinite.tersoff:2:" in err
 
     def test_verify_has_no_csv_format(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--format", "csv")
