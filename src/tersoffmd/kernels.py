@@ -16,12 +16,15 @@
 
 All optimized variants share the scalar forms' expression trees operation
 for operation and accumulate per (i,j) at the same granularity: zeta, the
-gradient sums over k, and the per-k F_k updates. On a strict double
-emulated backend at width 1, both schedules reproduce ScalarOpt bit for
-bit (forces are flushed with +0.0 on output so a masked-lane zero cannot
-differ in sign). Energies and forces accumulate in float64 in both
-precision modes; "single" converts distances, parameters and all
-intermediate potential math to float32.
+gradient sums over k, and the per-k F_k updates. The scalar kernels work
+per component and accumulate in Python lists; the lane kernel keeps every
+3-vector (displacements, gradients, gradient sums, pair forces) as one
+(3, W) block and scatters into one (3, n) force block, row by row in lane
+order. On a strict double emulated backend at width 1, both schedules
+reproduce ScalarOpt bit for bit (forces are flushed with +0.0 on output so
+a masked-lane zero cannot differ in sign). Energies and forces accumulate
+in float64 in both precision modes; "single" converts distances,
+parameters and all intermediate potential math to float32.
 """
 
 import math
@@ -31,8 +34,8 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .neighbor import pack_adjacency
-from .potential import _pair_parts, _zeta_parts, _zeta_value, \
-    pair_parts_lanes, zeta_parts_lanes
+from .potential import _pair_parts, _zeta_parts, pair_parts_lanes, \
+    zeta_parts_lanes
 from .simd import Backend, make_backend
 
 KERNEL_TAGS = ("Reference", "ScalarOpt", "VecJ", "VecI")
@@ -98,9 +101,15 @@ class ForceEnergyResult:
         return self.stats["lane_active"] / total
 
 
-def _checked_species(state, params):
+def _validate(state, params):
+    """The state's species as int64, after checking the positions are
+    finite and every species is in the parameter table."""
+    pos = np.asarray(state.positions, dtype=np.float64)
+    if not np.isfinite(pos).all():
+        bad = int(np.argwhere(~np.isfinite(pos))[0][0])
+        raise InputError(f"non-finite position for atom {bad}")
     species = np.asarray(state.species, dtype=np.int64)
-    n = np.asarray(state.positions).shape[0]
+    n = pos.shape[0]
     if species.shape != (n,):
         raise ConfigurationError(
             f"species shape {species.shape} does not match {n} atoms")
@@ -114,20 +123,12 @@ def _checked_species(state, params):
     return species
 
 
-def _validate(state, params):
-    pos = np.asarray(state.positions, dtype=np.float64)
-    if not np.isfinite(pos).all():
-        bad = int(np.argwhere(~np.isfinite(pos))[0][0])
-        raise InputError(f"non-finite position for atom {bad}")
-    return _checked_species(state, params)
-
-
-def _result(fx, fy, fz, e_at, energy, visits, gathers=0, active=0,
-            total=0):
-    forces = np.stack([fx, fy, fz], axis=1) + 0.0  # flush -0.0
+def _result(F, e_at, energy, visits, gathers=0, active=0, total=0):
+    """F is the (3, n) force block; e_at the per-atom energies."""
+    forces = np.ascontiguousarray(np.transpose(F)) + 0.0  # flush -0.0
     stats = {"zeta_visits": visits, "gathers": gathers,
              "lane_active": active, "lane_total": total}
-    return ForceEnergyResult(forces, energy, e_at + 0.0, stats)
+    return ForceEnergyResult(forces, energy, np.asarray(e_at) + 0.0, stats)
 
 
 def check_threads(threads):
@@ -144,13 +145,15 @@ def check_threads(threads):
 
 
 def _scalar_views(adj, species, params, precision):
-    views = params.views(precision)
+    """Columns and parameter rows for the scalar kernels: Python floats
+    with math in double, float32 scalars with numpy in single."""
+    pair_mat, trip_mat = params.views(precision)
     ints = (adj.j.tolist(), species.tolist(), adj.offsets.tolist())
     if precision == "double":
-        arrays = ints + tuple(adj.geom.T.tolist())
-        return arrays, views["pair_scalar"], views["trip_scalar"], math
-    arrays = ints + tuple(adj.geom.T.astype(np.float32))
-    return arrays, views["pair_scalar"], views["trip_scalar"], np
+        return (ints + tuple(adj.geom.T.tolist()), pair_mat.tolist(),
+                trip_mat.tolist(), math)
+    return (ints + tuple(adj.geom.T.astype(np.float32)),
+            list(map(tuple, pair_mat)), list(map(tuple, trip_mat)), np)
 
 
 # ======================================================================
@@ -165,10 +168,7 @@ def compute_reference(state, nl, params, precision="double"):
     S = params.nspecies
     n = adj.natoms
 
-    fx = np.zeros(n)
-    fy = np.zeros(n)
-    fz = np.zeros(n)
-    e_at = np.zeros(n)
+    fx, fy, fz, e_at = ([0.0] * n for _ in range(4))
     energy = 0.0
     visits = 0
     for i in range(n):
@@ -178,10 +178,7 @@ def compute_reference(state, nl, params, precision="double"):
         for jj in range(b0, b1):
             j = jl[jj]
             trip_base = (base_i + sl[j]) * S
-            dxj = dxa[jj]
-            dyj = dya[jj]
-            dzj = dza[jj]
-            r_ij = ra[jj]
+            dxj, dyj, dzj, r_ij = dxa[jj], dya[jj], dza[jj], ra[jj]
             # pass A: zeta, then the pair terms
             zeta = r_ij * 0.0  # typed zero
             for kk in range(b0, b1):
@@ -190,9 +187,9 @@ def compute_reference(state, nl, params, precision="double"):
                 if k == j:
                     continue
                 tp = trip_sc[trip_base + sl[k]]
-                zeta = zeta + _zeta_value(
+                zeta = zeta + _zeta_parts(
                     dxj, dyj, dzj, r_ij,
-                    dxa[kk], dya[kk], dza[kk], ra[kk], *tp, xm)
+                    dxa[kk], dya[kk], dza[kk], ra[kk], *tp, xm)[0]
             v, dv_dr, dz = _pair_parts(
                 r_ij, zeta, *pair_sc[base_i + sl[j]], xm)
             energy += float(v)
@@ -225,7 +222,7 @@ def compute_reference(state, nl, params, precision="double"):
                 fx[k] -= float(dz * gkx)
                 fy[k] -= float(dz * gky)
                 fz[k] -= float(dz * gkz)
-    return _result(fx, fy, fz, e_at, energy, visits)
+    return _result(np.array([fx, fy, fz]), e_at, energy, visits)
 
 
 # ======================================================================
@@ -240,10 +237,7 @@ def compute_scalar_opt(state, nl, params, precision="double"):
     S = params.nspecies
     n = adj.natoms
 
-    fx = np.zeros(n)
-    fy = np.zeros(n)
-    fz = np.zeros(n)
-    e_at = np.zeros(n)
+    fx, fy, fz, e_at = ([0.0] * n for _ in range(4))
     energy = 0.0
     visits = 0
     for i in range(n):
@@ -253,10 +247,7 @@ def compute_scalar_opt(state, nl, params, precision="double"):
         for jj in range(b0, b1):
             j = jl[jj]
             trip_base = (base_i + sl[j]) * S
-            dxj = dxa[jj]
-            dyj = dya[jj]
-            dzj = dza[jj]
-            r_ij = ra[jj]
+            dxj, dyj, dzj, r_ij = dxa[jj], dya[jj], dza[jj], ra[jj]
             zeta = r_ij * 0.0
             gix = giy = giz = gjxs = gjys = gjzs = r_ij * 0.0
             cache = []
@@ -294,27 +285,19 @@ def compute_scalar_opt(state, nl, params, precision="double"):
                 fx[k] -= float(dz * gkx)
                 fy[k] -= float(dz * gky)
                 fz[k] -= float(dz * gkz)
-    return _result(fx, fy, fz, e_at, energy, visits)
+    return _result(np.array([fx, fy, fz]), e_at, energy, visits)
 
 
 # ======================================================================
 # the lane kernel: VecJ and VecI
 # ======================================================================
 
-def _gather_trip(bk, trip_mat, idx, mask):
-    R, D, gamma, c, d, h, lam3, m = bk.gather_fields(trip_mat, idx, mask,
-                                                     fill=1.0)
-    return R, D, gamma, c, d, h, lam3, (m == 3.0)
-
-
 def compute_lanes(state, nl, params, variant):
     """VecJ and VecI: one body, the tag picks the batch schedule."""
     species = _validate(state, params)
     adj = pack_adjacency(state, nl, params.r_cut)
     bk = variant.backend
-    views = params.views(bk.precision)
-    pair_mat = views["pair_matrix"]
-    trip_mat = views["trip_matrix"]
+    pair_mat, trip_mat = params.views(bk.precision)
     S = params.nspecies
     n = adj.natoms
     W = bk.width
@@ -324,9 +307,7 @@ def compute_lanes(state, nl, params, variant):
     pairs = np.stack([adj.i, adj.j, species[adj.i] * S + species[adj.j],
                       adj.offsets[adj.i], adj.offsets[adj.i + 1]], axis=1)
 
-    fx = np.zeros(n)
-    fy = np.zeros(n)
-    fz = np.zeros(n)
+    F = np.zeros((3, n))
     e_at = np.zeros(n)
     energy = 0.0
     visits = 0
@@ -338,10 +319,9 @@ def compute_lanes(state, nl, params, variant):
         total += W
         i_idx, j_idx, pair_idx, cur, end = bk.gather_fields(
             pairs, slot, mask, fill=-1)
-        dxj, dyj, dzj, r_ij = bk.gather_fields(geom, slot, mask, fill=1.0)
-        # one array each: += on a shared buffer would alias the sums
-        zeta, gix, giy, giz, gjxs, gjys, gjzs = (bk.zeros()
-                                                 for _ in range(7))
+        gj_rec = bk.gather_fields(geom, slot, mask, fill=1.0)
+        dj, r_ij = gj_rec[:3], gj_rec[3]
+        zeta, gi, gjs = bk.zeros(), bk.zeros(3), bk.zeros(3)
         cache = []
         while True:
             alive = mask & (cur < end)
@@ -351,46 +331,30 @@ def compute_lanes(state, nl, params, variant):
             kk = np.where(alive, cur, 0)
             k_idx = bk.gather(adj.j, kk, alive, fill=-1)
             sk = bk.gather(species, k_idx, alive, fill=0)
-            trip_idx = pair_idx * S + sk
             act = alive & (k_idx != j_idx)
-            tR, tD, tg, tc, td, th, tl3, m_is3 = _gather_trip(
-                bk, trip_mat, trip_idx, alive)
-            dxk, dyk, dzk, rik = bk.gather_fields(geom, kk, alive, fill=1.0)
-            val, gjx, gjy, gjz, gkx, gky, gkz = zeta_parts_lanes(
-                bk, dxj, dyj, dzj, r_ij, dxk, dyk, dzk, rik,
-                tR, tD, tg, tc, td, th, tl3, m_is3)
+            trip = bk.gather_fields(trip_mat, pair_idx * S + sk, alive,
+                                    fill=1.0)
+            gk_rec = bk.gather_fields(geom, kk, alive, fill=1.0)
+            val, gj, gk = zeta_parts_lanes(
+                bk, dj, r_ij, gk_rec[:3], gk_rec[3], *trip[:7],
+                trip[7] == 3.0)
             zeta = zeta + np.where(act, val, 0.0)
-            gix = gix + np.where(act, -(gjx + gkx), 0.0)
-            giy = giy + np.where(act, -(gjy + gky), 0.0)
-            giz = giz + np.where(act, -(gjz + gkz), 0.0)
-            gjxs = gjxs + np.where(act, gjx, 0.0)
-            gjys = gjys + np.where(act, gjy, 0.0)
-            gjzs = gjzs + np.where(act, gjz, 0.0)
-            cache.append((k_idx, act, np.where(act, gkx, 0.0),
-                          np.where(act, gky, 0.0),
-                          np.where(act, gkz, 0.0)))
+            gi = gi + np.where(act, -(gj + gk), 0.0)
+            gjs = gjs + np.where(act, gj, 0.0)
+            cache.append((k_idx, act, np.where(act, gk, 0.0)))
             cur = np.where(alive, cur + 1, cur)
-        pR, pD, pA, pl1, pB, pl2, pbe, pet = bk.gather_fields(
-            pair_mat, pair_idx, mask, fill=1.0)
         v, dv_dr, dz = pair_parts_lanes(
-            bk, r_ij, zeta, pR, pD, pA, pl1, pB, pl2, pbe, pet)
+            bk, r_ij, zeta,
+            *bk.gather_fields(pair_mat, pair_idx, mask, fill=1.0))
         energy += bk.reduce_sum(np.where(mask, v, 0.0))
         bk.scatter_add(e_at, i_idx, np.where(mask, v, 0.0), mask)
-        fxv = dv_dr * (dxj / r_ij)
-        fyv = dv_dr * (dyj / r_ij)
-        fzv = dv_dr * (dzj / r_ij)
-        bk.scatter_add(fx, i_idx, fxv - dz * gix, mask)
-        bk.scatter_add(fy, i_idx, fyv - dz * giy, mask)
-        bk.scatter_add(fz, i_idx, fzv - dz * giz, mask)
-        bk.scatter_add(fx, j_idx, -fxv - dz * gjxs, mask)
-        bk.scatter_add(fy, j_idx, -fyv - dz * gjys, mask)
-        bk.scatter_add(fz, j_idx, -fzv - dz * gjzs, mask)
-        for k_idx, act, gkx, gky, gkz in cache:
-            bk.scatter_add(fx, k_idx, -(dz * gkx), act)
-            bk.scatter_add(fy, k_idx, -(dz * gky), act)
-            bk.scatter_add(fz, k_idx, -(dz * gkz), act)
-    return _result(fx, fy, fz, e_at, energy, visits,
-                   bk.gather_count - gathers0, active, total)
+        fv = dv_dr * (dj / r_ij)
+        bk.scatter_add(F, i_idx, fv - dz * gi, mask)
+        bk.scatter_add(F, j_idx, -fv - dz * gjs, mask)
+        for k_idx, act, gk in cache:
+            bk.scatter_add(F, k_idx, -(dz * gk), act)
+    return _result(F, e_at, energy, visits, bk.gather_count - gathers0,
+                   active, total)
 
 
 # ======================================================================

@@ -199,6 +199,16 @@ def build_neighbor_list(state, r_cut, skin=0.3):
                         pos.copy())
 
 
+def _positions_for(state, nl):
+    """state's positions; ConfigurationError unless nl has as many atoms."""
+    pos = np.asarray(state.positions, dtype=np.float64)
+    if pos.shape[0] != nl.natoms:
+        raise ConfigurationError(
+            f"neighbor list built for {nl.natoms} atoms, but the state has "
+            f"{pos.shape[0]}")
+    return pos
+
+
 def needs_rebuild(state, nl):
     """True once any atom drifted more than skin/2 from its build snapshot.
 
@@ -206,8 +216,8 @@ def needs_rebuild(state, nl):
     so every pair now inside r_cut was inside build_cutoff at build time
     (and a fresh skin=0 list does not instantly demand a rebuild).
     """
-    d = min_image(np.asarray(state.positions, dtype=np.float64)
-                  - nl.reference_positions, state.box)
+    d = min_image(_positions_for(state, nl) - nl.reference_positions,
+                  state.box)
     return bool((d * d).sum(axis=1).max(initial=0.0) > (0.5 * nl.skin) ** 2)
 
 
@@ -271,7 +281,7 @@ def pack_adjacency(state, nl, r_cut=None):
         raise ConfigurationError(
             f"cutoff {r_cut:g} A exceeds the {nl.r_cut:g} A the neighbor "
             f"list was built for")
-    pos = np.asarray(state.positions, dtype=np.float64)
+    pos = _positions_for(state, nl)
     n = nl.natoms
     i_all = np.repeat(np.arange(n, dtype=np.int64), np.diff(nl.offsets))
     j_all = nl.neighbors

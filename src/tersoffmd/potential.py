@@ -23,8 +23,11 @@ they do not branch on a value, the lane kernel too: lane arrays (numpy
 arrays of shape (W,)) with ``xm=bk`` take their transcendentals from the
 SIMD backend ``bk``. The cutoff, the bond order and the zeta term branch,
 so they and the pair composition have ``*_lanes`` twins that select with
-``np.where``. Both share expression trees operation for operation, so a
-strict width-1 lane run reproduces the scalar result bit for bit.
+``np.where``. The scalar zeta term works per component (x, y, z); its lane
+twin takes and returns 3-vectors as (3, W) blocks and applies the same
+operations to each row. Both share expression trees operation for
+operation, so a strict width-1 lane run reproduces the scalar result bit
+for bit.
 """
 
 import math
@@ -131,39 +134,19 @@ class ParamTable:
 
     # ---- kernel views, cached per precision ---------------------------
 
-    def _build_views(self, precision):
-        s = self.nspecies
-        conv = float if precision == "double" else np.float32
-        pair_sc = []
-        pair_mat = np.empty((s * s, len(PAIR_FIELDS)), dtype=np.float64)
-        for ti in range(s):
-            for tj in range(s):
-                p = self.pair_entry(ti, tj)
-                row = (p.R, p.D, p.A, p.lam1, p.B, p.lam2, p.beta, p.eta)
-                pair_mat[ti * s + tj] = row
-                pair_sc.append(tuple(conv(x) for x in row))
-        trip_sc = []
-        trip_mat = np.empty((s * s * s, len(TRIP_FIELDS)), dtype=np.float64)
-        for ti in range(s):
-            for tj in range(s):
-                for tk in range(s):
-                    p = self.entry(ti, tj, tk)
-                    trip_mat[(ti * s + tj) * s + tk] = (
-                        p.R, p.D, p.gamma, p.c, p.d, p.h, p.lam3, float(p.m))
-                    trip_sc.append((conv(p.R), conv(p.D), conv(p.gamma),
-                                    conv(p.c), conv(p.d), conv(p.h),
-                                    conv(p.lam3), p.m))
-        dtype = np.float64 if precision == "double" else np.float32
-        return {
-            "pair_scalar": pair_sc,
-            "trip_scalar": trip_sc,
-            "pair_matrix": np.ascontiguousarray(pair_mat, dtype=dtype),
-            "trip_matrix": np.ascontiguousarray(trip_mat, dtype=dtype),
-        }
-
     def views(self, precision):
+        """(pair_mat, trip_mat) in the precision's real dtype: row
+        ti*S + tj holds PAIR_FIELDS of pair_entry(ti, tj), row
+        (ti*S + tj)*S + tk holds TRIP_FIELDS of entry(ti, tj, tk)."""
         if precision not in self._views:
-            self._views[precision] = self._build_views(precision)
+            s = range(self.nspecies)
+            pair = [[getattr(self.pair_entry(ti, tj), f) for f in PAIR_FIELDS]
+                    for ti in s for tj in s]
+            trip = [[getattr(self.entry(ti, tj, tk), f) for f in TRIP_FIELDS]
+                    for ti in s for tj in s for tk in s]
+            dtype = np.float64 if precision == "double" else np.float32
+            self._views[precision] = (np.array(pair, dtype=dtype),
+                                      np.array(trip, dtype=dtype))
         return self._views[precision]
 
 
@@ -220,26 +203,6 @@ def bond_order(zeta, beta, eta, xm=math):
         return b, 0.0
     db = (-0.5 * beta) * xm.pow(t, eta - 1.0) * xm.pow(1.0 + u, -0.5 / eta - 1.0)
     return b, db
-
-
-def _zeta_value(dxj, dyj, dzj, rij, dxk, dyk, dzk, rik,
-                R, D, gamma, c, d, h, lam3, m, xm=math):
-    # value-only twin of _zeta_parts; expression trees must stay identical
-    fc, _ = f_cutoff(rik, R, D, xm)
-    inv_rij = 1.0 / rij
-    inv_rik = 1.0 / rik
-    ejx = dxj * inv_rij
-    ejy = dyj * inv_rij
-    ejz = dzj * inv_rij
-    ekx = dxk * inv_rik
-    eky = dyk * inv_rik
-    ekz = dzk * inv_rik
-    cost = ejx * ekx + ejy * eky + ejz * ekz
-    cost = min(1.0, max(-1.0, cost))
-    gv, _ = g_angle(cost, gamma, c, d, h)
-    t = lam3 * (rij - rik)
-    arg = t * t * t if m == 3 else t
-    return fc * gv * xm.exp(arg)
 
 
 def _zeta_parts(dxj, dyj, dzj, rij, dxk, dyk, dzk, rik,
@@ -323,20 +286,20 @@ def bond_order_lanes(bk, zeta, beta, eta):
     return b, np.where(tiny, 0.0, db)
 
 
-def zeta_parts_lanes(bk, dxj, dyj, dzj, rij, dxk, dyk, dzk, rik,
-                     R, D, gamma, c, d, h, lam3, m_is3):
-    """Lane twin of _zeta_parts; m_is3 is a bool array selecting m == 3
-    lanes."""
+def zeta_parts_lanes(bk, dj, rij, dk, rik, R, D, gamma, c, d, h, lam3,
+                     m_is3):
+    """Lane twin of _zeta_parts on (3, W) displacement blocks dj and dk.
+
+    Returns (val, gj, gk) with gj and gk (3, W) blocks; row c repeats the
+    scalar form's component-c expressions. m_is3 is a bool array selecting
+    m == 3 lanes.
+    """
     fc, dfc = f_cutoff_lanes(bk, rik, R, D)
     inv_rij = 1.0 / rij
     inv_rik = 1.0 / rik
-    ejx = dxj * inv_rij
-    ejy = dyj * inv_rij
-    ejz = dzj * inv_rij
-    ekx = dxk * inv_rik
-    eky = dyk * inv_rik
-    ekz = dzk * inv_rik
-    cost = ejx * ekx + ejy * eky + ejz * ekz
+    ej = dj * inv_rij
+    ek = dk * inv_rik
+    cost = ej[0] * ek[0] + ej[1] * ek[1] + ej[2] * ek[2]
     cost = np.minimum(np.maximum(cost, -1.0), 1.0)
     gv, dgv = g_angle(cost, gamma, c, d, h)
     t = lam3 * (rij - rik)
@@ -347,13 +310,9 @@ def zeta_parts_lanes(bk, dxj, dyj, dzj, rij, dxk, dyk, dzk, rik,
     dval_drij = val * darg
     dval_drik = dfc * gv * ex - val * darg
     dval_dcos = fc * dgv * ex
-    gjx = dval_drij * ejx + dval_dcos * ((ekx - cost * ejx) * inv_rij)
-    gjy = dval_drij * ejy + dval_dcos * ((eky - cost * ejy) * inv_rij)
-    gjz = dval_drij * ejz + dval_dcos * ((ekz - cost * ejz) * inv_rij)
-    gkx = dval_drik * ekx + dval_dcos * ((ejx - cost * ekx) * inv_rik)
-    gky = dval_drik * eky + dval_dcos * ((ejy - cost * eky) * inv_rik)
-    gkz = dval_drik * ekz + dval_dcos * ((ejz - cost * ekz) * inv_rik)
-    return val, gjx, gjy, gjz, gkx, gky, gkz
+    gj = dval_drij * ej + dval_dcos * ((ek - cost * ej) * inv_rij)
+    gk = dval_drik * ek + dval_dcos * ((ej - cost * ek) * inv_rik)
+    return val, gj, gk
 
 
 def pair_parts_lanes(bk, r, zeta, R, D, A, lam1, B, lam2, beta, eta):

@@ -2,12 +2,15 @@
 
 Kernels are written once against this layer and never mention the vector
 width. A lane value is a plain numpy array of shape (W,): real lanes in the
-backend's real dtype, index lanes as int64, masks as bool. Arithmetic,
-comparisons, ``np.where``, ``np.minimum`` and ``np.maximum`` act on all W
-lanes at once. The `Backend` decides how wide W is and whether
-transcendentals are strict, and owns the operations whose semantics the
-kernels rely on: masked gathers, the ordered scatter, the ordered reduction
-and the transcendentals.
+backend's real dtype, index lanes as int64, masks as bool. A vector
+quantity (a displacement, a gradient, a force) is one (3, W) block with the
+lanes on the last axis, so row c holds component c of every lane; (W,)
+values and masks broadcast across its rows. Arithmetic, comparisons,
+``np.where``, ``np.minimum`` and ``np.maximum`` act on all W lanes at once.
+The `Backend` decides how wide W is and whether transcendentals are strict,
+and owns the operations whose semantics the kernels rely on: masked
+gathers, the ordered scatter, the ordered reduction and the
+transcendentals.
 
 The three backend names are presets of width and strictness:
 
@@ -26,8 +29,10 @@ Conventions: index -1 marks a padding lane and must be masked off;
 masked-off lanes are never read from or written to memory. A masked gather
 gives its ``fill`` on masked-off lanes, which is the only place a padding
 lane's value is chosen; kernels pick fills that keep the math on padding
-lanes finite. scatter_add applies active lanes in ascending lane order and
-reduce_sum adds lanes in ascending order starting from 0.0.
+lanes finite. scatter_add takes a (n,) destination with (W,) values or a
+(3, n) destination with (3, W) values; it applies the active lanes of each
+row in ascending lane order. reduce_sum adds lanes in ascending order
+starting from 0.0.
 """
 
 import math
@@ -56,13 +61,13 @@ def _strict(fn, dtype, *args):
     return out
 
 
-def _active(idx, mask, array, op):
-    """The active lanes' indices; IndexError unless all address array.
+def _active(idx, mask, size, op):
+    """The active lanes' indices; IndexError unless all lie in [0, size).
 
     mask must have at least one lane set.
     """
     ia = idx[mask]
-    if ia.min() < 0 or ia.max() >= array.shape[0]:
+    if ia.min() < 0 or ia.max() >= size:
         raise IndexError(f"active {op} lane out of bounds")
     return ia
 
@@ -102,8 +107,9 @@ class Backend:
 
     # ---- constructors -------------------------------------------------
 
-    def zeros(self):
-        return np.zeros(self.width, dtype=self.real_dtype)
+    def zeros(self, *rows):
+        """Real lanes of zeros: (W,), or (rows..., W) for a block."""
+        return np.zeros(rows + (self.width,), dtype=self.real_dtype)
 
     # ---- memory -------------------------------------------------------
 
@@ -116,34 +122,38 @@ class Backend:
         self.gather_count += 1
         out = np.full(self.width, fill, dtype=base.dtype)
         if mask.any():
-            out[mask] = base.take(_active(idx, mask, base, "gather"))
+            out[mask] = base.take(_active(idx, mask, base.shape[0], "gather"))
         return out
 
     def gather_fields(self, records, idx, mask, fill=0.0):
-        """Gather rows of a 2D record array and hand back one lane array
-        per field.
+        """Gather rows of a 2D record array as one (nfields, W) block.
 
-        records has shape (nrecords, nfields); the result is a tuple of
-        nfields arrays of shape (W,). This is the gather-and-transpose
-        primitive the vector kernels load their pair records, geometry and
-        parameters with.
+        records has shape (nrecords, nfields); row f of the result is
+        field f of every lane, and unpacking or slicing its rows copies
+        nothing. The vector kernels load their pair records, geometry and
+        parameters with this gather-and-transpose primitive.
         """
         self.gather_count += 1
-        nfields = records.shape[1]
-        outs = np.full((nfields, self.width), fill, dtype=records.dtype)
+        out = np.full((records.shape[1], self.width), fill, records.dtype)
         if mask.any():
-            ia = _active(idx, mask, records, "gather")
-            outs[:, mask] = records.take(ia, axis=0).T
-        return tuple(outs)
+            ia = _active(idx, mask, records.shape[0], "gather")
+            out[:, mask] = records.take(ia, axis=0).T
+        return out
 
     def scatter_add(self, dest, idx, vals, mask):
-        """dest[idx[l]] += vals[l] for active lanes, in ascending lane order.
+        """dest[..., idx[l]] += vals[..., l] for active lanes.
 
-        Duplicate indices accumulate. The result is bit-for-bit what the
+        dest is (n,) with (W,) values or (3, n) with (3, W) values. Each
+        row takes its active lanes in ascending lane order, and duplicate
+        indices accumulate, so every row is bit-for-bit what the
         equivalent sequential scalar loop produces, on every backend.
         """
         if mask.any():
-            np.add.at(dest, _active(idx, mask, dest, "scatter"), vals[mask])
+            ia = _active(idx, mask, dest.shape[-1], "scatter")
+            # one 1-D add.at per row: 2-D add.at is several times slower
+            for row, v in zip(np.atleast_2d(dest),
+                              np.atleast_2d(vals[..., mask])):
+                np.add.at(row, ia, v)
 
     # ---- reduction ----------------------------------------------------
 

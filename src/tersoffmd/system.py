@@ -263,26 +263,31 @@ def write_xyz(path, state, comment=None, append=False):
 
 
 def read_xyz(path):
-    """All frames in the file as (symbols, positions, comment) tuples."""
+    """All frames in the file as (symbols, positions, comment) tuples; a
+    malformed count line or atom row raises InputError naming path:line."""
     frames = []
     with open(path) as f:
-        while True:
-            head = f.readline()
+        lines = enumerate(f, start=1)
+        for first, head in lines:
             if not head.strip():
                 break
-            try:
-                n = int(head)
-            except ValueError as exc:
-                raise InputError(f"bad XYZ atom-count line {head!r}") from exc
-            comment = f.readline().rstrip("\n")
+            if not head.strip().isdecimal():
+                raise InputError(
+                    f"{path}:{first}: bad XYZ atom-count line {head!r}")
+            n = int(head)
+            comment = next(lines, (0, ""))[1].rstrip("\n")
             symbols = []
             pos = np.empty((n, 3))
             for i in range(n):
-                parts = f.readline().split()
-                if len(parts) < 4:
-                    raise InputError(f"truncated XYZ row {i}")
+                parts = next(lines, (0, ""))[1].split()
+                try:
+                    if len(parts) < 4:
+                        raise ValueError("fewer than 4 fields")
+                    pos[i] = [float(v) for v in parts[1:4]]
+                except ValueError as exc:
+                    raise InputError(f"{path}:{first + 2 + i}: bad XYZ atom "
+                                     f"row: {exc}") from None
                 symbols.append(parts[0])
-                pos[i] = [float(v) for v in parts[1:4]]
             frames.append((symbols, pos, comment))
     return frames
 

@@ -15,7 +15,7 @@ from tersoffmd.errors import ConfigurationError, InputError
 from tersoffmd.kernels import KernelVariant, compute, make_variant
 from tersoffmd.neighbor import build_neighbor_list, pack_adjacency
 from tersoffmd.simd import EMULATED_WIDTHS, make_backend
-from tersoffmd.system import gen_diamond, gen_nanotube
+from tersoffmd.system import ForceField, gen_diamond, gen_nanotube
 
 # frozen in test_potential.py from the 50-digit evaluation
 DIMER_E = -10.235536457692383
@@ -356,3 +356,21 @@ def test_default_backends_and_vec_j_not_native():
         make_variant("VecJ", "native")
     with pytest.raises(ConfigurationError, match="VecJ"):
         KernelVariant("VecJ", make_backend("native", 16))
+
+
+def test_neighbor_list_for_another_atom_count_rejected():
+    """A list built for 80 atoms, used on 120 (and back): every kernel and
+    a reused ForceField name both counts instead of returning (80, 3)
+    forces or a numpy broadcast error."""
+    table = carbon_table()
+    small, large = gen_nanotube(5, 4), gen_nanotube(5, 6)
+    for built, used in ((small, large), (large, small)):
+        nl = build_neighbor_list(built, table.r_cut)
+        counts = f"{built.natoms} atoms.* {used.natoms}"
+        for variant in ALL_VARIANTS:
+            with pytest.raises(ConfigurationError, match=counts):
+                compute(used, nl, table, variant)
+        ff = ForceField(table)
+        ff(built)
+        with pytest.raises(ConfigurationError, match=counts):
+            ff(used)

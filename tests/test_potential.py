@@ -10,7 +10,7 @@ from tersoffmd.potential import (
     TersoffParams, ZETA_TINY,
     bond_order, bond_order_lanes, f_attractive, f_cutoff, f_cutoff_lanes,
     f_repulsive, g_angle,
-    _pair_parts, _zeta_parts, _zeta_value, pair_parts_lanes, zeta_parts_lanes)
+    _pair_parts, _zeta_parts, pair_parts_lanes, zeta_parts_lanes)
 from tersoffmd.simd import make_backend
 
 from helpers import carbon_table, real_lanes, two_species_table
@@ -187,10 +187,10 @@ def _zeta_value_at(atoms, p):
     rij = np.sqrt(dj @ dj)
     rik = np.sqrt(dk @ dk)
     ld = np.longdouble
-    return float(_zeta_value(
+    return float(_zeta_parts(
         dj[0], dj[1], dj[2], rij, dk[0], dk[1], dk[2], rik,
         ld(p.R), ld(p.D), ld(p.gamma), ld(p.c), ld(p.d), ld(p.h),
-        ld(p.lam3), p.m, xm=np))
+        ld(p.lam3), p.m, xm=np)[0])
 
 
 @pytest.mark.parametrize("p", [CP, two_species_table().entry(0, 1, 1)],
@@ -311,27 +311,24 @@ def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
     zeta = rng.uniform(0.0, 3e4, width)
     zeta[0] = 0.0  # exercise the tiny-zeta guard lane
 
-    # --- zeta parts
-    lanes_out = zeta_parts_lanes(
-        bk,
-        *[real_lanes(bk, a) for a in (dj[:, 0], dj[:, 1], dj[:, 2], rij,
-                                      dk[:, 0], dk[:, 1], dk[:, 2], rik)],
+    # --- zeta parts: displacements and gradients are (3, W) blocks
+    val, gj, gk = zeta_parts_lanes(
+        bk, real_lanes(bk, dj.T), real_lanes(bk, rij),
+        real_lanes(bk, dk.T), real_lanes(bk, rik),
         *_lane_params_pair(bk, [(p.R, p.D, p.gamma, p.c, p.d, p.h, p.lam3)
                                 for p in trips]),
         np.array([p.m == 3 for p in trips]))
+    assert gj.shape == gk.shape == (3, width)
     for lane in range(width):
         p = trips[lane]
-        scalar_out = _zeta_parts(
+        want = _zeta_parts(
             dj[lane, 0], dj[lane, 1], dj[lane, 2], float(rij[lane]),
             dk[lane, 0], dk[lane, 1], dk[lane, 2], float(rik[lane]),
             p.R, p.D, p.gamma, p.c, p.d, p.h, p.lam3, p.m)
-        for got, want in zip(lanes_out, scalar_out):
-            assert got[lane] == want
-        # value-only twin keeps the same bits
-        assert _zeta_value(
-            dj[lane, 0], dj[lane, 1], dj[lane, 2], float(rij[lane]),
-            dk[lane, 0], dk[lane, 1], dk[lane, 2], float(rik[lane]),
-            p.R, p.D, p.gamma, p.c, p.d, p.h, p.lam3, p.m) == scalar_out[0]
+        assert val[lane] == want[0]
+        for c in range(3):
+            assert gj[c, lane] == want[1 + c]
+            assert gk[c, lane] == want[4 + c]
 
     # --- pair parts
     lanes_out = pair_parts_lanes(

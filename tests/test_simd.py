@@ -149,6 +149,12 @@ def test_scatter_out_of_bounds_active_lane_is_checked(name):
             bk.scatter_add(dest, np.array(bad), real_lanes(bk, [1.0, 1.0]),
                            np.ones(2, dtype=bool))
     assert not dest.any()  # nothing written before the check
+    # a (3, n) block is checked against n, once for all three rows
+    block = np.zeros((3, 4))
+    with pytest.raises(IndexError):
+        bk.scatter_add(block, np.array([3, 4]), bk.zeros(3) + 1.0,
+                       np.ones(2, dtype=bool))
+    assert not block.any()
 
 
 def test_bounds_checks_survive_python_O():
@@ -193,18 +199,23 @@ def test_gather_fields_matches_columnwise_gather():
 @pytest.mark.parametrize("name,width", [("emulated", 8), ("emulated", 16),
                                         ("native", 64), ("native", 1024)])
 def test_scatter_add_bit_equals_sequential_loop(name, width):
-    """Duplicate-index accumulation must match the scalar loop bit-for-bit."""
+    """Duplicate-index accumulation must match the scalar loop bit-for-bit,
+    for a (n,) destination and row by row for a (3, n) one."""
     bk = make_backend(name, width)
-    dest = RNG.uniform(-1, 1, 13)
-    ref = dest.copy()
-    idx_vals = RNG.integers(0, 13, width)
-    vals = RNG.uniform(-1, 1, width)
-    active = RNG.random(width) < 0.8
-    bk.scatter_add(dest, idx_vals, real_lanes(bk, vals), active)
-    for lane in range(width):  # sequential scalar oracle
-        if active[lane]:
-            ref[idx_vals[lane]] += vals[lane]
-    assert bits_equal(dest, ref)
+    for rows in [(), (3,)]:
+        dest = RNG.uniform(-1, 1, rows + (13,))
+        ref = dest.copy()
+        idx_vals = RNG.integers(0, 13, width)
+        idx_vals[1] = idx_vals[0]  # at least one duplicate
+        vals = RNG.uniform(-1, 1, rows + (width,))
+        active = RNG.random(width) < 0.8
+        active[:2] = True
+        active[-1] = False  # at least one masked lane
+        bk.scatter_add(dest, idx_vals, real_lanes(bk, vals), active)
+        for lane in range(width):  # sequential scalar oracle
+            if active[lane]:
+                ref[..., idx_vals[lane]] += vals[..., lane]
+        assert bits_equal(dest, ref)
 
 
 def test_scatter_add_masked_lanes_do_not_write():

@@ -512,6 +512,20 @@ class TestCli:
                 assert code == 2, (command, name)
                 assert name in err
 
+    @pytest.mark.parametrize("text,line,what", [
+        ("2\nc\nC 0 0 0\nC 2.4 abc 1.0\n", 4, "'abc'"),
+        ("-1\nc\n", 1, "atom-count"),
+        ("2\nc\nC 0 0 0\nC 1.4 0\n", 4, "fewer than 4 fields"),
+    ], ids=["bad-float", "negative-count", "short-row"])
+    def test_malformed_xyz_names_file_and_line(self, text, line, what,
+                                               tmp_path, capsys):
+        path = tmp_path / "bad.xyz"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "run", "--structure", str(path),
+                               "--steps", "0")
+        assert code == 2
+        assert f"{path}:{line}:" in err and what in err
+
     def test_console_script_entry(self, tmp_path):
         out = subprocess.run(
             [sys.executable, "-m", "tersoffmd.cli", "gen",
