@@ -9,9 +9,9 @@
   multiplies by delta_zeta: sum(n_i^2) visits.
 * VecJ and VecI: two batch schedules of one lane kernel. VecJ fills a
   batch with one atom's neighbor row (one i per batch); VecI fills it
-  with consecutive (i,j) pairs across atoms. In both, the k iteration
-  advances a private cursor per lane, so lanes may share i or k and
-  every force update goes through the ordered scatter. A row holds a
+  with consecutive (i,j) pairs across atoms. In both, step s of the k
+  walk visits slot s of each lane's own row i, so lanes may share i or k
+  and every force update goes through the ordered scatter. A row holds a
   few neighbors, so VecJ runs on the scalar and emulated backends only.
 
 All optimized variants share the scalar forms' expression trees operation
@@ -317,24 +317,22 @@ def compute_lanes(state, nl, params, variant):
     for slot, mask in schedule(W):
         active += int(np.count_nonzero(mask))
         total += W
-        i_idx, j_idx, pair_idx, cur, end = bk.gather_fields(
-            pairs, slot, mask, fill=-1)
-        gj_rec = bk.gather_fields(geom, slot, mask, fill=1.0)
+        i_idx, j_idx, pair_idx, cur, end = bk.gather(pairs, slot, mask,
+                                                     fill=-1)
+        gj_rec = bk.gather(geom, slot, mask, fill=1.0)
         dj, r_ij = gj_rec[:3], gj_rec[3]
         zeta, gi, gjs = bk.zeros(), bk.zeros(3), bk.zeros(3)
         cache = []
-        while True:
-            alive = mask & (cur < end)
-            if not alive.any():
-                break
+        # padding lanes have cur = end = -1 and take no steps
+        for step in range(int((end - cur).max())):
+            kk = cur + step
+            alive = mask & (kk < end)
             visits += int(np.count_nonzero(alive))
-            kk = np.where(alive, cur, 0)
             k_idx = bk.gather(adj.j, kk, alive, fill=-1)
             sk = bk.gather(species, k_idx, alive, fill=0)
             act = alive & (k_idx != j_idx)
-            trip = bk.gather_fields(trip_mat, pair_idx * S + sk, alive,
-                                    fill=1.0)
-            gk_rec = bk.gather_fields(geom, kk, alive, fill=1.0)
+            trip = bk.gather(trip_mat, pair_idx * S + sk, alive, fill=1.0)
+            gk_rec = bk.gather(geom, kk, alive, fill=1.0)
             val, gj, gk = zeta_parts_lanes(
                 bk, dj, r_ij, gk_rec[:3], gk_rec[3], *trip[:7],
                 trip[7] == 3.0)
@@ -342,10 +340,9 @@ def compute_lanes(state, nl, params, variant):
             gi = gi + np.where(act, -(gj + gk), 0.0)
             gjs = gjs + np.where(act, gj, 0.0)
             cache.append((k_idx, act, np.where(act, gk, 0.0)))
-            cur = np.where(alive, cur + 1, cur)
         v, dv_dr, dz = pair_parts_lanes(
             bk, r_ij, zeta,
-            *bk.gather_fields(pair_mat, pair_idx, mask, fill=1.0))
+            *bk.gather(pair_mat, pair_idx, mask, fill=1.0))
         energy += bk.reduce_sum(np.where(mask, v, 0.0))
         bk.scatter_add(e_at, i_idx, np.where(mask, v, 0.0), mask)
         fv = dv_dr * (dj / r_ij)

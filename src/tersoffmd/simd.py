@@ -26,9 +26,10 @@ running the scalar backend once per lane, so at the same width ``native`` and
 4 ulp of libm, or exact libm per lane when ``strict=True``.
 
 Conventions: index -1 marks a padding lane and must be masked off;
-masked-off lanes are never read from or written to memory. A masked gather
-gives its ``fill`` on masked-off lanes, which is the only place a padding
-lane's value is chosen; kernels pick fills that keep the math on padding
+masked-off lanes are never read from or written to memory. gather loads a
+(n,) array as (W,) lanes and a row-major (n, F) record as one (F, W)
+block; its ``fill`` on masked-off lanes is the only place a padding lane's
+value is chosen, and kernels pick fills that keep the math on padding
 lanes finite. scatter_add takes a (n,) destination with (W,) values or a
 (3, n) destination with (3, W) values; it applies the active lanes of each
 row in ascending lane order. reduce_sum adds lanes in ascending order
@@ -113,32 +114,22 @@ class Backend:
 
     # ---- memory -------------------------------------------------------
 
-    def gather(self, base, idx, mask, fill=0.0):
-        """out[l] = base[idx[l]] where mask, else fill.
+    def gather(self, records, idx, mask, fill=0.0):
+        """out[..., l] = records[idx[l]] where mask, else fill.
 
-        Active lanes must hold in-bounds non-negative indices (IndexError
-        otherwise; -1 is the padding convention and stays masked off).
+        records is (n,) or row-major (n, F); the result is (W,) lanes or a
+        contiguous (F, W) block. Active lanes must hold in-bounds
+        non-negative indices (IndexError otherwise; -1 stays masked off).
         """
         self.gather_count += 1
-        out = np.full(self.width, fill, dtype=base.dtype)
-        if mask.any():
-            out[mask] = base.take(_active(idx, mask, base.shape[0], "gather"))
-        return out
-
-    def gather_fields(self, records, idx, mask, fill=0.0):
-        """Gather rows of a 2D record array as one (nfields, W) block.
-
-        records has shape (nrecords, nfields); row f of the result is
-        field f of every lane, and unpacking or slicing its rows copies
-        nothing. The vector kernels load their pair records, geometry and
-        parameters with this gather-and-transpose primitive.
-        """
-        self.gather_count += 1
-        out = np.full((records.shape[1], self.width), fill, records.dtype)
+        out = np.full(records.shape[1:] + (self.width,), fill, records.dtype)
         if mask.any():
             ia = _active(idx, mask, records.shape[0], "gather")
-            out[:, mask] = records.take(ia, axis=0).T
+            out.T[mask] = records.take(ia, axis=0)
         return out
+
+    # benchmark/tracing.py still patches this name
+    gather_fields = gather
 
     def scatter_add(self, dest, idx, vals, mask):
         """dest[..., idx[l]] += vals[..., l] for active lanes.
@@ -153,7 +144,8 @@ class Backend:
             # one 1-D add.at per row: 2-D add.at is several times slower
             for row, v in zip(np.atleast_2d(dest),
                               np.atleast_2d(vals[..., mask])):
-                np.add.at(row, ia, v)
+                # cast first: a mixed-dtype add.at leaves numpy's fast path
+                np.add.at(row, ia, v.astype(row.dtype, copy=False))
 
     # ---- reduction ----------------------------------------------------
 
@@ -174,11 +166,6 @@ class Backend:
         if self.strict:
             return _strict(math.exp, self.real_dtype, v)
         return np.exp(v)
-
-    def sqrt(self, v):
-        if self.strict:
-            return _strict(math.sqrt, self.real_dtype, v)
-        return np.sqrt(v)
 
     def sin(self, v):
         if self.strict:

@@ -264,7 +264,8 @@ def write_xyz(path, state, comment=None, append=False):
 
 def read_xyz(path):
     """All frames in the file as (symbols, positions, comment) tuples; a
-    malformed count line or atom row raises InputError naming path:line."""
+    malformed count line or atom row, or a nan/inf coordinate, raises
+    InputError naming path:line."""
     frames = []
     with open(path) as f:
         lines = enumerate(f, start=1)
@@ -284,6 +285,8 @@ def read_xyz(path):
                     if len(parts) < 4:
                         raise ValueError("fewer than 4 fields")
                     pos[i] = [float(v) for v in parts[1:4]]
+                    if not np.isfinite(pos[i]).all():
+                        raise ValueError("non-finite coordinate")
                 except ValueError as exc:
                     raise InputError(f"{path}:{first + 2 + i}: bad XYZ atom "
                                      f"row: {exc}") from None

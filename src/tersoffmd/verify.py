@@ -26,6 +26,18 @@ from .neighbor import build_neighbor_list
 from .simd import EMULATED_WIDTHS
 from .system import run_nve, RunConfig, seed_velocities, total_momentum
 
+# Fixed settings of the checks; tol_scale multiplies every TOL_ constant.
+FD_STEP = 2e-4            # A, central-difference step of the gradient check
+TOL_GRADIENT = 1e-6       # relative, analytic vs finite-difference force
+TOL_ENERGY = 1e-10        # relative, each variant's energy vs Reference
+TOL_FORCE = 1e-8          # eV/A, max force component vs Reference
+CROSS_WIDTH = 8           # lane width of the emulated cross-variant kernels
+TOL_WIDTH = 1e-12         # relative energy spread across lane widths
+TOL_DRIFT = 1e-4          # relative total-energy drift over the NVE run
+TOL_FORCE_SUM = 1e-9      # eV/A per atom, max |sum_i F_i| component
+TOL_MOMENTUM = 1e-9       # per atom, max |p_final - p_initial| component
+SEED_TEMPERATURE = 300.0  # K, velocities seeded for a state at rest
+
 
 class CheckResult:
     """One named invariant check: measured value vs tolerance."""
@@ -81,8 +93,8 @@ def _finite_or_raise(res, label):
 # gradient check
 # ---------------------------------------------------------------------
 
-def check_gradients(state, params, variant=None, probes=4, step=2e-4,
-                    tol=1e-6, tol_scale=1.0, skin=0.3, seed=0):
+def check_gradients(state, params, variant=None, probes=4, tol_scale=1.0,
+                    skin=0.3, seed=0):
     """Analytic forces vs 4th-order central differences of the energy.
 
     A handful of probe atoms is enough to catch a broken derivative
@@ -102,19 +114,19 @@ def check_gradients(state, params, variant=None, probes=4, step=2e-4,
     atoms = rng.choice(state.natoms, size=min(probes, state.natoms),
                        replace=False)
     probe = state.copy()
-    tolerance = tol * tol_scale
+    tolerance = TOL_GRADIENT * tol_scale
     worst_rel, worst_txt, checked = 0.0, "no significant components", 0
     for a in atoms:
         for ax in range(3):
             x0 = probe.positions[a, ax]
             samples = []
             for mult in (-2.0, -1.0, 1.0, 2.0):
-                probe.positions[a, ax] = x0 + mult * step
+                probe.positions[a, ax] = x0 + mult * FD_STEP
                 samples.append(compute(probe, nl, params,
                                        variant).potential_energy)
             probe.positions[a, ax] = x0
             em2, em1, ep1, ep2 = samples
-            fd = -(em2 - 8.0 * em1 + 8.0 * ep1 - ep2) / (12.0 * step)
+            fd = -(em2 - 8.0 * em1 + 8.0 * ep1 - ep2) / (12.0 * FD_STEP)
             analytic = base.forces[a, ax]
             if abs(analytic) <= 1e-2:
                 continue
@@ -133,20 +145,19 @@ def check_gradients(state, params, variant=None, probes=4, step=2e-4,
 # cross-variant equivalence
 # ---------------------------------------------------------------------
 
-def check_cross_variant(state, params, tol_energy=1e-10, tol_force=1e-8,
-                        tol_scale=1.0, width=8, skin=0.3):
+def check_cross_variant(state, params, tol_scale=1.0, skin=0.3):
     """Every variant against the Reference kernel, double precision."""
     nl = build_neighbor_list(state, params.r_cut, skin)
     ref = compute(state, nl, params, make_variant("Reference"))
     _finite_or_raise(ref, "Reference")
     others = [
         make_variant("ScalarOpt"),
-        make_variant("VecJ", "emulated", width),
-        make_variant("VecI", "emulated", width),
+        make_variant("VecJ", "emulated", CROSS_WIDTH),
+        make_variant("VecI", "emulated", CROSS_WIDTH),
         make_variant("VecI", "native"),
     ]
-    e_tol = tol_energy * tol_scale
-    f_tol = tol_force * tol_scale
+    e_tol = TOL_ENERGY * tol_scale
+    f_tol = TOL_FORCE * tol_scale
     e_worst, e_txt = 0.0, ""
     f_worst, f_txt = 0.0, ""
     e_scale = max(abs(ref.potential_energy), 1e-30)
@@ -174,15 +185,14 @@ def check_cross_variant(state, params, tol_energy=1e-10, tol_force=1e-8,
 # width independence
 # ---------------------------------------------------------------------
 
-def check_width_independence(state, params, widths=EMULATED_WIDTHS,
-                             tol=1e-12, tol_scale=1.0, skin=0.3):
+def check_width_independence(state, params, tol_scale=1.0, skin=0.3):
     """Emulated-lane energies across widths, and strict-W=1 bit identity."""
     nl = build_neighbor_list(state, params.r_cut, skin)
-    tolerance = tol * tol_scale
+    tolerance = TOL_WIDTH * tol_scale
     out = []
     for tag in ("VecJ", "VecI"):
         energies = []
-        for w in widths:
+        for w in EMULATED_WIDTHS:
             res = compute(state, nl, params,
                           make_variant(tag, "emulated", w))
             _finite_or_raise(res, f"{tag} W={w}")
@@ -192,7 +202,7 @@ def check_width_independence(state, params, widths=EMULATED_WIDTHS,
         out.append(CheckResult(
             f"width_independence_{tag.lower()}", spread <= tolerance,
             spread, tolerance,
-            worst=f"widths {tuple(widths)}: min {min(energies)!r} "
+            worst=f"widths {EMULATED_WIDTHS}: min {min(energies)!r} "
                   f"max {max(energies)!r}"))
 
     scalar = compute(state, nl, params, make_variant("ScalarOpt"))
@@ -215,8 +225,7 @@ def check_width_independence(state, params, widths=EMULATED_WIDTHS,
 # ---------------------------------------------------------------------
 
 def check_conservation(state, params, variant=None, steps=200, dt=0.5,
-                       temperature=300.0, tol_drift=1e-4, tol_force=1e-9,
-                       tol_momentum=1e-9, tol_scale=1.0, skin=0.3, seed=0):
+                       tol_scale=1.0, skin=0.3, seed=0):
     """Short NVE: relative energy drift, force sum, momentum drift.
 
     Seeds velocities when the state has none so the probe actually
@@ -224,7 +233,7 @@ def check_conservation(state, params, variant=None, steps=200, dt=0.5,
     """
     st = state.copy()
     if st.velocities is None or not st.velocities.any():
-        seed_velocities(st, temperature, seed)
+        seed_velocities(st, SEED_TEMPERATURE, seed)
     p0 = total_momentum(st)
     cfg = RunConfig(dt=dt, steps=steps, variant=variant, skin=skin)
     summary = run_nve(st, params, cfg)
@@ -235,14 +244,14 @@ def check_conservation(state, params, variant=None, steps=200, dt=0.5,
     pdrift = float(np.abs(total_momentum(st) - p0).max())
     n = st.natoms
     return [
-        CheckResult("nve_energy_drift", drift <= tol_drift * tol_scale,
-                    drift, tol_drift * tol_scale,
+        CheckResult("nve_energy_drift", drift <= TOL_DRIFT * tol_scale,
+                    drift, TOL_DRIFT * tol_scale,
                     worst=f"{steps} steps at dt={dt:g} fs"),
-        CheckResult("nve_force_sum", fmax <= tol_force * n * tol_scale,
-                    fmax, tol_force * n * tol_scale,
+        CheckResult("nve_force_sum", fmax <= TOL_FORCE_SUM * n * tol_scale,
+                    fmax, TOL_FORCE_SUM * n * tol_scale,
                     worst="max |sum_i F_i| component over the run"),
-        CheckResult("nve_momentum", pdrift <= tol_momentum * n * tol_scale,
-                    pdrift, tol_momentum * n * tol_scale,
+        CheckResult("nve_momentum", pdrift <= TOL_MOMENTUM * n * tol_scale,
+                    pdrift, TOL_MOMENTUM * n * tol_scale,
                     worst="max |p_final - p_initial| component"),
     ]
 

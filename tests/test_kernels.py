@@ -290,7 +290,9 @@ def test_lane_utilization_exact_on_chain():
     assert vi.stats["lane_active"] == 4
     assert vi.stats["lane_total"] == 4
     assert vi.lane_utilization == 1.0
-    assert vj.stats["gathers"] > 0
+    # per batch: pair and geometry records, four per k step, pair params
+    assert vj.stats["gathers"] == 7 + 11 + 7
+    assert vi.stats["gathers"] == 2 + 2 * 4 + 1
     sc = compute(fr, nl, table, make_variant("ScalarOpt"))
     assert sc.lane_utilization is None
     assert sc.stats["gathers"] == 0

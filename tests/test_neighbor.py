@@ -313,8 +313,8 @@ def test_pack_modes_enumerate_each_directed_pair_once(mode, width):
         assert slot.dtype == np.int64 and act.dtype == bool
         assert np.all(slot[~act] == -1)
         # lanes loaded as the lane kernel loads them
-        i_idx, j_idx = bk.gather_fields(ij, slot, act, fill=-1)
-        r = bk.gather_fields(adj.geom, slot, act, fill=1.0)[3]
+        i_idx, j_idx = bk.gather(ij, slot, act, fill=-1)
+        r = bk.gather(adj.geom, slot, act, fill=1.0)[3]
         assert np.all(i_idx[~act] == -1)
         assert np.all(j_idx[~act] == -1)
         assert np.all(r[~act] == 1.0)

@@ -166,7 +166,7 @@ def test_bounds_checks_survive_python_O():
         # numpy itself would wrap -1 to the last element
         "idx, m = np.array([0, -1]), np.ones(2, dtype=bool)\n"
         "calls = [lambda: bk.gather(np.zeros(3), idx, m),\n"
-        "         lambda: bk.gather_fields(np.zeros((3, 2)), idx, m),\n"
+        "         lambda: bk.gather(np.zeros((3, 2)), idx, m),\n"
         "         lambda: bk.scatter_add(np.zeros(3), idx, np.ones(2), m)]\n"
         "for call in calls:\n"
         "    try:\n"
@@ -182,14 +182,16 @@ def test_bounds_checks_survive_python_O():
     assert out.returncode == 0, out.stdout + out.stderr
 
 
-def test_gather_fields_matches_columnwise_gather():
+def test_record_gather_matches_per_field_gathers():
+    """A (n, F) record gathers to one contiguous (F, W) block whose row f
+    is the 1-D gather of field f."""
     bk = make_backend("emulated", 8)
     records = RNG.uniform(-2, 2, (30, 5))
     idx_vals = RNG.integers(0, 30, 8)
     idx_vals[3] = -1
     mask = idx_vals >= 0
-    fields = bk.gather_fields(records, idx_vals, mask, fill=0.25)
-    assert len(fields) == 5
+    fields = bk.gather(records, idx_vals, mask, fill=0.25)
+    assert fields.shape == (5, 8) and fields.flags.c_contiguous
     for f in range(5):
         ref = bk.gather(np.ascontiguousarray(records[:, f]), idx_vals, mask,
                         fill=0.25)
@@ -200,22 +202,24 @@ def test_gather_fields_matches_columnwise_gather():
                                         ("native", 64), ("native", 1024)])
 def test_scatter_add_bit_equals_sequential_loop(name, width):
     """Duplicate-index accumulation must match the scalar loop bit-for-bit,
-    for a (n,) destination and row by row for a (3, n) one."""
-    bk = make_backend(name, width)
-    for rows in [(), (3,)]:
-        dest = RNG.uniform(-1, 1, rows + (13,))
-        ref = dest.copy()
-        idx_vals = RNG.integers(0, 13, width)
-        idx_vals[1] = idx_vals[0]  # at least one duplicate
-        vals = RNG.uniform(-1, 1, rows + (width,))
-        active = RNG.random(width) < 0.8
-        active[:2] = True
-        active[-1] = False  # at least one masked lane
-        bk.scatter_add(dest, idx_vals, real_lanes(bk, vals), active)
-        for lane in range(width):  # sequential scalar oracle
-            if active[lane]:
-                ref[..., idx_vals[lane]] += vals[..., lane]
-        assert bits_equal(dest, ref)
+    for a (n,) destination and row by row for a (3, n) one, with double
+    and with single lanes added into the float64 destination."""
+    for precision in ("double", "single"):
+        bk = make_backend(name, width, precision=precision)
+        for rows in [(), (3,)]:
+            dest = RNG.uniform(-1, 1, rows + (13,))
+            ref = dest.copy()
+            idx_vals = RNG.integers(0, 13, width)
+            idx_vals[1] = idx_vals[0]  # at least one duplicate
+            vals = real_lanes(bk, RNG.uniform(-1, 1, rows + (width,)))
+            active = RNG.random(width) < 0.8
+            active[:2] = True
+            active[-1] = False  # at least one masked lane
+            bk.scatter_add(dest, idx_vals, vals, active)
+            for lane in range(width):  # sequential scalar oracle
+                if active[lane]:
+                    ref[..., idx_vals[lane]] += vals[..., lane].astype(float)
+            assert bits_equal(dest, ref), precision
 
 
 def test_scatter_add_masked_lanes_do_not_write():
@@ -236,7 +240,7 @@ def test_scatter_add_masked_lanes_do_not_write():
 def _run_little_program(bk, base, idx_vals, active):
     """A miniature masked compute: gather, arithmetic, transcendentals, sum."""
     x = bk.gather(base, idx_vals, active, fill=1.0)
-    y = bk.sqrt(x * x + 1.0)
+    y = np.sqrt(x * x + 1.0)  # correctly rounded in every mode
     z = bk.exp(-y) * bk.sin(y) + bk.cos(y * 0.5)
     z = np.where(active, z, 0.0)
     dest = np.zeros(base.shape[0])
@@ -275,7 +279,7 @@ def test_fast_transcendentals_within_4ulp_of_scalar(width):
     bk_fast = make_backend("emulated", width)
     bk_strict = make_backend("emulated", width, strict=True)
     x = real_lanes(bk_fast, RNG.uniform(0.05, 4.0, width))
-    for fn in ("exp", "sqrt", "sin", "cos"):
+    for fn in ("exp", "sin", "cos"):
         fast = getattr(bk_fast, fn)(x)
         strict = getattr(bk_strict, fn)(x)
         for f, s in zip(fast, strict):
@@ -290,8 +294,7 @@ def test_transcendentals_within_4ulp_of_correctly_rounded():
     """Both numpy and libm paths stay within 4 ulp of the true value."""
     mpmath.mp.prec = 100
     xs = RNG.uniform(0.01, 5.0, 200)
-    exact_fns = {"exp": mpmath.exp, "sin": mpmath.sin,
-                 "cos": mpmath.cos, "sqrt": mpmath.sqrt}
+    exact_fns = {"exp": mpmath.exp, "sin": mpmath.sin, "cos": mpmath.cos}
     for name, bk in (("fast", make_backend("emulated", 4)),
                      ("strict", make_backend("emulated", 4, strict=True))):
         for i in range(0, 200, 4):
@@ -360,6 +363,5 @@ def test_single_precision_lanes():
     # records cast once to float32 come back from the gather as float32
     records = np.array([[0.1, 1.0], [0.2, 2.0], [0.3, 3.0]], dtype=np.float32)
     mask = np.array([True, True, False, True])
-    for lane in bk.gather_fields(records, np.array([2, 0, -1, 1]), mask,
-                                 fill=1.0):
+    for lane in bk.gather(records, np.array([2, 0, -1, 1]), mask, fill=1.0):
         assert lane.dtype == np.float32

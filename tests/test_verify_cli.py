@@ -516,7 +516,9 @@ class TestCli:
         ("2\nc\nC 0 0 0\nC 2.4 abc 1.0\n", 4, "'abc'"),
         ("-1\nc\n", 1, "atom-count"),
         ("2\nc\nC 0 0 0\nC 1.4 0\n", 4, "fewer than 4 fields"),
-    ], ids=["bad-float", "negative-count", "short-row"])
+        ("2\nc\nC 0 0 0\nC nan 0 0\n", 4, "non-finite coordinate"),
+        ("2\nc\nC 0 inf 0\nC 1.4 0 0\n", 3, "non-finite coordinate"),
+    ], ids=["bad-float", "negative-count", "short-row", "nan", "inf"])
     def test_malformed_xyz_names_file_and_line(self, text, line, what,
                                                tmp_path, capsys):
         path = tmp_path / "bad.xyz"
