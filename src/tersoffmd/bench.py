@@ -17,7 +17,7 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from .kernels import compute
+from .kernels import LANE_TAGS, compute
 from .neighbor import build_neighbor_list
 
 CSV_FIELDS = ("variant", "backend", "width", "precision", "atoms", "steps",
@@ -145,7 +145,7 @@ def run_benchmark(state, params, variants, steps=20, warmup=1, repeats=5,
         speedup_ref = ref_time / t if ref_time is not None else None
         speedup_scalar = scalar_time / t if scalar_time is not None else None
         efficiency = None
-        if var.tag in ("VecJ", "VecI") and speedup_scalar is not None:
+        if var.tag in LANE_TAGS and speedup_scalar is not None:
             efficiency = speedup_scalar / var.backend.width
         rows.append(BenchRow(
             variant=var.tag, backend=var.backend.name,

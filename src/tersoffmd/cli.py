@@ -17,7 +17,7 @@ import numpy as np
 
 from .bench import run_benchmark
 from .errors import ConfigurationError, InputError
-from .kernels import make_variant
+from .kernels import LANE_TAGS, make_variant
 from .paramfile import ParamFileError, builtin_params, load_params
 from .system import (RunConfig, StretchSpec, gen_diamond, gen_nanotube,
                      run_nve, seed_velocities, state_from_xyz, write_xyz)
@@ -102,7 +102,8 @@ def _load_params(args):
 
 
 def _variant_from_args(args, name=None):
-    tag = _VARIANT_NAMES[name or args.variant]
+    name = name or args.variant  # None: make_variant()'s production kernel
+    tag = None if name is None else _VARIANT_NAMES[name]
     return make_variant(tag, args.backend, args.width, args.precision)
 
 
@@ -194,7 +195,7 @@ def cmd_bench(args):
                 f"unknown variant {name!r}; choose from "
                 f"{', '.join(_VARIANT_NAMES)}")
         tag = _VARIANT_NAMES[name]
-        if tag in ("VecJ", "VecI"):
+        if tag in LANE_TAGS:
             variants.append(_variant_from_args(args, name))
         else:  # --backend and --width choose lanes; scalar kernels have none
             variants.append(make_variant(tag, precision=args.precision))
@@ -241,7 +242,7 @@ def _add_common(p, bench=False):
                             "(default: every kernel that runs on --backend)")
     else:
         p.add_argument("--variant", choices=sorted(_VARIANT_NAMES),
-                       default="vec-i", help="kernel to run")
+                       help="kernel to run (default: the production kernel)")
     p.add_argument("--backend", choices=("scalar", "emulated", "native"),
                    default=None,
                    help="lane backend (default: native for vec-i, "

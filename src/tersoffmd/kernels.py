@@ -14,6 +14,10 @@
   and every force update goes through the ordered scatter. A row holds a
   few neighbors, so VecJ runs on the scalar and emulated backends only.
 
+`_KERNELS` gives each tag its kernel and default backend; the tags, the
+lane tags and the production kernel (``make_variant()``) come from it.
+`compute` validates and packs once per call; `_batches` is the schedule.
+
 All optimized variants share the scalar forms' expression trees operation
 for operation and accumulate per (i,j) at the same granularity: zeta, the
 gradient sums over k, and the per-k F_k updates. The scalar kernels work
@@ -37,8 +41,6 @@ from .neighbor import pack_adjacency
 from .potential import _pair_parts, _zeta_parts, pair_parts_lanes, \
     zeta_parts_lanes
 from .simd import Backend, make_backend
-
-KERNEL_TAGS = ("Reference", "ScalarOpt", "VecJ", "VecI")
 
 
 @dataclass(frozen=True)
@@ -66,23 +68,20 @@ class KernelVariant:
 
     def describe(self):
         b = self.backend
-        if self.tag in ("Reference", "ScalarOpt"):
+        if self.tag not in LANE_TAGS:
             return f"{self.tag}[{b.precision}]"
         strict = ",strict" if b.strict else ""
         return f"{self.tag}[{b.name},W={b.width},{b.precision}{strict}]"
 
 
-_DEFAULT_BACKENDS = {"Reference": "scalar", "ScalarOpt": "scalar",
-                     "VecJ": "emulated", "VecI": "native"}
-
-
-def make_variant(tag, backend=None, width=None, precision="double",
+def make_variant(tag=None, backend=None, width=None, precision="double",
                  strict=False):
-    """Kernel variant; backend defaults per tag (VecI runs native)."""
+    """Kernel variant; no tag is VecI, and backends default per tag."""
+    tag = "VecI" if tag is None else tag
     if isinstance(backend, Backend):
         return KernelVariant(tag, backend)
     if backend is None:
-        backend = _DEFAULT_BACKENDS.get(tag, "scalar")
+        backend = _KERNELS[tag][1] if tag in _KERNELS else "scalar"
     return KernelVariant(tag, make_backend(backend, width, precision, strict))
 
 
@@ -160,11 +159,9 @@ def _scalar_views(adj, species, params, precision):
 # Reference: literal two-pass loop
 # ======================================================================
 
-def compute_reference(state, nl, params, precision="double"):
-    species = _validate(state, params)
-    adj = pack_adjacency(state, nl, params.r_cut)
+def compute_reference(adj, species, params, variant):
     (jl, sl, offs, dxa, dya, dza, ra), pair_sc, trip_sc, xm = \
-        _scalar_views(adj, species, params, precision)
+        _scalar_views(adj, species, params, variant.precision)
     S = params.nspecies
     n = adj.natoms
 
@@ -229,11 +226,9 @@ def compute_reference(state, nl, params, precision="double"):
 # ScalarOpt: single k walk with a zeta cache
 # ======================================================================
 
-def compute_scalar_opt(state, nl, params, precision="double"):
-    species = _validate(state, params)
-    adj = pack_adjacency(state, nl, params.r_cut)
+def compute_scalar_opt(adj, species, params, variant):
     (jl, sl, offs, dxa, dya, dza, ra), pair_sc, trip_sc, xm = \
-        _scalar_views(adj, species, params, precision)
+        _scalar_views(adj, species, params, variant.precision)
     S = params.nspecies
     n = adj.natoms
 
@@ -292,10 +287,21 @@ def compute_scalar_opt(state, nl, params, precision="double"):
 # the lane kernel: VecJ and VecI
 # ======================================================================
 
-def compute_lanes(state, nl, params, variant):
+def _batches(bounds, width):
+    """(slot, mask) batches of W packed-pair slots, -1 on padding lanes,
+    none straddling a bound: adj.offsets gives one atom's row per batch
+    (none for an empty row), [0, npairs] consecutive pairs across atoms."""
+    bounds = np.asarray(bounds).tolist()
+    for begin, end in zip(bounds[:-1], bounds[1:]):
+        for s in range(begin, end, width):
+            slot = np.arange(s, s + width, dtype=np.int64)
+            mask = slot < end
+            slot[~mask] = -1
+            yield slot, mask
+
+
+def compute_lanes(adj, species, params, variant):
     """VecJ and VecI: one body, the tag picks the batch schedule."""
-    species = _validate(state, params)
-    adj = pack_adjacency(state, nl, params.r_cut)
     bk = variant.backend
     pair_mat, trip_mat = params.views(bk.precision)
     S = params.nspecies
@@ -313,8 +319,8 @@ def compute_lanes(state, nl, params, variant):
     visits = 0
     active = 0
     total = 0
-    schedule = adj.batches_j if variant.tag == "VecJ" else adj.batches_i
-    for slot, mask in schedule(W):
+    bounds = adj.offsets if variant.tag == "VecJ" else [0, adj.npairs]
+    for slot, mask in _batches(bounds, W):
         active += int(np.count_nonzero(mask))
         total += W
         i_idx, j_idx, pair_idx, cur, end = bk.gather(pairs, slot, mask,
@@ -333,9 +339,8 @@ def compute_lanes(state, nl, params, variant):
             act = alive & (k_idx != j_idx)
             trip = bk.gather(trip_mat, pair_idx * S + sk, alive, fill=1.0)
             gk_rec = bk.gather(geom, kk, alive, fill=1.0)
-            val, gj, gk = zeta_parts_lanes(
-                bk, dj, r_ij, gk_rec[:3], gk_rec[3], *trip[:7],
-                trip[7] == 3.0)
+            val, gj, gk = zeta_parts_lanes(bk, dj, r_ij, gk_rec[:3],
+                                           gk_rec[3], *trip)
             zeta = zeta + np.where(act, val, 0.0)
             gi = gi + np.where(act, -(gj + gk), 0.0)
             gjs = gjs + np.where(act, gj, 0.0)
@@ -358,11 +363,17 @@ def compute_lanes(state, nl, params, variant):
 # dispatch
 # ======================================================================
 
+# tag -> (kernel function, default backend)
+_KERNELS = {"Reference": (compute_reference, "scalar"),
+            "ScalarOpt": (compute_scalar_opt, "scalar"),
+            "VecJ": (compute_lanes, "emulated"),
+            "VecI": (compute_lanes, "native")}
+KERNEL_TAGS = tuple(_KERNELS)
+LANE_TAGS = tuple(t for t, (fn, _) in _KERNELS.items() if fn is compute_lanes)
+
+
 def compute(state, nl, params, variant, threads=1):
     check_threads(threads)
-    tag = variant.tag
-    if tag == "Reference":
-        return compute_reference(state, nl, params, variant.precision)
-    if tag == "ScalarOpt":
-        return compute_scalar_opt(state, nl, params, variant.precision)
-    return compute_lanes(state, nl, params, variant)
+    species = _validate(state, params)
+    adj = pack_adjacency(state, nl, params.r_cut)
+    return _KERNELS[variant.tag][0](adj, species, params, variant)

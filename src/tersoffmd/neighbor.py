@@ -1,4 +1,4 @@
-"""Cell-list neighbor machinery and the lane-packing step.
+"""Cell-list neighbor machinery and the adjacency-packing step.
 
 Three layers:
 
@@ -11,11 +11,9 @@ Three layers:
 * ``needs_rebuild``: the skin/2 displacement trigger. While it reports
   False, every pair inside r_C is guaranteed present in the list.
 * ``pack_adjacency``: re-filter the (stale, padded with skin) list
-  against the true cutoff at the *current* positions; its batch
-  generators emit lane batches of packed-pair indices for the vector
-  kernels, which load each lane's data through the Backend's masked
-  gathers. Mode J fills the lanes of one batch with the neighbors of a
-  single i; mode I fills them with consecutive (i, j) pairs across atoms.
+  against the true cutoff at the *current* positions, as a directed CSR
+  with one displacement-and-distance record per pair. The kernels index
+  it directly; how its pairs are batched is theirs to decide.
 
 Boxes are orthorhombic with per-axis periodic flags; displacements use the
 minimum image on periodic axes. Anything with ``positions`` (N,3 float64),
@@ -173,9 +171,13 @@ class NeighborList:
         return self.offsets.shape[0] - 1
 
 
-def build_neighbor_list(state, r_cut, skin=0.3):
+def check_skin(skin):
     if not (math.isfinite(skin) and skin >= 0):
         raise ConfigurationError(f"skin must be finite and >= 0, got {skin!r}")
+
+
+def build_neighbor_list(state, r_cut, skin=0.3):
+    check_skin(skin)
     pos = np.asarray(state.positions, dtype=np.float64)
     n = pos.shape[0]
     build_cutoff = float(r_cut) + float(skin)
@@ -239,7 +241,6 @@ class PackedAdjacency:
     i: np.ndarray
     j: np.ndarray
     geom: np.ndarray
-    r_cut: float
 
     @property
     def natoms(self):
@@ -248,29 +249,6 @@ class PackedAdjacency:
     @property
     def npairs(self):
         return self.j.shape[0]
-
-    # ---- batch generators ----------------------------------------------
-    # A batch is (slot, mask): W packed-pair indices, -1 on padding lanes.
-
-    def batches_j(self, width):
-        """Mode J: one atom's packed neighbors per batch, rows in ascending
-        i; an empty row yields no batch."""
-        offs = self.offsets.tolist()
-        for begin, end in zip(offs[:-1], offs[1:]):
-            for s in range(begin, end, width):
-                yield _slots(s, min(s + width, end), width)
-
-    def batches_i(self, width):
-        """Mode I: lanes = consecutive packed pairs across all atoms."""
-        for s in range(0, self.npairs, width):
-            yield _slots(s, min(s + width, self.npairs), width)
-
-
-def _slots(begin, end, width):
-    slot = np.arange(begin, begin + width, dtype=np.int64)
-    mask = slot < end
-    slot[~mask] = -1
-    return slot, mask
 
 
 def pack_adjacency(state, nl, r_cut=None):
@@ -299,6 +277,5 @@ def pack_adjacency(state, nl, r_cut=None):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(i_k, minlength=n), out=offsets[1:])
     geom = np.column_stack([d_k, np.sqrt(r2[keep])])
-    return PackedAdjacency(offsets=offsets, i=i_k, j=j_k, geom=geom,
-                           r_cut=float(r_cut))
+    return PackedAdjacency(offsets=offsets, i=i_k, j=j_k, geom=geom)
 

@@ -35,6 +35,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .simd import real_dtype
+
 HALF_PI = 0.5 * math.pi
 NEG_QUARTER_PI = -0.25 * math.pi
 ZETA_TINY = 1e-30  # below this, d b/d zeta is forced to 0 (eta < 1 blowup)
@@ -139,12 +141,12 @@ class ParamTable:
         ti*S + tj holds PAIR_FIELDS of pair_entry(ti, tj), row
         (ti*S + tj)*S + tk holds TRIP_FIELDS of entry(ti, tj, tk)."""
         if precision not in self._views:
+            dtype = real_dtype(precision)
             s = range(self.nspecies)
             pair = [[getattr(self.pair_entry(ti, tj), f) for f in PAIR_FIELDS]
                     for ti in s for tj in s]
             trip = [[getattr(self.entry(ti, tj, tk), f) for f in TRIP_FIELDS]
                     for ti in s for tj in s for tk in s]
-            dtype = np.float64 if precision == "double" else np.float32
             self._views[precision] = (np.array(pair, dtype=dtype),
                                       np.array(trip, dtype=dtype))
         return self._views[precision]
@@ -286,14 +288,14 @@ def bond_order_lanes(bk, zeta, beta, eta):
     return b, np.where(tiny, 0.0, db)
 
 
-def zeta_parts_lanes(bk, dj, rij, dk, rik, R, D, gamma, c, d, h, lam3,
-                     m_is3):
+def zeta_parts_lanes(bk, dj, rij, dk, rik, R, D, gamma, c, d, h, lam3, m):
     """Lane twin of _zeta_parts on (3, W) displacement blocks dj and dk.
 
     Returns (val, gj, gk) with gj and gk (3, W) blocks; row c repeats the
-    scalar form's component-c expressions. m_is3 is a bool array selecting
-    m == 3 lanes.
+    scalar form's component-c expressions. m holds each lane's exponent,
+    1 or 3, as the parameter rows store it.
     """
+    m_is3 = m == 3
     fc, dfc = f_cutoff_lanes(bk, rik, R, D)
     inv_rij = 1.0 / rij
     inv_rik = 1.0 / rik

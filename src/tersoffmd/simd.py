@@ -45,6 +45,13 @@ _REAL_DTYPES = {"double": np.float64, "single": np.float32}
 EMULATED_WIDTHS = (1, 2, 4, 8, 16)
 
 
+def real_dtype(precision):
+    """The real dtype of a precision mode; ValueError for any other name."""
+    if precision not in _REAL_DTYPES:
+        raise ValueError(f"unknown precision {precision!r}")
+    return _REAL_DTYPES[precision]
+
+
 def _strict(fn, dtype, *args):
     """fn per lane with libm; IEEE special values instead of exceptions.
 
@@ -83,8 +90,7 @@ class Backend:
     def __init__(self, name, width, precision="double", strict=False):
         if name not in ("scalar", "emulated", "native"):
             raise ValueError(f"unknown backend {name!r}")
-        if precision not in _REAL_DTYPES:
-            raise ValueError(f"unknown precision {precision!r}")
+        self.real_dtype = real_dtype(precision)
         if isinstance(width, bool) or not isinstance(width, (int, np.integer)):
             raise ValueError(f"width must be an integer, got {width!r}")
         if width < 1:
@@ -99,7 +105,6 @@ class Backend:
         self.width = int(width)
         self.precision = precision
         self.strict = strict or name == "scalar"
-        self.real_dtype = _REAL_DTYPES[precision]
         self.gather_count = 0  # instrumentation: gathers issued
 
     def __repr__(self):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InputError
 from .kernels import check_threads, compute, make_variant
-from .neighbor import build_neighbor_list, needs_rebuild
+from .neighbor import build_neighbor_list, check_skin, needs_rebuild
 
 # CODATA 2018: elementary charge (J/eV) and atomic mass unit (kg)
 _EV_J = 1.602176634e-19
@@ -253,13 +253,11 @@ def write_xyz(path, state, comment=None, append=False):
     """One XYZ frame: count line, comment line, `element x y z` rows."""
     if comment is None:
         comment = _box_comment(state)
-    mode = "a" if append else "w"
-    with open(path, mode) as f:
-        f.write(f"{state.natoms}\n{comment}\n")
-        for i in range(state.natoms):
-            sym = state.symbols[state.species[i]]
-            x, y, z = state.positions[i]
-            f.write(f"{sym} {x:.10f} {y:.10f} {z:.10f}\n")
+    rows = "".join(f"{state.symbols[s]} {x:.10f} {y:.10f} {z:.10f}\n"
+                   for s, (x, y, z) in zip(state.species.tolist(),
+                                           state.positions.tolist()))
+    with open(path, "a" if append else "w") as f:
+        f.write(f"{state.natoms}\n{comment}\n{rows}")
 
 
 def read_xyz(path):
@@ -331,7 +329,7 @@ class ForceField:
     def __init__(self, params, variant=None, skin=0.3, threads=1):
         check_threads(threads)
         self.params = params
-        self.variant = variant or make_variant("VecI")
+        self.variant = variant or make_variant()
         self.skin = skin
         self.nl = None
         self.rebuilds = 0
@@ -417,7 +415,7 @@ class StretchSpec:
 class RunConfig:
     dt: float = 0.5
     steps: int = 100
-    variant: object = None          # KernelVariant; default VecI/native
+    variant: object = None          # KernelVariant; default make_variant()
     skin: float = 0.3
     threads: InitVar[int] = 1
     dump_every: int = 0
@@ -427,6 +425,7 @@ class RunConfig:
     def __post_init__(self, threads):
         check_threads(threads)
         _check_dt(self.dt)
+        check_skin(self.skin)
         if self.steps < 0:
             raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
         if self.dump_every < 0:

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .kernels import check_threads, compute, make_variant
+from .kernels import LANE_TAGS, check_threads, compute, make_variant
 from .neighbor import build_neighbor_list
 from .simd import EMULATED_WIDTHS
 from .system import run_nve, RunConfig, seed_velocities, total_momentum
@@ -105,7 +105,7 @@ def check_gradients(state, params, variant=None, probes=4, tol_scale=1.0,
     below 1e-2 eV/A are skipped: relative error is meaningless at the
     noise floor.
     """
-    variant = variant or make_variant("VecI")
+    variant = variant or make_variant()
     nl = build_neighbor_list(state, params.r_cut, skin)
     base = compute(state, nl, params, variant)
     _finite_or_raise(base, variant.describe())
@@ -150,12 +150,9 @@ def check_cross_variant(state, params, tol_scale=1.0, skin=0.3):
     nl = build_neighbor_list(state, params.r_cut, skin)
     ref = compute(state, nl, params, make_variant("Reference"))
     _finite_or_raise(ref, "Reference")
-    others = [
-        make_variant("ScalarOpt"),
-        make_variant("VecJ", "emulated", CROSS_WIDTH),
-        make_variant("VecI", "emulated", CROSS_WIDTH),
-        make_variant("VecI", "native"),
-    ]
+    others = [make_variant("ScalarOpt")]
+    others += [make_variant(t, "emulated", CROSS_WIDTH) for t in LANE_TAGS]
+    others.append(make_variant())  # the production kernel
     e_tol = TOL_ENERGY * tol_scale
     f_tol = TOL_FORCE * tol_scale
     e_worst, e_txt = 0.0, ""
@@ -190,7 +187,7 @@ def check_width_independence(state, params, tol_scale=1.0, skin=0.3):
     nl = build_neighbor_list(state, params.r_cut, skin)
     tolerance = TOL_WIDTH * tol_scale
     out = []
-    for tag in ("VecJ", "VecI"):
+    for tag in LANE_TAGS:
         energies = []
         for w in EMULATED_WIDTHS:
             res = compute(state, nl, params,
@@ -206,7 +203,7 @@ def check_width_independence(state, params, tol_scale=1.0, skin=0.3):
                   f"max {max(energies)!r}"))
 
     scalar = compute(state, nl, params, make_variant("ScalarOpt"))
-    for tag in ("VecJ", "VecI"):
+    for tag in LANE_TAGS:
         res = compute(state, nl, params,
                       make_variant(tag, "emulated", 1, strict=True))
         same = (res.forces.tobytes() == scalar.forces.tobytes()
@@ -268,6 +265,8 @@ def run_verification(state, params, variant=None, tol_scale=1.0,
     if not (math.isfinite(tol_scale) and tol_scale >= 0):
         raise ConfigurationError(
             f"tol_scale must be finite and >= 0, got {tol_scale!r}")
+    # bad steps, dt or skin raise here, not as a FAIL row of every suite
+    RunConfig(dt=dt, steps=conservation_steps, skin=skin)
     checks = []
     checks += _guard("gradient_fd", lambda: check_gradients(
         state, params, variant=variant, tol_scale=tol_scale, skin=skin,

@@ -12,7 +12,9 @@ from helpers import (Box, Frame, carbon_table, free_frame,
                      random_cluster_positions, two_species_table)
 from oracle import oracle_energy, oracle_forces
 from tersoffmd.errors import ConfigurationError, InputError
-from tersoffmd.kernels import KernelVariant, compute, make_variant
+from tersoffmd import kernels
+from tersoffmd.kernels import (KERNEL_TAGS, LANE_TAGS, KernelVariant, compute,
+                               make_variant)
 from tersoffmd.neighbor import build_neighbor_list, pack_adjacency
 from tersoffmd.simd import EMULATED_WIDTHS, make_backend
 from tersoffmd.system import ForceField, gen_diamond, gen_nanotube
@@ -358,6 +360,32 @@ def test_default_backends_and_vec_j_not_native():
         make_variant("VecJ", "native")
     with pytest.raises(ConfigurationError, match="VecJ"):
         KernelVariant("VecJ", make_backend("native", 16))
+
+
+def test_make_variant_without_tag_is_the_production_kernel():
+    assert make_variant().describe() == "VecI[native,W=1024,double]"
+    assert make_variant(precision="single").describe() == \
+        "VecI[native,W=1024,single]"
+    assert KERNEL_TAGS == ("Reference", "ScalarOpt", "VecJ", "VecI")
+    assert LANE_TAGS == ("VecJ", "VecI")
+
+
+@pytest.mark.parametrize("tag", KERNEL_TAGS)
+def test_compute_packs_the_adjacency_once_per_call(tag, monkeypatch):
+    """One prologue for every kernel: the traced benchmark counts these
+    calls and reads the neighbor list from the second argument."""
+    fr, nl, table = cluster(4, 12)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return pack_adjacency(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "pack_adjacency", counting)
+    for _ in range(2):
+        compute(fr, nl, table, make_variant(tag))
+    assert len(calls) == 2
+    assert all(args[1] is nl for args in calls)
 
 
 def test_neighbor_list_for_another_atom_count_rejected():

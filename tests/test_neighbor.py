@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tersoffmd.errors import ConfigurationError
+from tersoffmd.kernels import _batches
 from tersoffmd.neighbor import (
     build_cell_list, build_neighbor_list, needs_rebuild, pack_adjacency)
 from tersoffmd.simd import make_backend
@@ -302,9 +303,9 @@ def test_pack_modes_enumerate_each_directed_pair_once(mode, width):
     nl = build_neighbor_list(fr, R_C, skin=0.3)
     adj = pack_adjacency(fr, nl)
     if mode == "J":
-        batches = list(adj.batches_j(width))
+        batches = list(_batches(adj.offsets, width))
     else:
-        batches = list(adj.batches_i(width))
+        batches = list(_batches([0, adj.npairs], width))
     seen = []
     bk = make_backend("emulated", width)
     ij = np.stack([adj.i, adj.j], axis=1)
@@ -337,7 +338,7 @@ def test_pack_mode_j_batch_shapes():
                      [30.0, 30.0, 30.0]])
     nl = build_neighbor_list(fr, R_C, skin=0.3)
     adj = pack_adjacency(fr, nl)
-    batches = list(adj.batches_j(8))
+    batches = list(_batches(adj.offsets, 8))
     # one batch per non-empty row: the loner's empty row yields none
     assert [int(adj.i[slot[0]]) for slot, _ in batches] == [0, 1, 2, 3]
     slot, mask = batches[0]  # 3 neighbors fit one width-8 batch
@@ -346,7 +347,7 @@ def test_pack_mode_j_batch_shapes():
     assert adj.i[slot[mask]].tolist() == [0, 0, 0]
     assert sorted(adj.j[slot[:3]].tolist()) == [1, 2, 3]
     # a width-2 repack needs ceil(3/2) batches per 3-neighbor row
-    assert [int(adj.i[slot[0]]) for slot, _ in adj.batches_j(2)] == \
+    assert [int(adj.i[slot[0]]) for slot, _ in _batches(adj.offsets, 2)] == \
         [0, 0, 1, 1, 2, 2, 3, 3]
 
 
@@ -355,7 +356,7 @@ def test_pack_mode_i_is_ascending_and_dense():
     fr = random_frame(rng, 40, 9.0)
     nl = build_neighbor_list(fr, R_C, skin=0.3)
     adj = pack_adjacency(fr, nl)
-    batches = list(adj.batches_i(4))
+    batches = list(_batches([0, adj.npairs], 4))
     i_seq = np.concatenate([adj.i[slot[mask]] for slot, mask in batches])
     j_seq = np.concatenate([adj.j[slot[mask]] for slot, mask in batches])
     # every CSR entry once, in row order: (i, j) follow the adjacency

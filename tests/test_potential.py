@@ -315,9 +315,8 @@ def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
     val, gj, gk = zeta_parts_lanes(
         bk, real_lanes(bk, dj.T), real_lanes(bk, rij),
         real_lanes(bk, dk.T), real_lanes(bk, rik),
-        *_lane_params_pair(bk, [(p.R, p.D, p.gamma, p.c, p.d, p.h, p.lam3)
-                                for p in trips]),
-        np.array([p.m == 3 for p in trips]))
+        *_lane_params_pair(bk, [(p.R, p.D, p.gamma, p.c, p.d, p.h, p.lam3,
+                                 p.m) for p in trips]))
     assert gj.shape == gk.shape == (3, width)
     for lane in range(width):
         p = trips[lane]
@@ -398,6 +397,14 @@ def test_single_precision_scalar_path():
     assert v32[0].dtype == np.float32
     for a, b in zip(v32, v64):
         assert abs(float(a) - b) <= 2e-5 * max(abs(b), 1.0)
+
+
+def test_param_views_reject_unknown_precision():
+    table = carbon_table()
+    with pytest.raises(ValueError, match="unknown precision 'half'"):
+        table.views("half")
+    assert [m.dtype for m in table.views("single")] == [np.float32] * 2
+    assert [m.dtype for m in table.views("double")] == [np.float64] * 2
 
 
 def test_params_validation():

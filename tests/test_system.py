@@ -170,6 +170,24 @@ def test_xyz_round_trip(tmp_path):
     assert len(read_xyz(path)) == 2
 
 
+def test_write_xyz_exact_bytes(tmp_path):
+    """Two species, a negative zero and a tiny negative coordinate, which
+    both print as -0.0000000000; an appended frame keeps its comment."""
+    st = SimulationState(positions=[[0.0, -0.0, 1.5], [-1e-12, 2.25, 13.0]],
+                         box=SimulationBox([10.0, 11.5, 12.0],
+                                           (True, False, True)),
+                         species=[0, 1], masses=[12.011, 28.0855],
+                         symbols=("C", "Si"))
+    path = tmp_path / "two.xyz"
+    write_xyz(path, st)
+    write_xyz(path, st, comment="frame 2", append=True)
+    rows = (b"C 0.0000000000 -0.0000000000 1.5000000000\n"
+            b"Si -0.0000000000 2.2500000000 13.0000000000\n")
+    assert path.read_bytes() == (
+        b"2\nbox 10 11.5 12 periodic 101 time 0\n" + rows
+        + b"2\nframe 2\n" + rows)
+
+
 @pytest.mark.parametrize("comment", [
     "box 10 10 periodic 111", "box 10 10 abc periodic 111",
     "box 10 10 10 periodic 1x1", "box 10 10 10 periodic 11",

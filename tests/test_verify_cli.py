@@ -466,6 +466,22 @@ class TestCli:
         assert code == 2 and out == ""
         assert "tol_scale" in err, err
 
+    @pytest.mark.parametrize("flag,value,word", [
+        ("--steps", "-5", "steps"), ("--dt", "-1", "dt"),
+        ("--dt", "nan", "dt"), ("--skin", "-1", "skin"),
+        ("--skin", "nan", "skin")])
+    def test_verify_rejects_bad_steps_dt_and_skin(self, flag, value, word,
+                                                  capsys, monkeypatch):
+        """Exit 2 before any suite runs, as `run` does on the same values,
+        not exit 1 with the error inside every FAIL row."""
+        ran = []
+        monkeypatch.setattr(verify, "_guard",
+                            lambda name, fn: ran.append(name) or [])
+        code, out, err = run_cli(capsys, "verify", "--structure",
+                                 "nanotube:n=3,cells=2", flag, value)
+        assert code == 2 and out == "" and ran == []
+        assert word in err, err
+
     @pytest.mark.parametrize("command", ["run", "bench", "verify"])
     def test_vec_j_on_native_exits_two(self, command, capsys):
         code, out, err = run_cli(capsys, command, "--structure",
