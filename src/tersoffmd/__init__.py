@@ -10,7 +10,7 @@ from .neighbor import (NeighborList, PackedAdjacency, build_neighbor_list,
                        needs_rebuild, pack_adjacency)
 from .paramfile import (ParamFileError, builtin_params, load_params,
                         parse_params, serialize_params)
-from .simd import EMULATED_WIDTHS, Backend, make_backend
+from .simd import EMULATED_WIDTHS, Backend
 from .system import (ACCEL, KB_EV, ForceField, RunConfig, SimulationBox,
                      SimulationState, StretchSpec, gen_diamond, gen_nanotube,
                      kinetic_energy, read_xyz, run_nve, run_stretch,
@@ -22,7 +22,7 @@ from .verify import (CheckResult, check_conservation, check_cross_variant,
 
 __all__ = [
     "ACCEL", "KB_EV", "EMULATED_WIDTHS", "KERNEL_TAGS",
-    "Backend", "make_backend",
+    "Backend",
     "ConfigurationError", "InputError", "ParamFileError",
     "ForceEnergyResult", "KernelVariant", "make_variant", "compute",
     "NeighborList", "PackedAdjacency", "build_neighbor_list",

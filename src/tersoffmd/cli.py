@@ -19,6 +19,7 @@ from .bench import run_benchmark
 from .errors import ConfigurationError, InputError
 from .kernels import LANE_TAGS, make_variant
 from .paramfile import ParamFileError, builtin_params, load_params
+from .simd import DEFAULT_WIDTHS
 from .system import (RunConfig, StretchSpec, gen_diamond, gen_nanotube,
                      run_nve, seed_velocities, state_from_xyz, write_xyz)
 from .verify import run_verification
@@ -101,24 +102,32 @@ def _load_params(args):
     return load_params(args.params)
 
 
-def _variant_from_args(args, name=None):
-    name = name or args.variant  # None: make_variant()'s production kernel
-    tag = None if name is None else _VARIANT_NAMES[name]
-    return make_variant(tag, args.backend, args.width, args.precision)
+def _given(args, *flags):
+    """The flags among these that were set on the command line."""
+    return [f for f in flags if getattr(args, f[2:].replace("-", "_"))
+            is not None]
 
 
-def _json_safe(obj):
-    if isinstance(obj, dict):
-        return {k: _json_safe(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_safe(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_json_safe(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _variants(args, names):
+    """One kernel variant per name; None is the production kernel.
+
+    --backend and --width choose lanes, so they reach the lane kernels
+    only, and setting either with no lane kernel named is an error.
+    """
+    unknown = [n for n in names if n is not None and n not in _VARIANT_NAMES]
+    if unknown:
+        raise ConfigurationError(f"unknown variant {unknown[0]!r}; choose "
+                                 f"from {', '.join(_VARIANT_NAMES)}")
+    tags = [make_variant().tag if name is None else _VARIANT_NAMES[name]
+            for name in names]
+    lanes = [tag in LANE_TAGS for tag in tags]
+    given = _given(args, "--backend", "--width")
+    if given and not any(lanes):
+        raise ConfigurationError(f"{' and '.join(given)} given, but no lane "
+                                 f"kernel is selected ({', '.join(tags)})")
+    return [make_variant(tag, args.backend if lane else None,
+                         args.width if lane else None, args.precision)
+            for tag, lane in zip(tags, lanes)]
 
 
 # ---------------------------------------------------------------------
@@ -140,12 +149,17 @@ def cmd_run(args):
     state = _load_structure(args.structure, params)
     if args.temperature != 0.0:  # seed_velocities rejects < 0 and non-finite
         seed_velocities(state, args.temperature, args.seed)
-    variant = _variant_from_args(args)
+    variant, = _variants(args, [args.variant])
+    grip = {k: v for k, v in (("axis", _AXES.get(args.pull_axis)),
+                              ("grip_fraction", args.grip_fraction))
+            if v is not None}  # StretchSpec's defaults fill the rest
     stretch = None
     if args.pull_speed is not None:
-        stretch = StretchSpec(axis=_AXES[args.pull_axis],
-                              speed=args.pull_speed,
-                              grip_fraction=args.grip_fraction)
+        stretch = StretchSpec(speed=args.pull_speed, **grip)
+    elif grip:
+        raise ConfigurationError(
+            f"{' and '.join(_given(args, '--pull-axis', '--grip-fraction'))}"
+            f" need --pull-speed")
     cfg = RunConfig(dt=args.dt, steps=100 if args.steps is None else args.steps,
                     variant=variant, skin=args.skin,
                     dump_every=args.dump_every, dump_path=args.dump_path,
@@ -175,7 +189,8 @@ def cmd_run(args):
             out[key] = summary[key]
     if "strain" in summary:
         out["series"]["strain"] = summary["strain"]
-    print(json.dumps(_json_safe(out), indent=2))
+    # numpy arrays and scalars; np.float64 is a float already
+    print(json.dumps(out, indent=2, default=lambda obj: obj.tolist()))
     return 0
 
 
@@ -186,21 +201,9 @@ def cmd_bench(args):
         names = [n for n in _VARIANT_NAMES
                  if n != "vec-j" or args.backend != "native"]
     else:
-        names = args.variant.split(",")
-    variants = []
-    for name in names:
-        name = name.strip()
-        if name not in _VARIANT_NAMES:
-            raise ConfigurationError(
-                f"unknown variant {name!r}; choose from "
-                f"{', '.join(_VARIANT_NAMES)}")
-        tag = _VARIANT_NAMES[name]
-        if tag in LANE_TAGS:
-            variants.append(_variant_from_args(args, name))
-        else:  # --backend and --width choose lanes; scalar kernels have none
-            variants.append(make_variant(tag, precision=args.precision))
+        names = [name.strip() for name in args.variant.split(",")]
     report = run_benchmark(
-        state, params, variants,
+        state, params, _variants(args, names),
         steps=20 if args.steps is None else args.steps,
         warmup=args.warmup, repeats=args.repeats, skin=args.skin)
     print(report.render(args.format))
@@ -210,7 +213,7 @@ def cmd_bench(args):
 def cmd_verify(args):
     params = _load_params(args)
     state = _load_structure(args.structure, params)
-    variant = _variant_from_args(args)
+    variant, = _variants(args, [args.variant])
     report = run_verification(
         state, params, variant=variant, tol_scale=args.tol_scale,
         conservation_steps=200 if args.steps is None else args.steps,
@@ -243,19 +246,18 @@ def _add_common(p, bench=False):
     else:
         p.add_argument("--variant", choices=sorted(_VARIANT_NAMES),
                        help="kernel to run (default: the production kernel)")
-    p.add_argument("--backend", choices=("scalar", "emulated", "native"),
-                   default=None,
-                   help="lane backend (default: native for vec-i, "
-                        "emulated for vec-j, scalar otherwise; vec-j does "
-                        "not run on native)")
+        p.add_argument("--seed", type=int, default=0, metavar="N",
+                       help="RNG seed (velocities, probe selection)")
+    p.add_argument("--backend", choices=tuple(DEFAULT_WIDTHS), default=None,
+                   help="lane backend of vec-j and vec-i (default: native "
+                        "for vec-i, emulated for vec-j; vec-j does not run "
+                        "on native)")
     p.add_argument("--width", type=int, default=None, metavar="N",
-                   help="vector width for the emulated/native backends")
+                   help="lane count of vec-j and vec-i")
     p.add_argument("--precision", choices=("single", "double"),
                    default="double")
     p.add_argument("--skin", type=float, default=0.3, metavar="A",
                    help="neighbor-list skin radius")
-    p.add_argument("--seed", type=int, default=0, metavar="N",
-                   help="RNG seed (velocities, probe selection)")
 
 
 def build_parser():
@@ -287,8 +289,11 @@ def build_parser():
     p.add_argument("--dump-path", default=None, metavar="PATH")
     p.add_argument("--pull-speed", type=float, default=None, metavar="A_FS",
                    help="grip separation speed; enables the stretch driver")
-    p.add_argument("--pull-axis", choices=sorted(_AXES), default="z")
-    p.add_argument("--grip-fraction", type=float, default=0.08)
+    p.add_argument("--pull-axis", choices=sorted(_AXES),
+                   help=f"stretch axis (default {'xyz'[StretchSpec.axis]})")
+    p.add_argument("--grip-fraction", type=float, metavar="F",
+                   help=f"grip slab depth per end (default "
+                        f"{StretchSpec.grip_fraction:g})")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("bench", help="time force kernels, report speedups")

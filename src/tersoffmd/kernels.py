@@ -40,7 +40,7 @@ from .errors import ConfigurationError, InputError
 from .neighbor import pack_adjacency
 from .potential import _pair_parts, _zeta_parts, pair_parts_lanes, \
     zeta_parts_lanes
-from .simd import Backend, make_backend
+from .simd import Backend
 
 
 @dataclass(frozen=True)
@@ -76,13 +76,11 @@ class KernelVariant:
 
 def make_variant(tag=None, backend=None, width=None, precision="double",
                  strict=False):
-    """Kernel variant; no tag is VecI, and backends default per tag."""
+    """Kernel variant; no tag is VecI, and backend names default per tag."""
     tag = "VecI" if tag is None else tag
-    if isinstance(backend, Backend):
-        return KernelVariant(tag, backend)
     if backend is None:
         backend = _KERNELS[tag][1] if tag in _KERNELS else "scalar"
-    return KernelVariant(tag, make_backend(backend, width, precision, strict))
+    return KernelVariant(tag, Backend(backend, width, precision, strict))
 
 
 @dataclass

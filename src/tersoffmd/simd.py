@@ -44,6 +44,9 @@ _REAL_DTYPES = {"double": np.float64, "single": np.float32}
 
 EMULATED_WIDTHS = (1, 2, 4, 8, 16)
 
+# the backend names, each with its preset width
+DEFAULT_WIDTHS = {"scalar": 1, "emulated": 8, "native": 1024}
+
 
 def real_dtype(precision):
     """The real dtype of a precision mode; ValueError for any other name."""
@@ -84,13 +87,15 @@ class Backend:
     """Execution descriptor: backend name, lane width, precision, strictness.
 
     The lane operations with backend-defined semantics live here so that
-    one kernel source runs unchanged at any width on any backend.
+    one kernel source runs unchanged at any width on any backend. A width
+    of None is the name's preset width.
     """
 
-    def __init__(self, name, width, precision="double", strict=False):
-        if name not in ("scalar", "emulated", "native"):
+    def __init__(self, name, width=None, precision="double", strict=False):
+        if name not in DEFAULT_WIDTHS:
             raise ValueError(f"unknown backend {name!r}")
         self.real_dtype = real_dtype(precision)
+        width = DEFAULT_WIDTHS[name] if width is None else width
         if isinstance(width, bool) or not isinstance(width, (int, np.integer)):
             raise ValueError(f"width must be an integer, got {width!r}")
         if width < 1:
@@ -186,13 +191,3 @@ class Backend:
         if self.strict:
             return _strict(math.pow, self.real_dtype, v, e)
         return np.power(v, e)
-
-
-_DEFAULT_WIDTHS = {"scalar": 1, "emulated": 8, "native": 1024}
-
-
-def make_backend(name, width=None, precision="double", strict=False):
-    """Build a Backend with per-name default widths."""
-    if width is None:
-        width = _DEFAULT_WIDTHS.get(name, 1)
-    return Backend(name, width, precision, strict)

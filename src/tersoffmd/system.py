@@ -293,14 +293,13 @@ def read_xyz(path):
     return frames
 
 
-def state_from_xyz(path, frame=-1, box=None):
-    """Rebuild a state from an XYZ file written by write_xyz."""
+def state_from_xyz(path):
+    """Rebuild a state from the last frame of an XYZ file by write_xyz."""
     frames = read_xyz(path)
     if not frames:
         raise InputError(f"no frames in {path}")
-    symbols, pos, comment = frames[frame]
-    if box is None:
-        box = _parse_box_comment(comment, path)
+    symbols, pos, comment = frames[-1]
+    box = _parse_box_comment(comment, path)
     if box is None:
         span = pos.max(axis=0) - pos.min(axis=0)
         box = SimulationBox(span + 12.0)
@@ -432,6 +431,8 @@ class RunConfig:
             raise ConfigurationError("dump_every must be >= 0")
         if self.dump_every and not self.dump_path:
             raise ConfigurationError("dump_every set but no dump_path")
+        if self.dump_path and not self.dump_every:
+            raise ConfigurationError("dump_path set but dump_every is 0")
 
 
 def _maybe_dump(state, cfg, step):

@@ -16,7 +16,7 @@ from tersoffmd import kernels
 from tersoffmd.kernels import (KERNEL_TAGS, LANE_TAGS, KernelVariant, compute,
                                make_variant)
 from tersoffmd.neighbor import build_neighbor_list, pack_adjacency
-from tersoffmd.simd import EMULATED_WIDTHS, make_backend
+from tersoffmd.simd import EMULATED_WIDTHS, Backend
 from tersoffmd.system import ForceField, gen_diamond, gen_nanotube
 
 # frozen in test_potential.py from the 50-digit evaluation
@@ -359,7 +359,7 @@ def test_default_backends_and_vec_j_not_native():
     with pytest.raises(ConfigurationError, match="VecJ"):
         make_variant("VecJ", "native")
     with pytest.raises(ConfigurationError, match="VecJ"):
-        KernelVariant("VecJ", make_backend("native", 16))
+        KernelVariant("VecJ", Backend("native", 16))
 
 
 def test_make_variant_without_tag_is_the_production_kernel():

@@ -9,7 +9,7 @@ from tersoffmd.errors import ConfigurationError
 from tersoffmd.kernels import _batches
 from tersoffmd.neighbor import (
     build_cell_list, build_neighbor_list, needs_rebuild, pack_adjacency)
-from tersoffmd.simd import make_backend
+from tersoffmd.simd import Backend
 from tersoffmd.system import gen_diamond, gen_nanotube
 
 from helpers import Box, Frame, free_frame
@@ -307,7 +307,7 @@ def test_pack_modes_enumerate_each_directed_pair_once(mode, width):
     else:
         batches = list(_batches([0, adj.npairs], width))
     seen = []
-    bk = make_backend("emulated", width)
+    bk = Backend("emulated", width)
     ij = np.stack([adj.i, adj.j], axis=1)
     for slot, act in batches:
         assert slot.shape == act.shape == (width,)

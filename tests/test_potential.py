@@ -11,7 +11,7 @@ from tersoffmd.potential import (
     bond_order, bond_order_lanes, f_attractive, f_cutoff, f_cutoff_lanes,
     f_repulsive, g_angle,
     _pair_parts, _zeta_parts, pair_parts_lanes, zeta_parts_lanes)
-from tersoffmd.simd import make_backend
+from tersoffmd.simd import Backend
 
 from helpers import carbon_table, real_lanes, two_species_table
 
@@ -296,7 +296,7 @@ def _lane_params_pair(bk, rows):
 @pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
 def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
     """The mirrored expression trees: strict lanes == scalar, bit for bit."""
-    bk = make_backend("emulated", width, strict=True)
+    bk = Backend("emulated", width, strict=True)
     tab = two_species_table()
     rng = np.random.default_rng(width)
 
@@ -373,8 +373,8 @@ def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
 
 def test_fast_mode_lane_forms_close_to_strict():
     width = 8
-    fast = make_backend("emulated", width)
-    strict = make_backend("emulated", width, strict=True)
+    fast = Backend("emulated", width)
+    strict = Backend("emulated", width, strict=True)
     rng = np.random.default_rng(3)
     r = rng.uniform(1.0, 2.05, width)
     z = rng.uniform(0, 4e4, width)

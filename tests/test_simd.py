@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import tersoffmd
-from tersoffmd.simd import Backend, make_backend, EMULATED_WIDTHS
+from tersoffmd.simd import Backend, EMULATED_WIDTHS
 
 from helpers import real_lanes
 
@@ -35,7 +35,7 @@ def random_lanes(bk, lo=-3.0, hi=3.0, rng=RNG):
 @pytest.mark.parametrize("width", EMULATED_WIDTHS)
 def test_lane_arithmetic_matches_per_lane_python(width):
     """+ - * / on W lanes must be bit-identical to W scalar computations."""
-    bk = make_backend("emulated", width)
+    bk = Backend("emulated", width)
     a = random_lanes(bk)
     b = random_lanes(bk, 0.5, 4.0)
     cases = {
@@ -53,7 +53,7 @@ def test_lane_arithmetic_matches_per_lane_python(width):
 
 @pytest.mark.parametrize("width", EMULATED_WIDTHS)
 def test_compare_minmax_blend(width):
-    bk = make_backend("emulated", width)
+    bk = Backend("emulated", width)
     a = random_lanes(bk)
     b = random_lanes(bk)
     lt = a < b
@@ -86,7 +86,7 @@ def test_reduce_sum_is_ascending_lane_order():
              RNG.uniform(-1, 1, 1024).tolist()]
     for name, width in (("scalar", 1), ("emulated", 4), ("native", 4),
                         ("native", 1024)):
-        bk = make_backend(name, width)
+        bk = Backend(name, width)
         for values in cases:
             v = real_lanes(bk, np.resize(values, width))
             want = _ascending_sum(v.tolist())
@@ -96,7 +96,7 @@ def test_reduce_sum_is_ascending_lane_order():
         if width == 4:
             assert bk.reduce_sum(real_lanes(bk, cases[0])) == 1.0
         assert math.copysign(1.0, bk.reduce_sum(real_lanes(bk, -0.0))) == 1.0
-        single = make_backend(name, width, precision="single")
+        single = Backend(name, width, precision="single")
         v = real_lanes(single, RNG.uniform(-1e4, 1e4, width))
         assert v.dtype == np.float32
         # float32 lanes are summed in double, as the scalar loop does
@@ -107,7 +107,7 @@ def test_reduce_sum_is_ascending_lane_order():
 
 @pytest.mark.parametrize("width", EMULATED_WIDTHS)
 def test_masked_gather_and_padding(width):
-    bk = make_backend("emulated", width)
+    bk = Backend("emulated", width)
     base = RNG.uniform(-5, 5, 40)
     idx_vals = RNG.integers(0, 40, width)
     idx_vals[::2] = -1  # padding lanes
@@ -121,7 +121,7 @@ def test_masked_gather_and_padding(width):
 
 
 def test_gather_counts_are_instrumented():
-    bk = make_backend("emulated", 4)
+    bk = Backend("emulated", 4)
     base = np.arange(10.0)
     before = bk.gather_count
     idx, mask = np.array([1, 2, 3, 4]), np.ones(4, dtype=bool)
@@ -131,7 +131,7 @@ def test_gather_counts_are_instrumented():
 
 
 def test_gather_out_of_bounds_active_lane_is_checked():
-    bk = make_backend("emulated", 2)
+    bk = Backend("emulated", 2)
     base = np.arange(4.0)
     mask = np.ones(2, dtype=bool)
     with pytest.raises(IndexError):
@@ -142,7 +142,7 @@ def test_gather_out_of_bounds_active_lane_is_checked():
 
 @pytest.mark.parametrize("name", ["emulated", "native"])
 def test_scatter_out_of_bounds_active_lane_is_checked(name):
-    bk = make_backend(name, 2)
+    bk = Backend(name, 2)
     dest = np.zeros(4)
     for bad in ([1, 4], [-1, 2]):
         with pytest.raises(IndexError):
@@ -161,8 +161,8 @@ def test_bounds_checks_survive_python_O():
     """The checks are real raises, not asserts that -O strips."""
     script = (
         "import numpy as np\n"
-        "from tersoffmd.simd import make_backend\n"
-        "bk = make_backend('emulated', 2)\n"
+        "from tersoffmd.simd import Backend\n"
+        "bk = Backend('emulated', 2)\n"
         # numpy itself would wrap -1 to the last element
         "idx, m = np.array([0, -1]), np.ones(2, dtype=bool)\n"
         "calls = [lambda: bk.gather(np.zeros(3), idx, m),\n"
@@ -185,7 +185,7 @@ def test_bounds_checks_survive_python_O():
 def test_record_gather_matches_per_field_gathers():
     """A (n, F) record gathers to one contiguous (F, W) block whose row f
     is the 1-D gather of field f."""
-    bk = make_backend("emulated", 8)
+    bk = Backend("emulated", 8)
     records = RNG.uniform(-2, 2, (30, 5))
     idx_vals = RNG.integers(0, 30, 8)
     idx_vals[3] = -1
@@ -205,7 +205,7 @@ def test_scatter_add_bit_equals_sequential_loop(name, width):
     for a (n,) destination and row by row for a (3, n) one, with double
     and with single lanes added into the float64 destination."""
     for precision in ("double", "single"):
-        bk = make_backend(name, width, precision=precision)
+        bk = Backend(name, width, precision=precision)
         for rows in [(), (3,)]:
             dest = RNG.uniform(-1, 1, rows + (13,))
             ref = dest.copy()
@@ -223,7 +223,7 @@ def test_scatter_add_bit_equals_sequential_loop(name, width):
 
 
 def test_scatter_add_masked_lanes_do_not_write():
-    bk = make_backend("emulated", 4)
+    bk = Backend("emulated", 4)
     dest = np.zeros(3)
     bk.scatter_add(dest, np.array([0, 1, 2, 0]),
                    real_lanes(bk, [1.0, 2.0, 3.0, 4.0]),
@@ -256,10 +256,10 @@ def test_emulated_strict_bit_identical_to_scalar_backend(width):
     idx_vals[width // 2] = -1
     active = idx_vals >= 0
 
-    bk = make_backend("emulated", width, strict=True)
+    bk = Backend("emulated", width, strict=True)
     total, dest = _run_little_program(bk, base, idx_vals, active)
 
-    sbk = make_backend("scalar")
+    sbk = Backend("scalar")
     ref_dest = np.zeros(base.shape[0])
     lane_vals = []
     for lane in range(width):
@@ -276,8 +276,8 @@ def test_emulated_strict_bit_identical_to_scalar_backend(width):
 
 @pytest.mark.parametrize("width", EMULATED_WIDTHS)
 def test_fast_transcendentals_within_4ulp_of_scalar(width):
-    bk_fast = make_backend("emulated", width)
-    bk_strict = make_backend("emulated", width, strict=True)
+    bk_fast = Backend("emulated", width)
+    bk_strict = Backend("emulated", width, strict=True)
     x = real_lanes(bk_fast, RNG.uniform(0.05, 4.0, width))
     for fn in ("exp", "sin", "cos"):
         fast = getattr(bk_fast, fn)(x)
@@ -295,8 +295,8 @@ def test_transcendentals_within_4ulp_of_correctly_rounded():
     mpmath.mp.prec = 100
     xs = RNG.uniform(0.01, 5.0, 200)
     exact_fns = {"exp": mpmath.exp, "sin": mpmath.sin, "cos": mpmath.cos}
-    for name, bk in (("fast", make_backend("emulated", 4)),
-                     ("strict", make_backend("emulated", 4, strict=True))):
+    for name, bk in (("fast", Backend("emulated", 4)),
+                     ("strict", Backend("emulated", 4, strict=True))):
         for i in range(0, 200, 4):
             v = real_lanes(bk, xs[i:i + 4])
             for fn, mpfn in exact_fns.items():
@@ -311,7 +311,7 @@ def test_native_backend_same_values_as_emulated():
     little program (gather, arithmetic, ufuncs, scatter, reduce) is
     bit-equal at the same width."""
     for width in (32, 1024):
-        nat = make_backend("native", width)
+        nat = Backend("native", width)
         emu = Backend("emulated", width)  # same width, past the listed set
         base = RNG.uniform(0.2, 3.0, 50)
         idx_vals = RNG.integers(0, 50, width)
@@ -338,10 +338,10 @@ def test_backend_validation():
         Backend("emulated", 4, precision="single", strict=True)
     with pytest.raises(ValueError):
         Backend("native", 64, strict=True)
-    assert make_backend("scalar").strict
-    assert make_backend("native").width == 1024
-    assert make_backend("emulated").width == 8
-    assert make_backend("emulated", np.int64(4)).width == 4
+    assert Backend("scalar").strict
+    assert Backend("native").width == 1024
+    assert Backend("emulated").width == 8
+    assert Backend("emulated", np.int64(4)).width == 4
 
 
 @pytest.mark.parametrize("width", [2.5, 7.9, True, "8"])
@@ -349,11 +349,11 @@ def test_non_integer_width_rejected(width):
     """A width is an integer: no silent truncation, no bool as 1."""
     with pytest.raises(ValueError, match=f"width must be an integer, got "
                                          f"{width!r}"):
-        make_backend("emulated", width)
+        Backend("emulated", width)
 
 
 def test_single_precision_lanes():
-    bk = make_backend("emulated", 4, precision="single")
+    bk = Backend("emulated", 4, precision="single")
     v = real_lanes(bk, [1.0, 2.0, 3.0, 4.0])
     assert v.dtype == np.float32
     assert (v * 0.5).dtype == np.float32

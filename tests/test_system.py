@@ -286,6 +286,8 @@ def test_dt_validation():
         RunConfig(steps=-1)
     with pytest.raises(ConfigurationError, match="dump_path"):
         RunConfig(dump_every=5)
+    with pytest.raises(ConfigurationError, match="dump_every"):
+        RunConfig(dump_path="dump.xyz")
 
 
 # ---------------------------------------------------------------------

@@ -260,7 +260,7 @@ class TestCli:
         code, out, _ = run_cli(capsys, "gen", "diamond:cells=2",
                                "-o", str(path))
         assert code == 0
-        assert state_from_xyz(path, box=None).natoms == 64
+        assert state_from_xyz(path).natoms == 64
 
     def test_gen_option_overrides(self, tmp_path, capsys):
         path = tmp_path / "t.xyz"
@@ -489,6 +489,35 @@ class TestCli:
                                  "--variant", "vec-j", "--backend", "native")
         assert code == 2 and out == ""
         assert "VecJ" in err, err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (("run", "--variant", "reference", "--width", "8"), "--width"),
+        (("run", "--variant", "scalar", "--backend", "native",
+          "--width", "64"), "--backend and --width"),
+        (("verify", "--variant", "reference", "--width", "8"), "--width"),
+        (("verify", "--variant", "scalar", "--backend", "native",
+          "--width", "64"), "--backend and --width"),
+        (("bench", "--variant", "reference,scalar", "--width", "16"),
+         "--width"),
+        (("bench", "--seed", "1"), "--seed"),
+        (("run", "--pull-axis", "x"), "--pull-axis"),
+        (("run", "--grip-fraction", "0.3"), "--grip-fraction"),
+        (("run", "--dump-path", "dump.xyz"), "dump_path")],
+        ids=["run-width", "run-backend", "verify-width", "verify-backend",
+             "bench-width", "bench-seed", "pull-axis", "grip-fraction",
+             "dump-path"])
+    def test_options_with_no_effect_exit_two(self, argv, flag, tmp_path,
+                                             capsys, monkeypatch):
+        """An option that would be ignored is an input error naming it."""
+        ran = []
+        monkeypatch.setattr(verify, "_guard",
+                            lambda name, fn: ran.append(name) or [])
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, *argv, "--structure",
+                                 "nanotube:n=3,cells=2", "--steps", "1")
+        assert code == 2 and out == "" and ran == []
+        assert flag in err, err
+        assert not (tmp_path / "dump.xyz").exists()
 
     def test_xyz_species_follow_the_parameter_table(self, tmp_path, capsys):
         # table order (Si, C) differs from the XYZ's alphabetical (C, Si)
