@@ -33,5 +33,5 @@ print(f"largest |sum of forces| component:  "
       f"{np.max(summary['force_sum_max']):.2e} eV/A")
 print(f"neighbor-list rebuilds:             {summary['rebuilds']}")
 wc = summary["wall_clock"]
-print(f"wall clock: {wc['total']:.2f}s total = {wc['forces']:.2f}s forces "
-      f"+ {wc['neighbor']:.2f}s neighbor + {wc['integrate']:.2f}s integrate")
+print(f"wall clock: {wc['total']:.2f}s total, of which {wc['forces']:.2f}s "
+      f"forces and {wc['neighbor']:.2f}s neighbor")

@@ -1,7 +1,7 @@
 """Command-line surface: gen, run, bench, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 input or
-configuration error.
+configuration error, 141 stdout closed by its reader (as for SIGPIPE).
 
 Structures come either from an XYZ file or from a generator spec of the
 form ``kind:key=value,...`` (e.g. ``nanotube:n=5,cells=10`` or
@@ -11,6 +11,7 @@ form ``kind:key=value,...`` (e.g. ``nanotube:n=5,cells=10`` or
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
@@ -60,12 +61,10 @@ def parse_genspec(spec, dims=()):
                     f"bad generator option {item!r}; known keys for {kind}: "
                     f"{', '.join(known)}")
             opts[name] = known[name](value)
+    # keys not given fall to the generator's own defaults
     if kind == "nanotube":
-        return gen_nanotube(opts["n"], opts["cells"],
-                            bond_length=opts.get("bond_length", 1.421),
-                            margin=opts.get("margin", 6.0))
-    return gen_diamond(opts["cells"],
-                       lattice_constant=opts.get("lattice_constant", 3.566))
+        return gen_nanotube(opts.pop("n"), opts.pop("cells"), **opts)
+    return gen_diamond(opts.pop("cells"), **opts)
 
 
 def _load_structure(value, params):
@@ -125,9 +124,13 @@ def _variants(args, names):
     if given and not any(lanes):
         raise ConfigurationError(f"{' and '.join(given)} given, but no lane "
                                  f"kernel is selected ({', '.join(tags)})")
-    return [make_variant(tag, args.backend if lane else None,
-                         args.width if lane else None, args.precision)
-            for tag, lane in zip(tags, lanes)]
+    try:
+        return [make_variant(tag, args.backend if lane else None,
+                             args.width if lane else None, args.precision)
+                for tag, lane in zip(tags, lanes)]
+    except ValueError as exc:  # the lanes' Backend would not build
+        flags = " ".join(f"{f} {getattr(args, f[2:])}" for f in given)
+        raise ConfigurationError(f"{flags}: {exc}") from None
 
 
 # ---------------------------------------------------------------------
@@ -332,6 +335,9 @@ def main(argv=None):
         return exc.code
     try:
         return args.func(args)
+    except BrokenPipeError:  # as on SIGPIPE; devnull takes the exit flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigurationError, InputError, ParamFileError, OSError,
             ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -492,7 +492,6 @@ def run_nve(state, params, cfg):
             "total": total,
             "neighbor": ff.neighbor_s,
             "forces": ff.force_s,
-            "integrate": total - ff.neighbor_s - ff.force_s,
         },
     }
     if pull:

@@ -6,8 +6,8 @@ of the worst offender:
 
   gradients          analytic forces vs central differences of the energy
   cross_variant      all kernel variants against the Reference kernel
-  width_independence vector kernels across lane widths, plus the strict
-                     W=1 bit-identity claim against ScalarOpt
+  width_independence vector kernels across lane widths; the W=1 run is
+                     strict and also bit-compared with ScalarOpt
   conservation       short NVE: energy drift, force sum, momentum
 
 `run_verification` composes them into one report dict (JSON-safe) whose
@@ -31,7 +31,6 @@ FD_STEP = 2e-4            # A, central-difference step of the gradient check
 TOL_GRADIENT = 1e-6       # relative, analytic vs finite-difference force
 TOL_ENERGY = 1e-10        # relative, each variant's energy vs Reference
 TOL_FORCE = 1e-8          # eV/A, max force component vs Reference
-CROSS_WIDTH = 8           # lane width of the emulated cross-variant kernels
 TOL_WIDTH = 1e-12         # relative energy spread across lane widths
 TOL_DRIFT = 1e-4          # relative total-energy drift over the NVE run
 TOL_FORCE_SUM = 1e-9      # eV/A per atom, max |sum_i F_i| component
@@ -151,7 +150,7 @@ def check_cross_variant(state, params, tol_scale=1.0, skin=0.3):
     ref = compute(state, nl, params, make_variant("Reference"))
     _finite_or_raise(ref, "Reference")
     others = [make_variant("ScalarOpt")]
-    others += [make_variant(t, "emulated", CROSS_WIDTH) for t in LANE_TAGS]
+    others += [make_variant(t, "emulated") for t in LANE_TAGS]
     others.append(make_variant())  # the production kernel
     e_tol = TOL_ENERGY * tol_scale
     f_tol = TOL_FORCE * tol_scale
@@ -183,38 +182,33 @@ def check_cross_variant(state, params, tol_scale=1.0, skin=0.3):
 # ---------------------------------------------------------------------
 
 def check_width_independence(state, params, tol_scale=1.0, skin=0.3):
-    """Emulated-lane energies across widths, and strict-W=1 bit identity."""
+    """Emulated-lane energies across widths, and strict-W=1 bit identity:
+    each width runs once, and the strict W=1 run feeds both rows."""
     nl = build_neighbor_list(state, params.r_cut, skin)
     tolerance = TOL_WIDTH * tol_scale
-    out = []
+    scalar = compute(state, nl, params, make_variant("ScalarOpt"))
+    spreads, bitwise = [], []
     for tag in LANE_TAGS:
-        energies = []
-        for w in EMULATED_WIDTHS:
-            res = compute(state, nl, params,
-                          make_variant(tag, "emulated", w))
+        runs = {w: compute(state, nl, params,
+                           make_variant(tag, "emulated", w, strict=w == 1))
+                for w in EMULATED_WIDTHS}
+        for w, res in runs.items():
             _finite_or_raise(res, f"{tag} W={w}")
-            energies.append(res.potential_energy)
-        scale = max(abs(energies[0]), 1e-30)
-        spread = (max(energies) - min(energies)) / scale
-        out.append(CheckResult(
+        energies = [res.potential_energy for res in runs.values()]
+        spread = (max(energies) - min(energies)) / max(abs(energies[0]), 1e-30)
+        spreads.append(CheckResult(
             f"width_independence_{tag.lower()}", spread <= tolerance,
             spread, tolerance,
-            worst=f"widths {EMULATED_WIDTHS}: min {min(energies)!r} "
-                  f"max {max(energies)!r}"))
-
-    scalar = compute(state, nl, params, make_variant("ScalarOpt"))
-    for tag in LANE_TAGS:
-        res = compute(state, nl, params,
-                      make_variant(tag, "emulated", 1, strict=True))
-        same = (res.forces.tobytes() == scalar.forces.tobytes()
-                and res.potential_energy == scalar.potential_energy)
-        df = np.abs(res.forces - scalar.forces)
-        dev = float(df.max()) if df.size else 0.0
-        out.append(CheckResult(
+            worst=f"widths {EMULATED_WIDTHS}, W=1 strict: "
+                  f"min {min(energies)!r} max {max(energies)!r}"))
+        same = (runs[1].forces.tobytes() == scalar.forces.tobytes()
+                and runs[1].potential_energy == scalar.potential_energy)
+        dev = float(np.abs(runs[1].forces - scalar.forces).max(initial=0.0))
+        bitwise.append(CheckResult(
             f"strict_w1_bitwise_{tag.lower()}", same, dev, 0.0,
             worst="bit-identical" if same else
                   f"max force deviation {dev:.3e}"))
-    return out
+    return spreads + bitwise
 
 
 # ---------------------------------------------------------------------

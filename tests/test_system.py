@@ -402,8 +402,7 @@ def test_run_stretch_is_run_nve_with_the_same_config():
         assert (getattr(st_a, name).tobytes()
                 == getattr(st_b, name).tobytes()), name
     wc = sa["wall_clock"]
-    assert wc["integrate"] == pytest.approx(
-        wc["total"] - wc["neighbor"] - wc["forces"])
+    assert wc["total"] >= wc["neighbor"] + wc["forces"] - 1e-9
 
 
 def test_stretch_elastic_loading():
@@ -428,7 +427,7 @@ def test_stretch_elastic_loading():
     assert (vz == -0.002).sum() >= 16
     assert (vz == +0.002).sum() >= 16
     wc = summary["wall_clock"]
-    assert set(wc) == {"total", "neighbor", "forces", "integrate"}
+    assert set(wc) == {"total", "neighbor", "forces"}
 
 
 def test_stretch_variants_agree_over_first_100_steps():

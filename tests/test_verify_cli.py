@@ -1,6 +1,7 @@
 """Verification suites, benchmark reports, and the command-line surface."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -9,16 +10,18 @@ import pytest
 
 from tersoffmd import cli, system, verify
 from tersoffmd.bench import CSV_FIELDS, run_benchmark
-from tersoffmd.kernels import compute, make_variant
+from tersoffmd.kernels import LANE_TAGS, compute, make_variant
 from tersoffmd.neighbor import build_neighbor_list
 from tersoffmd.paramfile import builtin_params, parse_params, serialize_params
 from tersoffmd.errors import ConfigurationError, InputError
 from tersoffmd.potential import ParamTable
+from tersoffmd.simd import EMULATED_WIDTHS
 from tersoffmd.system import (ELEMENT_MASSES, ForceField, RunConfig,
                               SimulationBox, SimulationState, gen_diamond,
                               gen_nanotube, read_xyz, run_nve, state_from_xyz,
                               write_xyz)
-from tersoffmd.verify import check_gradients, run_verification
+from tersoffmd.verify import (check_gradients, check_width_independence,
+                              run_verification)
 
 from helpers import (carbon_table, random_cluster_positions,
                      two_species_table)
@@ -90,6 +93,41 @@ class TestVerify:
                 assert c["measured"] == 0.0 and c["margin"] is None
             else:
                 assert c["margin"] is None or c["margin"] > 1.0
+
+    def test_width_check_runs_each_lane_width_once(self, table,
+                                                   monkeypatch):
+        """One ScalarOpt run, then each lane schedule once per width; the
+        W=1 run is strict and feeds both the spread and the bitwise row."""
+        runs = []
+
+        def recording(state, nl, params, variant, threads=1):
+            runs.append((variant.tag, variant.backend.width,
+                         variant.backend.strict))
+            return compute(state, nl, params, variant, threads)
+
+        monkeypatch.setattr(verify, "compute", recording)
+        checks = check_width_independence(gen_nanotube(5, 10), table)
+        assert all(c.passed for c in checks), checks
+        assert len(runs) == 1 + len(LANE_TAGS) * len(EMULATED_WIDTHS) == 11
+        assert [r for r in runs if r[0] not in LANE_TAGS] == [
+            ("ScalarOpt", 1, True)]
+        assert sorted(r for r in runs if r[0] in LANE_TAGS) == sorted(
+            (tag, w, w == 1) for tag in LANE_TAGS for w in EMULATED_WIDTHS)
+
+    def test_strict_rows_fail_on_a_one_ulp_force_change(self, tube, table,
+                                                        monkeypatch):
+        def nudged(state, nl, params, variant, threads=1):
+            res = compute(state, nl, params, variant, threads)
+            if variant.tag in LANE_TAGS and variant.backend.strict:
+                res.forces[0, 0] = np.nextafter(res.forces[0, 0], np.inf)
+            return res
+
+        monkeypatch.setattr(verify, "compute", nudged)
+        rows = {c.name: c for c in check_width_independence(tube, table)}
+        for tag in LANE_TAGS:
+            strict = rows[f"strict_w1_bitwise_{tag.lower()}"]
+            assert not strict.passed and strict.measured > 0, strict
+            assert rows[f"width_independence_{tag.lower()}"].passed
 
 
 # ---------------------------------------------------------------------
@@ -490,6 +528,17 @@ class TestCli:
         assert code == 2 and out == ""
         assert "VecJ" in err, err
 
+    @pytest.mark.parametrize("argv", [
+        ("bench",), ("run", "--variant", "vec-i"),
+        ("verify", "--variant", "vec-j")], ids=["bench", "run", "verify"])
+    def test_lane_backend_error_names_backend_and_width(self, argv, capsys):
+        code, out, err = run_cli(capsys, *argv, "--structure",
+                                 "nanotube:n=3,cells=2", "--steps", "1",
+                                 "--backend", "scalar", "--width", "4")
+        assert code == 2 and out == ""
+        assert "--backend scalar --width 4: scalar backend is width 1" \
+            in err, err
+
     @pytest.mark.parametrize("argv,flag", [
         (("run", "--variant", "reference", "--width", "8"), "--width"),
         (("run", "--variant", "scalar", "--backend", "native",
@@ -572,6 +621,21 @@ class TestCli:
                                "--steps", "0")
         assert code == 2
         assert f"{path}:{line}:" in err and what in err
+
+    def test_closed_stdout_exits_141_quietly(self):
+        """A reader that closed the pipe is not bad input: no message,
+        and the status of a process ended by SIGPIPE."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "tersoffmd.cli", "run",
+                 "--structure", "nanotube:n=3,cells=2", "--steps", "0"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert out.returncode == 141 and out.stderr == ""
 
     def test_console_script_entry(self, tmp_path):
         out = subprocess.run(
