@@ -3,11 +3,13 @@
 Times the force kernels on growing nanotubes and prints the speedup
 story: ScalarOpt beats Reference by skipping the second zeta pass and
 caching the per-k geometry; VecI (native lanes) wins big because its
-flat pair stream keeps wide lanes nearly full at coordination ~3. VecJ
-is the same lane kernel fed one atom's short neighbor row per batch,
-which is exactly why the I-mode schedule exists; it runs at W=8, where
-its lanes are a reasonable fit for ~3 neighbors, and its utilization is
-printed there.
+flat pair stream keeps wide lanes nearly full at coordination ~3, and
+each batch runs its triples through the zeta term W at a time. VecJ is
+the same lane kernel fed one atom's short neighbor row per batch, which
+is exactly why the I-mode schedule exists; it runs at W=8, where its
+lanes are a reasonable fit for ~3 neighbors, and its utilization is
+printed there. Both schedules add every force update in ScalarOpt's
+order, so VecJ and VecI give the same forces to the bit.
 """
 
 from tersoffmd import builtin_params, gen_nanotube, make_variant

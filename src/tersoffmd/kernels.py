@@ -9,10 +9,13 @@
   multiplies by delta_zeta: sum(n_i^2) visits.
 * VecJ and VecI: two batch schedules of one lane kernel. VecJ fills a
   batch with one atom's neighbor row (one i per batch); VecI fills it
-  with consecutive (i,j) pairs across atoms. In both, step s of the k
-  walk visits slot s of each lane's own row i, so lanes may share i or k
-  and every force update goes through the ordered scatter. A row holds a
-  few neighbors, so VecJ runs on the scalar and emulated backends only.
+  with consecutive (i,j) pairs across atoms. Each pair batch lists its
+  triples in ScalarOpt's order (pair by pair, k ascending, k != j) and
+  runs the zeta term over them W triples at a time; the ordered scatter
+  sums zeta and the gradient sums per pair lane. One pair pass follows,
+  and every force update of the batch goes out as one stream in
+  ScalarOpt's order: per pair i, then j, then each k. A row holds a few
+  neighbors, so VecJ runs on the scalar and emulated backends only.
 
 `_KERNELS` gives each tag its kernel and default backend; the tags, the
 lane tags and the production kernel (``make_variant()``) come from it.
@@ -23,12 +26,15 @@ for operation and accumulate per (i,j) at the same granularity: zeta, the
 gradient sums over k, and the per-k F_k updates. The scalar kernels work
 per component and accumulate in Python lists; the lane kernel keeps every
 3-vector (displacements, gradients, gradient sums, pair forces) as one
-(3, W) block and scatters into one (3, n) force block, row by row in lane
-order. On a strict double emulated backend at width 1, both schedules
-reproduce ScalarOpt bit for bit (forces are flushed with +0.0 on output so
-a masked-lane zero cannot differ in sign). Energies and forces accumulate
-in float64 in both precision modes; "single" converts distances,
-parameters and all intermediate potential math to float32.
+(3, W) block and scatters into one (3, n) force block, row by row in
+stream order. Every per-atom sum and the energy therefore add the same
+terms in the same order at every width and in both schedules: non-strict
+runs give byte-identical forces, per-atom energies and energies at every
+width, and on a strict double backend at width 1 both schedules
+reproduce ScalarOpt bit for bit (forces are flushed with +0.0 on output
+so a masked-lane zero cannot differ in sign). Energies and forces
+accumulate in float64 in both precision modes; "single" converts
+distances, parameters and all intermediate potential math to float32.
 """
 
 import math
@@ -58,7 +64,8 @@ class KernelVariant:
         if self.tag not in KERNEL_TAGS:
             raise ConfigurationError(f"unknown kernel tag {self.tag!r}")
         if self.tag == "VecJ" and self.backend.name == "native":
-            # rows hold a few neighbors, so 1024 lanes would run nearly empty
+            # rows hold a few neighbors: the native preset's lanes would
+            # run nearly empty
             raise ConfigurationError(
                 "VecJ runs on the scalar or emulated backend, not native")
 
@@ -298,61 +305,94 @@ def _batches(bounds, width):
             yield slot, mask
 
 
+def _records(adj, species, S, a, m):
+    """Index records of pairs a .. a+m-1: an (m, 3) record of (i, j, pair
+    type), and an (nt, 3) record of their triples in ScalarOpt's order,
+    pair by pair, k ascending, k != j: (pair, k-pair, triple type). Also
+    each pair's triple count n_i - 1. Row i's slot for k = j is the pair
+    itself."""
+    i, j = adj.i[a:a + m], adj.j[a:a + m]
+    ptype = species[i] * S + species[j]
+    first = adj.offsets[i]
+    n_i = adj.offsets[i + 1] - first
+    pair = np.repeat(np.arange(a, a + m), n_i)
+    kk = np.arange(pair.shape[0]) + np.repeat(first - np.cumsum(n_i) + n_i,
+                                              n_i)
+    keep = np.flatnonzero(kk != pair)
+    pair, kk = pair.take(keep), kk.take(keep)
+    ttype = ptype.take(pair - a) * S + species.take(adj.j.take(kk))
+    return (np.stack([i, j, ptype], axis=1),
+            np.stack([pair, kk, ttype], axis=1), n_i - 1)
+
+
 def compute_lanes(adj, species, params, variant):
     """VecJ and VecI: one body, the tag picks the batch schedule."""
     bk = variant.backend
     pair_mat, trip_mat = params.views(bk.precision)
     S = params.nspecies
-    n = adj.natoms
     W = bk.width
     gathers0 = bk.gather_count
-    geom = adj.geom.astype(bk.real_dtype)
-    # per pair: i, j, pair type, then the bounds of row i (the k walk)
-    pairs = np.stack([adj.i, adj.j, species[adj.i] * S + species[adj.j],
-                      adj.offsets[adj.i], adj.offsets[adj.i + 1]], axis=1)
+    geom = adj.geom.astype(bk.real_dtype, copy=False)
 
-    F = np.zeros((3, n))
-    e_at = np.zeros(n)
+    F = np.zeros((3, adj.natoms))
+    e_at = np.zeros(adj.natoms)
     energy = 0.0
     visits = 0
     active = 0
     total = 0
     bounds = adj.offsets if variant.tag == "VecJ" else [0, adj.npairs]
     for slot, mask in _batches(bounds, W):
-        active += int(np.count_nonzero(mask))
+        a, m = int(slot[0]), int(np.count_nonzero(mask))
+        active += m
         total += W
-        i_idx, j_idx, pair_idx, cur, end = bk.gather(pairs, slot, mask,
-                                                     fill=-1)
+        pairs, trip, count = _records(adj, species, S, a, m)
+        nt = trip.shape[0]
+        visits += nt + m  # sum(n_i): the k = j slots are visits too
+        # zeta and the gradient sums over k, rows zeta | gi | gjs of one
+        # block: W triples at a time
+        sums = bk.zeros(7)
+        gks = []
+        for tslot, tmask in _batches([0, nt], W):
+            p, kk, ttype = bk.gather(trip, tslot, tmask, fill=-1)
+            tj = bk.gather(geom, p, tmask, fill=1.0)
+            tk = bk.gather(geom, kk, tmask, fill=1.0)
+            val, gj, gk = zeta_parts_lanes(
+                bk, tj[:3], tj[3], tk[:3], tk[3],
+                *bk.gather(trip_mat, ttype, tmask, fill=1.0))
+            bk.scatter_add(sums, p - a,
+                           np.concatenate([val[None], -(gj + gk), gj]), tmask)
+            gks.append(gk)
+        zeta, gi, gjs = sums[0], sums[1:4], sums[4:]
+        i_idx, j_idx, pair_idx = bk.gather(pairs, slot - a, mask, fill=-1)
         gj_rec = bk.gather(geom, slot, mask, fill=1.0)
         dj, r_ij = gj_rec[:3], gj_rec[3]
-        zeta, gi, gjs = bk.zeros(), bk.zeros(3), bk.zeros(3)
-        cache = []
-        # padding lanes have cur = end = -1 and take no steps
-        for step in range(int((end - cur).max())):
-            kk = cur + step
-            alive = mask & (kk < end)
-            visits += int(np.count_nonzero(alive))
-            k_idx = bk.gather(adj.j, kk, alive, fill=-1)
-            sk = bk.gather(species, k_idx, alive, fill=0)
-            act = alive & (k_idx != j_idx)
-            trip = bk.gather(trip_mat, pair_idx * S + sk, alive, fill=1.0)
-            gk_rec = bk.gather(geom, kk, alive, fill=1.0)
-            val, gj, gk = zeta_parts_lanes(bk, dj, r_ij, gk_rec[:3],
-                                           gk_rec[3], *trip)
-            zeta = zeta + np.where(act, val, 0.0)
-            gi = gi + np.where(act, -(gj + gk), 0.0)
-            gjs = gjs + np.where(act, gj, 0.0)
-            cache.append((k_idx, act, np.where(act, gk, 0.0)))
         v, dv_dr, dz = pair_parts_lanes(
             bk, r_ij, zeta,
             *bk.gather(pair_mat, pair_idx, mask, fill=1.0))
-        energy += bk.reduce_sum(np.where(mask, v, 0.0))
-        bk.scatter_add(e_at, i_idx, np.where(mask, v, 0.0), mask)
+        energy = bk.reduce_sum(v[:m], energy)
+        bk.scatter_add(e_at, i_idx, v, mask)
+        # Every force update of the batch as one stream in ScalarOpt's
+        # order: per pair i, then j, then each k. Batches fill their lanes
+        # from lane 0, so the first m pair lanes and the first nt triple
+        # lanes are the active ones.
         fv = dv_dr * (dj / r_ij)
-        bk.scatter_add(F, i_idx, fv - dz * gi, mask)
-        bk.scatter_add(F, j_idx, -fv - dz * gjs, mask)
-        for k_idx, act, gk in cache:
-            bk.scatter_add(F, k_idx, -(dz * gk), act)
+        at_i = np.cumsum(count) - count + 2 * np.arange(m)
+        t_lane = trip[:, 0] - a
+        parts = [(at_i, i_idx[:m], (fv - dz * gi)[:, :m]),
+                 (at_i + 1, j_idx[:m], (-fv - dz * gjs)[:, :m])]
+        if nt:
+            # triple t follows t triples and the i and j updates of the
+            # pairs up to its own
+            parts.append((np.arange(nt) + 2 * (t_lane + 1),
+                          adj.j.take(trip[:, 1]),
+                          -(dz[t_lane] * np.concatenate(gks, axis=1)[:, :nt])))
+        idx = np.empty(2 * m + nt, dtype=np.int64)
+        upd = np.empty((3, 2 * m + nt), dtype=bk.real_dtype)
+        for at, atoms, f in parts:
+            idx[at] = atoms
+            for u, fc in zip(upd, f):  # row by row: a 2-D fancy store is slow
+                u[at] = fc
+        bk.scatter_add(F, idx, upd, np.ones(2 * m + nt, dtype=bool))
     return _result(F, e_at, energy, visits, bk.gather_count - gathers0,
                    active, total)
 

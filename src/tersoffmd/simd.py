@@ -23,17 +23,20 @@ The three backend names are presets of width and strictness:
 Lane arithmetic, gathers, scatters and reductions are bit-identical to
 running the scalar backend once per lane, so at the same width ``native`` and
 ``emulated`` give the same bits. Transcendentals are numpy ufuncs kept within
-4 ulp of libm, or exact libm per lane when ``strict=True``.
+4 ulp of libm, or exact libm per lane when ``strict=True``. The lane kernel
+runs its triples W at a time and scatters its force updates as one stream
+in the scalar kernel's order, so its outputs are the same at every width.
 
 Conventions: index -1 marks a padding lane and must be masked off;
 masked-off lanes are never read from or written to memory. gather loads a
 (n,) array as (W,) lanes and a row-major (n, F) record as one (F, W)
 block; its ``fill`` on masked-off lanes is the only place a padding lane's
 value is chosen, and kernels pick fills that keep the math on padding
-lanes finite. scatter_add takes a (n,) destination with (W,) values or a
-(3, n) destination with (3, W) values; it applies the active lanes of each
-row in ascending lane order. reduce_sum adds lanes in ascending order
-starting from 0.0.
+lanes finite. scatter_add takes a (n,) destination with (L,) values or an
+(R, n) destination with (R, L) values, for W lanes or a longer stream; it
+applies the active lanes of each row in ascending lane order. With every
+lane active, gather and scatter_add skip the fill and the masked copies.
+reduce_sum adds lanes in ascending order to a running total.
 """
 
 import math
@@ -73,11 +76,12 @@ def _strict(fn, dtype, *args):
 
 
 def _active(idx, mask, size, op):
-    """The active lanes' indices; IndexError unless all lie in [0, size).
+    """The active lanes' indices, idx itself when every lane is active;
+    IndexError unless all lie in [0, size).
 
     mask must have at least one lane set.
     """
-    ia = idx[mask]
+    ia = idx if mask.all() else idx[mask]
     if ia.min() < 0 or ia.max() >= size:
         raise IndexError(f"active {op} lane out of bounds")
     return ia
@@ -132,6 +136,9 @@ class Backend:
         non-negative indices (IndexError otherwise; -1 stays masked off).
         """
         self.gather_count += 1
+        if mask.all():  # no fill, no masked copy
+            ia = _active(idx, mask, records.shape[0], "gather")
+            return np.ascontiguousarray(records.take(ia, axis=0).T)
         out = np.full(records.shape[1:] + (self.width,), fill, records.dtype)
         if mask.any():
             ia = _active(idx, mask, records.shape[0], "gather")
@@ -144,29 +151,32 @@ class Backend:
     def scatter_add(self, dest, idx, vals, mask):
         """dest[..., idx[l]] += vals[..., l] for active lanes.
 
-        dest is (n,) with (W,) values or (3, n) with (3, W) values. Each
-        row takes its active lanes in ascending lane order, and duplicate
-        indices accumulate, so every row is bit-for-bit what the
-        equivalent sequential scalar loop produces, on every backend.
+        dest is (n,) with (L,) values or (R, n) with (R, L) values: W
+        lanes, or a stream of updates of any length. Each row takes its
+        active lanes in ascending lane order, and duplicate indices
+        accumulate, so every row is bit-for-bit what the equivalent
+        sequential scalar loop produces, on every backend.
         """
         if mask.any():
             ia = _active(idx, mask, dest.shape[-1], "scatter")
+            if not mask.all():
+                vals = vals[..., mask]
             # one 1-D add.at per row: 2-D add.at is several times slower
-            for row, v in zip(np.atleast_2d(dest),
-                              np.atleast_2d(vals[..., mask])):
+            for row, v in zip(np.atleast_2d(dest), np.atleast_2d(vals)):
                 # cast first: a mixed-dtype add.at leaves numpy's fast path
                 np.add.at(row, ia, v.astype(row.dtype, copy=False))
 
     # ---- reduction ----------------------------------------------------
 
-    def reduce_sum(self, v):
-        """Sum of all lanes as a Python float, in ascending lane order.
+    def reduce_sum(self, v, start=0.0):
+        """start plus every lane, as a Python float, in ascending lane order.
 
-        Bit-equal to ``acc = 0.0; acc += lane`` over the lanes: the running
-        sum is double even for float32 lanes, and the leading 0.0 turns an
-        all -0.0 sum into +0.0 as the loop does.
+        Bit-equal to ``acc = start; acc += lane`` over the lanes: the
+        running sum is double even for float32 lanes. Batches folded into
+        one running total add every lane in one sequence at any width.
         """
-        return 0.0 + float(np.add.accumulate(v, dtype=np.float64)[-1])
+        return float(np.add.accumulate(np.concatenate(([start], v)),
+                                       dtype=np.float64)[-1])
 
     # ---- transcendentals ------------------------------------------------
     # fast path: numpy ufuncs (within 4 ulp of libm per lane)

@@ -16,7 +16,7 @@ from tersoffmd import kernels
 from tersoffmd.kernels import (KERNEL_TAGS, LANE_TAGS, KernelVariant, compute,
                                make_variant)
 from tersoffmd.neighbor import build_neighbor_list, pack_adjacency
-from tersoffmd.simd import EMULATED_WIDTHS, Backend
+from tersoffmd.simd import DEFAULT_WIDTHS, EMULATED_WIDTHS, Backend
 from tersoffmd.system import ForceField, gen_diamond, gen_nanotube
 
 # frozen in test_potential.py from the 50-digit evaluation
@@ -181,6 +181,43 @@ def test_width_independence(tag):
         assert np.max(np.abs(res.forces - f0)) < 1e-12
 
 
+def jittered(state, seed=3):
+    """state displaced by a seeded uniform +-0.03 A jitter."""
+    rng = np.random.default_rng(seed)
+    state.positions += rng.uniform(-0.03, 0.03, state.positions.shape)
+    return state
+
+
+# every lane width the byte-identity test runs, as (tag, backend, width)
+IDENTITY_WIDTHS = (
+    [("VecI", "emulated", w) for w in EMULATED_WIDTHS]
+    + [("VecI", "native", w) for w in (1024, 2048, 8192)]
+    + [("VecJ", "emulated", w) for w in (1, 8, 16)])
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("make_state", [lambda: gen_nanotube(5, 10),
+                                        lambda: gen_diamond(2)],
+                         ids=["tube200", "diamond64"])
+def test_outputs_byte_identical_at_every_width(make_state, precision):
+    """Criterion 04 at the production widths and in both schedules: the
+    lane kernel adds every force update and every pair energy in
+    ScalarOpt's order, so forces, per-atom energies and the energy do not
+    move by a bit."""
+    state = jittered(make_state())
+    table = carbon_table()
+    nl = build_neighbor_list(state, table.r_cut, skin=0.3)
+    outputs = {}
+    for tag, backend, width in IDENTITY_WIDTHS:
+        res = compute(state, nl, table,
+                      make_variant(tag, backend, width, precision))
+        outputs[(tag, backend, width)] = (
+            res.forces.tobytes(), res.per_atom_energy.tobytes(),
+            np.float64(res.potential_energy).tobytes())
+    first = outputs[IDENTITY_WIDTHS[0]]
+    assert [k for k, out in outputs.items() if out != first] == []
+
+
 @pytest.mark.parametrize("width", [64, 1024])
 def test_native_is_emulated_at_the_same_width(width):
     """native is a width preset of the same lane code: same bits."""
@@ -292,9 +329,15 @@ def test_lane_utilization_exact_on_chain():
     assert vi.stats["lane_active"] == 4
     assert vi.stats["lane_total"] == 4
     assert vi.lane_utilization == 1.0
-    # per batch: pair and geometry records, four per k step, pair params
-    assert vj.stats["gathers"] == 7 + 11 + 7
-    assert vi.stats["gathers"] == 2 + 2 * 4 + 1
+    # Per pair batch, 3 gathers: the (i, j, pair type) record, the
+    # geometry and the pair parameters. Per chunk of up to W triples, 4:
+    # the (pair, k-pair, triple type) record, the geometry of both pairs
+    # and the triple parameters. The k = j slot makes no triple, so row 1
+    # gives the only two, (1,0,2) and (1,2,0).
+    # VecJ: rows of 1, 2 and 1 pairs with 0, 2 and 0 triples.
+    assert vj.stats["gathers"] == 3 + (3 + 4) + 3
+    # VecI: one batch of the 4 pairs and their 2 triples
+    assert vi.stats["gathers"] == 3 + 4
     sc = compute(fr, nl, table, make_variant("ScalarOpt"))
     assert sc.lane_utilization is None
     assert sc.stats["gathers"] == 0
@@ -355,7 +398,7 @@ def test_default_backends_and_vec_j_not_native():
     vec_j = make_variant("VecJ").backend
     assert (vec_j.name, vec_j.width) == ("emulated", 8)
     vec_i = make_variant("VecI").backend
-    assert (vec_i.name, vec_i.width) == ("native", 1024)
+    assert (vec_i.name, vec_i.width) == ("native", DEFAULT_WIDTHS["native"])
     with pytest.raises(ConfigurationError, match="VecJ"):
         make_variant("VecJ", "native")
     with pytest.raises(ConfigurationError, match="VecJ"):
@@ -363,9 +406,10 @@ def test_default_backends_and_vec_j_not_native():
 
 
 def test_make_variant_without_tag_is_the_production_kernel():
-    assert make_variant().describe() == "VecI[native,W=1024,double]"
+    w = DEFAULT_WIDTHS["native"]
+    assert make_variant().describe() == f"VecI[native,W={w},double]"
     assert make_variant(precision="single").describe() == \
-        "VecI[native,W=1024,single]"
+        f"VecI[native,W={w},single]"
     assert KERNEL_TAGS == ("Reference", "ScalarOpt", "VecJ", "VecI")
     assert LANE_TAGS == ("VecJ", "VecI")
 

@@ -103,6 +103,19 @@ def test_reduce_sum_is_ascending_lane_order():
         assert single.reduce_sum(v) == _ascending_sum(v.tolist())
 
 
+@pytest.mark.parametrize("width", [1, 4, 16])
+def test_reduce_sum_folds_batches_into_one_running_sum(width):
+    """Batch after batch from the last total adds every lane in one
+    sequence, so the total does not depend on the width."""
+    values = [1e16, 1.0, -1e16, 1.0] + RNG.uniform(-1, 1, 37).tolist()
+    bk = Backend("emulated", width)
+    total = 0.0
+    for s in range(0, len(values), width):
+        total = bk.reduce_sum(real_lanes(bk, values[s:s + width]), total)
+    assert np.float64(total).tobytes() == \
+        np.float64(_ascending_sum(values)).tobytes()
+
+
 # ---------------------------------------------------------------- memory ops
 
 @pytest.mark.parametrize("width", EMULATED_WIDTHS)
@@ -220,6 +233,50 @@ def test_scatter_add_bit_equals_sequential_loop(name, width):
                 if active[lane]:
                     ref[..., idx_vals[lane]] += vals[..., lane].astype(float)
             assert bits_equal(dest, ref), precision
+
+
+@pytest.mark.parametrize("fields", [(), (5,)], ids=["n", "nF"])
+@pytest.mark.parametrize("name,width", [("emulated", 8), ("native", None)])
+def test_all_active_lanes_take_the_fast_path_with_the_same_bytes(
+        name, width, fields):
+    """With every lane active, gather and scatter_add skip the fill and the
+    masked copies. The bytes are those of the same lanes passed through
+    the masked path (here with one padding lane after them), the fill
+    shows only on masked lanes, and a bad index on an active lane still
+    raises."""
+    bk = Backend(name, width)
+    w = bk.width
+    padded = Backend(name, w + 1)
+    every = np.ones(w, dtype=bool)
+    with_pad = np.append(every, False)
+    records = RNG.uniform(-5, 5, (40,) + fields)
+    idx = RNG.integers(0, 40, w)
+    fast = bk.gather(records, idx, every, fill=7.5)
+    slow = padded.gather(records, np.append(idx, -1), with_pad, fill=7.5)
+    assert fast.shape == fields + (w,) and fast.flags.c_contiguous
+    assert bits_equal(fast, slow[..., :w])
+    assert not (fast == 7.5).any() and (slow[..., w] == 7.5).all()
+    rows = (3,) if fields else ()
+    dest = RNG.uniform(-1, 1, rows + (13,))
+    sidx = RNG.integers(0, 13, w)
+    sidx[1] = sidx[0]  # a duplicate
+    vals = RNG.uniform(-1, 1, rows + (w,))
+    d_fast, d_slow = dest.copy(), dest.copy()
+    bk.scatter_add(d_fast, sidx, vals, every)
+    padded.scatter_add(d_slow, np.append(sidx, -1),
+                       np.append(vals, np.zeros(rows + (1,)), axis=-1),
+                       with_pad)
+    assert bits_equal(d_fast, d_slow)
+    for bad in (-1, 40):
+        wrong = idx.copy()
+        wrong[w // 2] = bad
+        with pytest.raises(IndexError, match="out of bounds"):
+            bk.gather(records, wrong, every)
+    for bad in (-1, 13):
+        wrong = sidx.copy()
+        wrong[w // 2] = bad
+        with pytest.raises(IndexError, match="out of bounds"):
+            bk.scatter_add(dest.copy(), wrong, vals, every)
 
 
 def test_scatter_add_masked_lanes_do_not_write():

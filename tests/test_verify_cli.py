@@ -15,7 +15,7 @@ from tersoffmd.neighbor import build_neighbor_list
 from tersoffmd.paramfile import builtin_params, parse_params, serialize_params
 from tersoffmd.errors import ConfigurationError, InputError
 from tersoffmd.potential import ParamTable
-from tersoffmd.simd import EMULATED_WIDTHS
+from tersoffmd.simd import DEFAULT_WIDTHS, EMULATED_WIDTHS
 from tersoffmd.system import (ELEMENT_MASSES, ForceField, RunConfig,
                               SimulationBox, SimulationState, gen_diamond,
                               gen_nanotube, read_xyz, run_nve, state_from_xyz,
@@ -156,11 +156,40 @@ def test_harness_threads_argument(entry, tube, table):
             call(threads)
 
 
+def test_gradient_check_jitters_only_a_state_without_forces(
+        tube, table, monkeypatch):
+    """The tube has significant components: one probe pass on the state
+    itself, so its row is what it was before the fallback existed. The
+    ideal diamond has none: a second pass probes a seeded +-0.03 A
+    jittered copy, and a zero tolerance still fails it."""
+    probed = []
+
+    def recording(state, *args):
+        probed.append(state)
+        return probe(state, *args)
+
+    probe = verify._probe_gradients
+    monkeypatch.setattr(verify, "_probe_gradients", recording)
+    row = check_gradients(tube, table, seed=1)[0]
+    assert probed == [tube] and row.passed
+    assert "jittered" not in row.worst
+    assert row.measured == probe(tube, table, make_variant(), 4, 0.3, 1)[0]
+    probed.clear()
+    diamond = gen_diamond(2)
+    row = check_gradients(diamond, table, seed=1)[0]
+    assert probed[0] is diamond and len(probed) == 2 and row.passed
+    shift = np.abs(probed[1].positions - diamond.positions)
+    assert 0.0 < shift.max() <= verify.JITTER
+    again = check_gradients(diamond, table, seed=1)[0]
+    assert (again.measured, again.worst) == (row.measured, row.worst)
+    assert not check_gradients(diamond, table, tol_scale=0.0)[0].passed
+
+
 # ---------------------------------------------------------------------
 # defaults: VecI on native lanes
 # ---------------------------------------------------------------------
 
-PRODUCTION = "VecI[native,W=1024,double]"
+PRODUCTION = f"VecI[native,W={DEFAULT_WIDTHS['native']},double]"
 
 
 def test_defaults_are_vec_i_native(tube, table, monkeypatch, capsys):
@@ -404,7 +433,7 @@ class TestCli:
         rows = json.loads(out)["rows"]
         assert [(r["variant"], r["backend"], r["width"]) for r in rows] == \
             [("Reference", "scalar", 1), ("ScalarOpt", "scalar", 1),
-             ("VecI", "native", 1024)]
+             ("VecI", "native", DEFAULT_WIDTHS["native"])]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verify_cli_passes_and_fails(self, tmp_path, capsys):
@@ -420,6 +449,17 @@ class TestCli:
         bad.write_text(broken_beta_text())
         code, out, _ = run_cli(capsys, *base, "--params", str(bad))
         assert code == 1
+
+    @pytest.mark.parametrize("cells", [2, 3])
+    def test_verify_cli_passes_on_the_ideal_diamond(self, cells, capsys):
+        """Every force of the ideal lattice is below the gradient check's
+        floor: the check probes a jittered copy and says so."""
+        code, out, _ = run_cli(capsys, "verify", "--structure",
+                               f"diamond:cells={cells}", "--steps", "10")
+        assert code == 0, out
+        grad = json.loads(out)["checks"][0]
+        assert grad["name"] == "gradient_fd" and grad["passed"]
+        assert "jittered by +-0.03 A with seed 0" in grad["worst"]
 
     def test_error_exits_are_code_two(self, tmp_path, capsys):
         cases = [
