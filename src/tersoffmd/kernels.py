@@ -292,14 +292,17 @@ def compute_scalar_opt(adj, species, params, variant):
 # the lane kernel: VecJ and VecI
 # ======================================================================
 
-def _batches(bounds, width):
-    """(slot, mask) batches of W packed-pair slots, -1 on padding lanes,
-    none straddling a bound: adj.offsets gives one atom's row per batch
-    (none for an empty row), [0, npairs] consecutive pairs across atoms."""
+def _batches(bounds, width, padded=True):
+    """(slot, mask) batches of packed-pair slots, none straddling a bound:
+    adj.offsets gives one atom's row per batch (none for an empty row),
+    [0, npairs] consecutive pairs across atoms. A padded batch is W lanes,
+    -1 on its padding lanes; an unpadded one holds only its min(W, end - s)
+    active lanes, with an all-true mask."""
     bounds = np.asarray(bounds).tolist()
     for begin, end in zip(bounds[:-1], bounds[1:]):
         for s in range(begin, end, width):
-            slot = np.arange(s, s + width, dtype=np.int64)
+            stop = s + width if padded else min(s + width, end)
+            slot = np.arange(s, stop, dtype=np.int64)
             mask = slot < end
             slot[~mask] = -1
             yield slot, mask
@@ -341,18 +344,18 @@ def compute_lanes(adj, species, params, variant):
     active = 0
     total = 0
     bounds = adj.offsets if variant.tag == "VecJ" else [0, adj.npairs]
-    for slot, mask in _batches(bounds, W):
+    for slot, mask in _batches(bounds, W, bk.padded):
         a, m = int(slot[0]), int(np.count_nonzero(mask))
         active += m
-        total += W
+        total += W  # W per batch, padded or not: fill against the width
         pairs, trip, count = _records(adj, species, S, a, m)
         nt = trip.shape[0]
         visits += nt + m  # sum(n_i): the k = j slots are visits too
         # zeta and the gradient sums over k, rows zeta | gi | gjs of one
         # block: W triples at a time
-        sums = bk.zeros(7)
+        sums = np.zeros((7, slot.shape[0]), dtype=bk.real_dtype)
         gks = []
-        for tslot, tmask in _batches([0, nt], W):
+        for tslot, tmask in _batches([0, nt], W, bk.padded):
             p, kk, ttype = bk.gather(trip, tslot, tmask, fill=-1)
             tj = bk.gather(geom, p, tmask, fill=1.0)
             tk = bk.gather(geom, kk, tmask, fill=1.0)

@@ -12,13 +12,15 @@ and owns the operations whose semantics the kernels rely on: masked
 gathers, the ordered scatter, the ordered reduction and the
 transcendentals.
 
-The three backend names are presets of width and strictness:
+The three backend names are presets of width, strictness and padding:
 
 * ``scalar``   - W = 1, strict. The correctness anchor.
 * ``emulated`` - any small W (at least {1, 2, 4, 8, 16} are supported and
-  tested), default 8; strict on request.
-* ``native``   - the same lane code at a large default width (1024); no
-  strict mode.
+  tested), default 8; strict on request. Models a W-wide SIMD unit: every
+  batch is padded to W lanes.
+* ``native``   - the same lane code at a large default width (2048); no
+  strict mode. Batches carry only their active lanes, so the last batch
+  of a row or of a stream can be shorter than W.
 
 Lane arithmetic, gathers, scatters and reductions are bit-identical to
 running the scalar backend once per lane, so at the same width ``native`` and
@@ -27,7 +29,9 @@ running the scalar backend once per lane, so at the same width ``native`` and
 runs its triples W at a time and scatters its force updates as one stream
 in the scalar kernel's order, so its outputs are the same at every width.
 
-Conventions: index -1 marks a padding lane and must be masked off;
+Conventions: a batch is W lanes, padding included, on a padded backend,
+and only its active lanes, at most W, on an unpadded one; the shapes below
+say W for either. Index -1 marks a padding lane and must be masked off;
 masked-off lanes are never read from or written to memory. gather loads a
 (n,) array as (W,) lanes and a row-major (n, F) record as one (F, W)
 block; its ``fill`` on masked-off lanes is the only place a padding lane's
@@ -47,8 +51,10 @@ _REAL_DTYPES = {"double": np.float64, "single": np.float32}
 
 EMULATED_WIDTHS = (1, 2, 4, 8, 16)
 
-# the backend names, each with its preset width
-DEFAULT_WIDTHS = {"scalar": 1, "emulated": 8, "native": 1024}
+# the backend names, each with its preset width and whether its batches
+# are padded to W lanes
+DEFAULT_WIDTHS = {"scalar": 1, "emulated": 8, "native": 2048}
+PADDED = {"scalar": True, "emulated": True, "native": False}
 
 
 def real_dtype(precision):
@@ -88,7 +94,8 @@ def _active(idx, mask, size, op):
 
 
 class Backend:
-    """Execution descriptor: backend name, lane width, precision, strictness.
+    """Execution descriptor: backend name, lane width, precision,
+    strictness, and whether lane batches are padded to the width.
 
     The lane operations with backend-defined semantics live here so that
     one kernel source runs unchanged at any width on any backend. A width
@@ -114,17 +121,12 @@ class Backend:
         self.width = int(width)
         self.precision = precision
         self.strict = strict or name == "scalar"
+        self.padded = PADDED[name]
         self.gather_count = 0  # instrumentation: gathers issued
 
     def __repr__(self):
         return (f"Backend({self.name!r}, width={self.width}, "
                 f"precision={self.precision!r}, strict={self.strict})")
-
-    # ---- constructors -------------------------------------------------
-
-    def zeros(self, *rows):
-        """Real lanes of zeros: (W,), or (rows..., W) for a block."""
-        return np.zeros(rows + (self.width,), dtype=self.real_dtype)
 
     # ---- memory -------------------------------------------------------
 

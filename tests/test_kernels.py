@@ -29,6 +29,7 @@ ALL_VARIANTS = [
     make_variant("VecJ", "emulated", 4),
     make_variant("VecI", "emulated", 4),
     make_variant("VecI", "native"),
+    make_variant("VecI", "native", 1024),  # native off its preset width
 ]
 
 VIDS = [v.describe() for v in ALL_VARIANTS]
@@ -232,6 +233,48 @@ def test_native_is_emulated_at_the_same_width(width):
         assert nat.forces.tobytes() == emu.forces.tobytes()
         assert nat.per_atom_energy.tobytes() == emu.per_atom_energy.tobytes()
         assert nat.potential_energy == emu.potential_energy
+        # trimming native batches moves no counter: lane_total still
+        # counts W per batch
+        assert set(nat.stats) == {"zeta_visits", "gathers", "lane_active",
+                                  "lane_total"}
+        assert nat.stats == emu.stats
+
+
+@pytest.mark.parametrize("backend,width",
+                         [("native", None), ("native", 64), ("emulated", 8)])
+def test_native_batches_carry_only_active_lanes(backend, width, monkeypatch):
+    """native batches and triple chunks hold only their active lanes, so
+    every gather and lane scatter sees an all-true mask of at most W
+    lanes; emulated models a W-wide unit and pads its last ones."""
+    state = gen_nanotube(5, 10)
+    table = carbon_table()
+    nl = build_neighbor_list(state, table.r_cut, skin=0.3)
+    gather, scatter_add = Backend.gather, Backend.scatter_add
+    lane_masks = []
+
+    def gathering(self, records, idx, mask, fill=0.0):
+        lane_masks.append(mask.copy())
+        return gather(self, records, idx, mask, fill)
+
+    def scattering(self, dest, idx, vals, mask):
+        if dest.shape != (3, state.natoms):  # the force block takes a stream
+            lane_masks.append(mask.copy())
+        return scatter_add(self, dest, idx, vals, mask)
+
+    monkeypatch.setattr(Backend, "gather", gathering)
+    monkeypatch.setattr(Backend, "scatter_add", scattering)
+    variant = make_variant("VecI", backend, width)
+    compute(state, nl, table, variant)
+    W = variant.backend.width
+    assert lane_masks
+    assert all(mask.shape[0] <= W for mask in lane_masks)
+    partial = [m for m in lane_masks if not m.all()]
+    if backend == "native":
+        assert partial == []
+        assert min(mask.shape[0] for mask in lane_masks) < W  # trimmed
+    else:
+        assert partial
+        assert all(mask.shape == (W,) for mask in lane_masks)
 
 
 def test_vec_j_is_vec_i_when_each_batch_is_one_row():

@@ -165,7 +165,7 @@ def test_scatter_out_of_bounds_active_lane_is_checked(name):
     # a (3, n) block is checked against n, once for all three rows
     block = np.zeros((3, 4))
     with pytest.raises(IndexError):
-        bk.scatter_add(block, np.array([3, 4]), bk.zeros(3) + 1.0,
+        bk.scatter_add(block, np.array([3, 4]), np.ones((3, 2)),
                        np.ones(2, dtype=bool))
     assert not block.any()
 
@@ -396,7 +396,7 @@ def test_backend_validation():
     with pytest.raises(ValueError):
         Backend("native", 64, strict=True)
     assert Backend("scalar").strict
-    assert Backend("native").width == 1024
+    assert Backend("native").width == 2048
     assert Backend("emulated").width == 8
     assert Backend("emulated", np.int64(4)).width == 4
 
