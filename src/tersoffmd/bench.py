@@ -3,7 +3,10 @@
 Times only the force-kernel phase: the neighbor list is built once
 outside the timed region (its cost is reported separately in the meta
 block) and no I/O happens between timer reads. Each variant runs a few
-warmup evaluations, then `repeats` timed passes of `steps` evaluations;
+warmup evaluations, then `repeats` timed passes of `steps` evaluations.
+The first lane-kernel warmup also builds the index record that every
+later evaluation on the same list reuses (see kernels._records), so with
+warmup=0 the first timed pass pays that one-off build;
 the reported time_s is the minimum over repeats (cache-warm best case)
 and the median goes to the meta block as a stability indicator.
 

@@ -304,7 +304,10 @@ def build_parser():
     _add_common(p, bench=True)
     p.add_argument("--steps", type=int, default=None, metavar="N",
                    help="timed force evaluations per repeat (default 20)")
-    p.add_argument("--warmup", type=int, default=1, metavar="N")
+    p.add_argument("--warmup", type=int, default=1, metavar="N",
+                   help="untimed evaluations per kernel (default 1); the "
+                        "first pays the lane kernels' one-off index record "
+                        "build")
     p.add_argument("--repeats", type=int, default=5, metavar="N")
     p.add_argument("--format", choices=("table", "csv", "json"),
                    default="table")

@@ -15,6 +15,13 @@ Three layers:
   with one displacement-and-distance record per pair. The kernels index
   it directly; how its pairs are batched is theirs to decide.
 
+The topology is per rebuild, the geometry per step. Each pack computes
+the displacements, distances and keep mask r < r_cut over the whole skin
+list, and reuses the list's last ``Topology`` (the filtered CSR) while
+that mask is unchanged, which holds on every step in which no pair
+crossed r_cut. A topology also carries the kernels' index record, so that
+too is built once per topology.
+
 Boxes are orthorhombic with per-axis periodic flags; displacements use the
 minimum image on periodic axes. Anything with ``positions`` (N,3 float64),
 ``box.lengths`` and ``box.periodic`` can be packed.
@@ -22,7 +29,7 @@ minimum image on periodic axes. Anything with ``positions`` (N,3 float64),
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +38,11 @@ from .errors import ConfigurationError, InputError
 
 def min_image(disp, box):
     """Wrap displacement vectors (..., 3) to the nearest periodic image."""
-    disp = np.array(disp, dtype=np.float64, copy=True)
+    return _wrap(np.array(disp, dtype=np.float64, copy=True), box)
+
+
+def _wrap(disp, box):
+    """min_image in place on a float64 array."""
     for ax in range(3):
         if box.periodic[ax]:
             edge = box.lengths[ax]
@@ -156,7 +167,8 @@ class NeighborList:
 
     Row i is neighbors[offsets[i]:offsets[i+1]], sorted ascending; pairs
     were within build_cutoff = r_cut + skin of each other at build time
-    (positions snapshotted in reference_positions).
+    (positions snapshotted in reference_positions). topology is the
+    filtered pair set of the last pack_adjacency call on this list.
     """
 
     offsets: np.ndarray
@@ -165,6 +177,8 @@ class NeighborList:
     r_cut: float
     skin: float
     reference_positions: np.ndarray
+    topology: "Topology | None" = field(default=None, init=False,
+                                        repr=False)
 
     @property
     def natoms(self):
@@ -227,20 +241,46 @@ def needs_rebuild(state, nl):
 # packing
 # ======================================================================
 
+@dataclass(eq=False)
+class Topology:
+    """The pairs of a neighbor list inside the cutoff, as a directed CSR.
+
+    keep marks the list entries it holds. Pair p runs i[p] -> j[p]; rows
+    keep the list's ascending-j order. records is free for the kernels'
+    index record of these pairs, which they build on first use.
+    """
+
+    keep: np.ndarray
+    offsets: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    records: object = None
+
+
 @dataclass(frozen=True, eq=False)
 class PackedAdjacency:
     """Skin-free directed adjacency at the current positions.
 
-    CSR rows keep the neighbor list's ascending-j order; every entry
-    satisfies r < r_cut now (not merely at neighbor-list build time).
-    Pair p runs i[p] -> j[p]; geom[p] = [dx, dy, dz, r] with the
-    displacement pointing i -> j under the minimum image.
+    The topology's CSR rows keep the neighbor list's ascending-j order;
+    every entry satisfies r < r_cut now (not merely at neighbor-list build
+    time). geom[p] = [dx, dy, dz, r] of pair p, the displacement pointing
+    i -> j under the minimum image.
     """
 
-    offsets: np.ndarray
-    i: np.ndarray
-    j: np.ndarray
+    topology: Topology
     geom: np.ndarray
+
+    @property
+    def offsets(self):
+        return self.topology.offsets
+
+    @property
+    def i(self):
+        return self.topology.i
+
+    @property
+    def j(self):
+        return self.topology.j
 
     @property
     def natoms(self):
@@ -252,7 +292,12 @@ class PackedAdjacency:
 
 
 def pack_adjacency(state, nl, r_cut=None):
-    """Filter the skin-padded list to true-cutoff pairs at current positions."""
+    """Filter the skin-padded list to true-cutoff pairs at current positions.
+
+    Displacements, distances and the keep mask r^2 < r_cut^2 come from the
+    current positions on every call. The topology is derived again only
+    when the keep mask differs from the one of the list's last pack.
+    """
     if r_cut is None:
         r_cut = nl.r_cut
     if r_cut > nl.r_cut:
@@ -263,19 +308,29 @@ def pack_adjacency(state, nl, r_cut=None):
     n = nl.natoms
     i_all = np.repeat(np.arange(n, dtype=np.int64), np.diff(nl.offsets))
     j_all = nl.neighbors
-    d = min_image(pos[j_all] - pos[i_all], state.box)
-    r2 = (d * d).sum(axis=1)
+    geom = np.empty((j_all.shape[0], 4))
+    d = geom[:, :3]
+    np.subtract(pos.take(j_all, axis=0), pos.take(i_all, axis=0), out=d)
+    _wrap(d, state.box)
+    r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
     keep = r2 < r_cut * r_cut
-    i_k, j_k, d_k = i_all[keep], j_all[keep], d[keep]
-    if i_k.size:
-        r2min = r2[keep].min()
-        if r2min < 1e-16:  # kernels divide by r
-            at = int(np.argmin(r2[keep]))
-            raise InputError(
-                f"atoms {int(i_k[at])} and {int(j_k[at])} are coincident "
-                f"(r = {math.sqrt(r2min):.3e} A)")
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(i_k, minlength=n), out=offsets[1:])
-    geom = np.column_stack([d_k, np.sqrt(r2[keep])])
-    return PackedAdjacency(offsets=offsets, i=i_k, j=j_k, geom=geom)
-
+    whole = keep.all()
+    if not whole:
+        geom, r2 = geom[keep], r2[keep]
+    if r2.size and r2.min() < 1e-16:  # kernels divide by r
+        at = int(np.argmin(r2))
+        raise InputError(
+            f"atoms {int(i_all[keep][at])} and {int(j_all[keep][at])} are "
+            f"coincident (r = {math.sqrt(r2[at]):.3e} A)")
+    np.sqrt(r2, out=geom[:, 3])
+    topo = nl.topology
+    if topo is None or not np.array_equal(keep, topo.keep):
+        if whole:
+            topo = Topology(keep, nl.offsets, i_all, j_all)
+        else:
+            i_k = i_all[keep]
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(i_k, minlength=n), out=offsets[1:])
+            topo = Topology(keep, offsets, i_k, j_all[keep])
+        object.__setattr__(nl, "topology", topo)  # frozen: a cache slot
+    return PackedAdjacency(topo, geom)

@@ -267,10 +267,12 @@ def _pair_parts(r, zeta, R, D, A, lam1, B, lam2, beta, eta, xm=math):
 # ======================================================================
 
 def f_cutoff_lanes(bk, r, R, D):
+    plateau = r <= R - D
+    if plateau.all():  # f_cutoff's first branch on every lane
+        return plateau.astype(r.dtype), np.zeros_like(r)
     a = HALF_PI * ((r - R) / D)
     taper = 0.5 - 0.5 * bk.sin(a)
     dtaper = (NEG_QUARTER_PI / D) * bk.cos(a)
-    plateau = r <= R - D
     beyond = r >= R + D
     fc = np.where(plateau, 1.0, np.where(beyond, 0.0, taper))
     dfc = np.where(plateau | beyond, 0.0, dtaper)

@@ -81,14 +81,10 @@ def _strict(fn, dtype, *args):
     return out
 
 
-def _active(idx, mask, size, op):
-    """The active lanes' indices, idx itself when every lane is active;
-    IndexError unless all lie in [0, size).
-
-    mask must have at least one lane set.
-    """
-    ia = idx if mask.all() else idx[mask]
-    if ia.min() < 0 or ia.max() >= size:
+def _in_bounds(ia, size, op):
+    """ia, the active lanes' indices; IndexError unless all lie in
+    [0, size)."""
+    if ia.size and (ia.min() < 0 or ia.max() >= size):
         raise IndexError(f"active {op} lane out of bounds")
     return ia
 
@@ -138,12 +134,13 @@ class Backend:
         non-negative indices (IndexError otherwise; -1 stays masked off).
         """
         self.gather_count += 1
+        n = records.shape[0]
         if mask.all():  # no fill, no masked copy
-            ia = _active(idx, mask, records.shape[0], "gather")
+            ia = _in_bounds(idx, n, "gather")
             return np.ascontiguousarray(records.take(ia, axis=0).T)
         out = np.full(records.shape[1:] + (self.width,), fill, records.dtype)
-        if mask.any():
-            ia = _active(idx, mask, records.shape[0], "gather")
+        ia = _in_bounds(idx[mask], n, "gather")
+        if ia.size:
             out.T[mask] = records.take(ia, axis=0)
         return out
 
@@ -159,14 +156,13 @@ class Backend:
         accumulate, so every row is bit-for-bit what the equivalent
         sequential scalar loop produces, on every backend.
         """
-        if mask.any():
-            ia = _active(idx, mask, dest.shape[-1], "scatter")
-            if not mask.all():
-                vals = vals[..., mask]
-            # one 1-D add.at per row: 2-D add.at is several times slower
-            for row, v in zip(np.atleast_2d(dest), np.atleast_2d(vals)):
-                # cast first: a mixed-dtype add.at leaves numpy's fast path
-                np.add.at(row, ia, v.astype(row.dtype, copy=False))
+        if not mask.all():
+            idx, vals = idx[mask], vals[..., mask]
+        ia = _in_bounds(idx, dest.shape[-1], "scatter")
+        # one 1-D add.at per row: 2-D add.at is several times slower
+        for row, v in zip(np.atleast_2d(dest), np.atleast_2d(vals)):
+            # cast first: a mixed-dtype add.at leaves numpy's fast path
+            np.add.at(row, ia, v.astype(row.dtype, copy=False))
 
     # ---- reduction ----------------------------------------------------
 

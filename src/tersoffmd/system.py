@@ -338,6 +338,9 @@ class ForceField:
     def __call__(self, state):
         t0 = _time.perf_counter()
         if self.nl is None or needs_rebuild(state, self.nl):
+            # free the old list, its topology and its kernel record before
+            # the build's memory peak
+            self.nl = None
             self.nl = build_neighbor_list(state, self.params.r_cut,
                                           self.skin)
             self.rebuilds += 1

@@ -277,6 +277,55 @@ def test_native_batches_carry_only_active_lanes(backend, width, monkeypatch):
         assert all(mask.shape == (W,) for mask in lane_masks)
 
 
+def _output_bytes(res):
+    return (res.forces.tobytes(), res.per_atom_energy.tobytes(),
+            np.float64(res.potential_energy).tobytes(), res.stats)
+
+
+LANE_RECORD_VARIANTS = [make_variant("VecI"),
+                        make_variant("VecI", "emulated", 4),
+                        make_variant("VecJ", "emulated", 4)]
+
+
+@pytest.mark.parametrize("variant", LANE_RECORD_VARIANTS,
+                         ids=[v.describe() for v in LANE_RECORD_VARIANTS])
+def test_index_record_follows_topology_and_species(variant):
+    """The lane kernel's index record lives on the list's topology, keyed
+    by the species array: a reused topology, one derived again after a
+    pair left the cutoff, a new species array and one edited in place all
+    give the bytes of a fresh neighbor list."""
+    state, nl, table = cluster(11, 40, mixed=True)
+    rng = np.random.default_rng(6)
+
+    def check():
+        got = compute(state, nl, table, variant)
+        fresh = build_neighbor_list(state, table.r_cut, skin=0.3)
+        assert _output_bytes(got) == _output_bytes(
+            compute(state, fresh, table, variant))
+
+    check()
+    topo, record = nl.topology, nl.topology.records
+    state.positions += rng.uniform(-1e-4, 1e-4, state.positions.shape)
+    check()
+    assert nl.topology is topo and topo.records is record  # reused
+    # stretch the longest pair across the cutoff, inside the skin
+    adj = pack_adjacency(state, nl)
+    far = int(np.argmax(adj.geom[:, 3]))
+    j = int(adj.j[far])
+    step = (table.r_cut + 0.01 - adj.geom[far, 3]) * adj.geom[far, :3] \
+        / adj.geom[far, 3]
+    assert np.linalg.norm(step) < 0.5 * nl.skin
+    state.positions[j] += step
+    check()
+    assert nl.topology.records is not record
+    record = nl.topology.records
+    state.species = 1 - state.species  # a new array
+    check()
+    assert nl.topology.records is not record
+    state.species[:5] = 1 - state.species[:5]  # the same array, edited
+    check()
+
+
 def test_vec_j_is_vec_i_when_each_batch_is_one_row():
     """VecJ and VecI are schedules of one lane kernel: when every row of
     the packed adjacency fills a batch exactly, both schedules make the

@@ -5,7 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from tersoffmd.errors import ConfigurationError
+from tersoffmd.errors import ConfigurationError, InputError
 from tersoffmd.kernels import _batches
 from tersoffmd.neighbor import (
     build_cell_list, build_neighbor_list, needs_rebuild, pack_adjacency)
@@ -366,6 +366,61 @@ def test_pack_mode_i_is_ascending_and_dense():
     assert np.all(np.diff(i_seq) >= 0)  # ascending i across the flat order
     # only the final batch may be partial
     assert all(np.count_nonzero(mask) == 4 for _, mask in batches[:-1])
+
+
+def _packed_bytes(adj):
+    return tuple(a.tobytes() for a in (adj.offsets, adj.i, adj.j, adj.geom))
+
+
+def test_topology_reused_while_no_pair_crosses_the_cutoff():
+    """Steps that leave every pair on its side of r_cut reuse the list's
+    topology; the geometry is recomputed, and the pack is byte for byte a
+    fresh list's pack."""
+    fr = gen_nanotube(5, 10)
+    rng = np.random.default_rng(2)
+    nl = build_neighbor_list(fr, R_C, skin=0.3)
+    topo = pack_adjacency(fr, nl).topology
+    for _ in range(4):
+        fr.positions += rng.uniform(-0.01, 0.01, fr.positions.shape)
+        assert not needs_rebuild(fr, nl)
+        adj = pack_adjacency(fr, nl)
+        assert adj.topology is topo
+        fresh = pack_adjacency(fr, build_neighbor_list(fr, R_C, skin=0.3))
+        assert _packed_bytes(adj) == _packed_bytes(fresh)
+
+
+def crossing_trio():
+    """Bond 0-1 at 1.45 A; 0-2 at 2.04 A, 0.06 A inside r_cut."""
+    return free_frame([[0.0, 0.0, 0.0], [1.45, 0.0, 0.0], [-0.5, 1.98, 0.0]])
+
+
+def test_pair_crossing_the_cutoff_derives_the_topology_again():
+    """An atom that carries a pair across r_cut without a rebuild changes
+    the keep mask: the topology is derived again, equal to a fresh pack,
+    on the way out and back in."""
+    fr = crossing_trio()
+    nl = build_neighbor_list(fr, R_C, skin=0.3)
+    packs = [pack_adjacency(fr, nl)]
+    for dy in (0.1, -0.1):  # r02 2.04 -> 2.14 A -> back, inside the skin
+        fr.positions[2, 1] += dy
+        assert not needs_rebuild(fr, nl)
+        packs.append(pack_adjacency(fr, nl))
+        fresh = pack_adjacency(fr, build_neighbor_list(fr, R_C, skin=0.3))
+        assert _packed_bytes(packs[-1]) == _packed_bytes(fresh)
+    assert [adj.npairs for adj in packs] == [4, 2, 4]
+    assert len({id(adj.topology) for adj in packs}) == 3
+
+
+def test_coincident_atoms_on_a_reused_topology_rejected():
+    """The coincident-atom check runs on every pack, also when the keep
+    mask, and so the topology, is unchanged."""
+    fr = free_frame([[0.0, 0.0, 0.0], [1.5, 0.0, 0.0]])
+    nl = build_neighbor_list(fr, R_C, skin=0.3)
+    topo = pack_adjacency(fr, nl).topology
+    fr.positions[1] = [1e-9, 0.0, 0.0]
+    with pytest.raises(InputError, match="atoms 0 and 1 are coincident"):
+        pack_adjacency(fr, nl)
+    assert nl.topology is topo
 
 
 def test_pack_cutoff_wider_than_list_rejected():

@@ -371,6 +371,35 @@ def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
         assert got[1][lane] == want[1]
 
 
+def _cutoff_where(bk, r, R, D):
+    """f_cutoff_lanes without the plateau branch: every lane through the
+    taper and the np.where selects."""
+    a = (math.pi / 2) * ((r - R) / D)
+    taper = 0.5 - 0.5 * bk.sin(a)
+    dtaper = (-math.pi / 4 / D) * bk.cos(a)
+    plateau, beyond = r <= R - D, r >= R + D
+    return (np.where(plateau, 1.0, np.where(beyond, 0.0, taper)),
+            np.where(plateau | beyond, 0.0, dtaper))
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("taper_lanes", [0, 1, 3],
+                         ids=["plateau", "one-taper", "mixed"])
+def test_cutoff_lanes_plateau_branch_same_bytes(precision, taper_lanes):
+    """A chunk with every lane on the plateau returns exact ones and zeros
+    in r's dtype, the same bytes as the np.where path; a chunk that mixes
+    in taper lanes (and one beyond R + D) takes that path."""
+    bk = Backend("emulated", 8, precision=precision)
+    r = np.linspace(1.2, CP.R - CP.D, 8)
+    r[:taper_lanes] = [CP.R, CP.R + 0.5 * CP.D, CP.R + CP.D][:taper_lanes]
+    r, R, D = (real_lanes(bk, x) for x in (r, CP.R, CP.D))
+    got, want = f_cutoff_lanes(bk, r, R, D), _cutoff_where(bk, r, R, D)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == bk.real_dtype
+        assert g.tobytes() == w.tobytes()
+    assert (got[0].tolist() == [1.0] * 8) == (taper_lanes == 0)
+
+
 def test_fast_mode_lane_forms_close_to_strict():
     width = 8
     fast = Backend("emulated", width)

@@ -5,6 +5,7 @@ import types
 import numpy as np
 import pytest
 
+import tersoffmd.system as system
 from helpers import carbon_table
 from tersoffmd.errors import ConfigurationError, InputError
 from tersoffmd.kernels import compute, make_variant
@@ -445,3 +446,22 @@ def test_stretch_variants_agree_over_first_100_steps():
                     make_variant("VecI", "native")):
         dev = np.max(np.abs(trace(variant) - base))
         assert dev < 1e-8 * scale
+
+
+def test_force_field_frees_the_old_list_before_a_rebuild(monkeypatch):
+    """The old list, with its topology and kernel record, is dropped before
+    the new list is built, so it does not add to the build's memory peak."""
+    ff = ForceField(TABLE)
+    st = gen_nanotube(5, 4)
+    ff(st)
+    held = []
+    build = system.build_neighbor_list
+
+    def spying(*args, **kwargs):
+        held.append(ff.nl)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(system, "build_neighbor_list", spying)
+    st.positions[0] += [0.2, 0.0, 0.0]  # beyond skin/2: a rebuild
+    ff(st)
+    assert held == [None] and ff.rebuilds == 2
