@@ -29,6 +29,13 @@ of its own (`_off_heap`), and every batch of either schedule, padded or
 not, slices it. A step then computes only the pair geometry (in
 `pack_adjacency`) and the force math.
 
+Gather only what is scattered: a batch's slices of the record and its
+pairs' geometry are contiguous runs, read with `Backend.load`; the
+geometry of a triple's two pairs is gathered per lane. When every atom
+has one species, every pair and every triple take the same parameter
+row: the record keeps those two row indices, and the rows broadcast
+across the lanes as (F, 1) blocks; a mixed system gathers each lane's.
+
 All optimized variants share the scalar forms' expression trees operation
 for operation and accumulate per (i,j) at the same granularity: zeta, the
 gradient sums over k, and the per-k F_k updates. The scalar kernels work
@@ -325,7 +332,9 @@ def _records(adj, species, S):
     * trip (ntrip, 3): the triples in ScalarOpt's order, pair by pair, k
       ascending, k != j: (pair, k-pair, triple type). Row i's slot for
       k = j is the pair itself;
-    * tfirst (npairs + 1,): pair p's triples are trip[tfirst[p]:tfirst[p+1]].
+    * tfirst (npairs + 1,): pair p's triples are trip[tfirst[p]:tfirst[p+1]];
+    * rows: when every atom has one species, the (pair, triple) rows of
+      the parameter table that every pair and triple take, else None.
 
     A batch of pairs a .. a+m-1 slices every column. The columns and the
     species key share one off-heap buffer.
@@ -365,7 +374,11 @@ def _records(adj, species, S):
         t = trip[tfirst[a]:tfirst[b]]
         t[:, 0], t[:, 1] = pair, kk
         t[:, 2] = ptype.take(pair - a) * S + sp.take(adj.j.take(kk))
-    rec = (pairs, trip, tfirst)
+    rows = None
+    if natoms and (sp == sp[0]).all():
+        pair_row = int(sp[0]) * (S + 1)
+        rows = (pair_row, pair_row * S + int(sp[0]))
+    rec = (pairs, trip, tfirst, rows)
     topo.records = (S, sp, rec)
     return rec
 
@@ -394,7 +407,10 @@ def compute_lanes(adj, species, params, variant):
     W = bk.width
     gathers0 = bk.gather_count
     geom = adj.geom.astype(bk.real_dtype, copy=False)
-    pairs, trip, tfirst = _records(adj, species, params.nspecies)
+    pairs, trip, tfirst, rows = _records(adj, species, params.nspecies)
+    if rows is not None:  # one species: one row of each, broadcast on lanes
+        pair_par = pair_mat[rows[0]][:, None]
+        trip_par = trip_mat[rows[1]][:, None]
 
     F = np.zeros((3, adj.natoms))
     e_at = np.zeros(adj.natoms)
@@ -415,22 +431,23 @@ def compute_lanes(adj, species, params, variant):
         sums = np.zeros((7, slot.shape[0]), dtype=bk.real_dtype)
         gks = []
         for tslot, tmask in _batches([t0, t1], W, bk.padded):
-            p, kk, ttype = bk.gather(trip, tslot, tmask, fill=-1)
+            p, kk, ttype = bk.load(trip, int(tslot[0]), tmask, fill=-1)
             tj = bk.gather(geom, p, tmask, fill=1.0)
             tk = bk.gather(geom, kk, tmask, fill=1.0)
+            if rows is None:
+                trip_par = bk.gather(trip_mat, ttype, tmask, fill=1.0)
             val, gj, gk = zeta_parts_lanes(
-                bk, tj[:3], tj[3], tk[:3], tk[3],
-                *bk.gather(trip_mat, ttype, tmask, fill=1.0))
+                bk, tj[:3], tj[3], tk[:3], tk[3], *trip_par)
             bk.scatter_add(sums, p - a,
                            np.concatenate([val[None], -(gj + gk), gj]), tmask)
             gks.append(gk)
         zeta, gi, gjs = sums[0], sums[1:4], sums[4:]
-        i_idx, j_idx, pair_idx = bk.gather(pairs, slot, mask, fill=-1)
-        gj_rec = bk.gather(geom, slot, mask, fill=1.0)
+        i_idx, j_idx, pair_idx = bk.load(pairs, a, mask, fill=-1)
+        gj_rec = bk.load(geom, a, mask, fill=1.0)
         dj, r_ij = gj_rec[:3], gj_rec[3]
-        v, dv_dr, dz = pair_parts_lanes(
-            bk, r_ij, zeta,
-            *bk.gather(pair_mat, pair_idx, mask, fill=1.0))
+        if rows is None:
+            pair_par = bk.gather(pair_mat, pair_idx, mask, fill=1.0)
+        v, dv_dr, dz = pair_parts_lanes(bk, r_ij, zeta, *pair_par)
         energy = bk.reduce_sum(v[:m], energy)
         bk.scatter_add(e_at, i_idx, v, mask)
         # Every force update of the batch as one stream in ScalarOpt's

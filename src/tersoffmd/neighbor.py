@@ -50,6 +50,16 @@ def _wrap(disp, box):
     return disp
 
 
+def _norm2(d):
+    """|d|^2 of (n, 3+) rows as a column sum: the bits of (d * d).sum(1)
+    over the first three columns, without the (n, 3) square block."""
+    return d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+
+
+# candidates per distance-filter pass: keeps the displacement block small
+_FILTER_CHUNK = 16384
+
+
 class CellList:
     """Atoms binned into cells of at least cell_size along each axis.
 
@@ -145,12 +155,19 @@ class CellList:
         return np.concatenate(out_i), np.concatenate(out_j)
 
     def pairs_within(self, positions, cutoff):
-        """Undirected pairs (i < j) with min-image distance < cutoff."""
+        """Undirected pairs (i < j) with min-image distance < cutoff.
+
+        The candidates are filtered _FILTER_CHUNK at a time, so only one
+        chunk's displacements exist at once.
+        """
         ci, cj = self.candidate_pairs()
-        if ci.shape[0] == 0:
-            return ci, cj
-        d = min_image(positions[cj] - positions[ci], self.box)
-        keep = (d * d).sum(axis=1) < cutoff * cutoff
+        keep = np.empty(ci.shape[0], dtype=bool)
+        for a in range(0, ci.shape[0], _FILTER_CHUNK):
+            b = a + _FILTER_CHUNK
+            d = positions.take(cj[a:b], axis=0) \
+                - positions.take(ci[a:b], axis=0)
+            np.less(_norm2(_wrap(d, self.box)), cutoff * cutoff,
+                    out=keep[a:b])
         ci, cj = ci[keep], cj[keep]
         swap = ci > cj
         ci[swap], cj[swap] = cj[swap], ci[swap]
@@ -232,9 +249,9 @@ def needs_rebuild(state, nl):
     so every pair now inside r_cut was inside build_cutoff at build time
     (and a fresh skin=0 list does not instantly demand a rebuild).
     """
-    d = min_image(_positions_for(state, nl) - nl.reference_positions,
-                  state.box)
-    return bool((d * d).sum(axis=1).max(initial=0.0) > (0.5 * nl.skin) ** 2)
+    d = _positions_for(state, nl) - nl.reference_positions
+    r2 = _norm2(_wrap(d, state.box))
+    return bool(r2.max(initial=0.0) > (0.5 * nl.skin) ** 2)
 
 
 # ======================================================================
@@ -312,7 +329,7 @@ def pack_adjacency(state, nl, r_cut=None):
     d = geom[:, :3]
     np.subtract(pos.take(j_all, axis=0), pos.take(i_all, axis=0), out=d)
     _wrap(d, state.box)
-    r2 = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2]
+    r2 = _norm2(d)
     keep = r2 < r_cut * r_cut
     whole = keep.all()
     if not whole:

@@ -18,7 +18,7 @@ The three backend names are presets of width, strictness and padding:
 * ``emulated`` - any small W (at least {1, 2, 4, 8, 16} are supported and
   tested), default 8; strict on request. Models a W-wide SIMD unit: every
   batch is padded to W lanes.
-* ``native``   - the same lane code at a large default width (2048); no
+* ``native``   - the same lane code at a large default width (4096); no
   strict mode. Batches carry only their active lanes, so the last batch
   of a row or of a stream can be shorter than W.
 
@@ -36,11 +36,13 @@ masked-off lanes are never read from or written to memory. gather loads a
 (n,) array as (W,) lanes and a row-major (n, F) record as one (F, W)
 block; its ``fill`` on masked-off lanes is the only place a padding lane's
 value is chosen, and kernels pick fills that keep the math on padding
-lanes finite. scatter_add takes a (n,) destination with (L,) values or an
-(R, n) destination with (R, L) values, for W lanes or a longer stream; it
-applies the active lanes of each row in ascending lane order. With every
-lane active, gather and scatter_add skip the fill and the masked copies.
-reduce_sum adds lanes in ascending order to a running total.
+lanes finite. load is gather of a contiguous run of slots whose active
+lanes are a prefix, with one range check on the run. scatter_add takes a
+(n,) destination with (L,) values or an (R, n) destination with (R, L)
+values, for W lanes or a longer stream; it applies the active lanes of
+each row in ascending lane order. With every lane active, gather, load
+and scatter_add skip the fill and the masked copies. reduce_sum adds
+lanes in ascending order to a running total.
 """
 
 import math
@@ -53,7 +55,7 @@ EMULATED_WIDTHS = (1, 2, 4, 8, 16)
 
 # the backend names, each with its preset width and whether its batches
 # are padded to W lanes
-DEFAULT_WIDTHS = {"scalar": 1, "emulated": 8, "native": 2048}
+DEFAULT_WIDTHS = {"scalar": 1, "emulated": 8, "native": 4096}
 PADDED = {"scalar": True, "emulated": True, "native": False}
 
 
@@ -146,6 +148,25 @@ class Backend:
 
     # benchmark/tracing.py still patches this name
     gather_fields = gather
+
+    def load(self, records, start, mask, fill=0.0):
+        """gather of the contiguous run records[start:start + len(mask)].
+
+        The active lanes are a prefix of the mask, as the batches make
+        them: lane l holds records[start + l] when active, else fill.
+        One range check on the run replaces gather's per-lane one
+        (IndexError if it starts below 0 or ends past the records).
+        """
+        self.gather_count += 1
+        m = int(np.count_nonzero(mask))
+        if start < 0 or start + m > records.shape[0]:
+            raise IndexError("active load lanes out of bounds")
+        run = records[start:start + m].T
+        if m == mask.shape[0]:  # no fill
+            return np.ascontiguousarray(run)
+        out = np.full(records.shape[1:] + mask.shape, fill, records.dtype)
+        out[..., :m] = run
+        return out
 
     def scatter_add(self, dest, idx, vals, mask):
         """dest[..., idx[l]] += vals[..., l] for active lanes.

@@ -192,7 +192,7 @@ def jittered(state, seed=3):
 # every lane width the byte-identity test runs, as (tag, backend, width)
 IDENTITY_WIDTHS = (
     [("VecI", "emulated", w) for w in EMULATED_WIDTHS]
-    + [("VecI", "native", w) for w in (1024, 2048, 8192)]
+    + [("VecI", "native", w) for w in (1024, 2048, 4096, 8192)]
     + [("VecJ", "emulated", w) for w in (1, 8, 16)])
 
 
@@ -244,17 +244,23 @@ def test_native_is_emulated_at_the_same_width(width):
                          [("native", None), ("native", 64), ("emulated", 8)])
 def test_native_batches_carry_only_active_lanes(backend, width, monkeypatch):
     """native batches and triple chunks hold only their active lanes, so
-    every gather and lane scatter sees an all-true mask of at most W
-    lanes; emulated models a W-wide unit and pads its last ones."""
+    every gather, load and lane scatter sees an all-true mask of at most
+    W lanes; emulated models a W-wide unit and pads its last ones."""
     state = gen_nanotube(5, 10)
     table = carbon_table()
     nl = build_neighbor_list(state, table.r_cut, skin=0.3)
-    gather, scatter_add = Backend.gather, Backend.scatter_add
+    gather, load = Backend.gather, Backend.load
+    scatter_add = Backend.scatter_add
     lane_masks = []
+    loads = []
 
     def gathering(self, records, idx, mask, fill=0.0):
         lane_masks.append(mask.copy())
         return gather(self, records, idx, mask, fill)
+
+    def loading(self, records, start, mask, fill=0.0):
+        loads.append(mask.copy())
+        return load(self, records, start, mask, fill)
 
     def scattering(self, dest, idx, vals, mask):
         if dest.shape != (3, state.natoms):  # the force block takes a stream
@@ -262,11 +268,15 @@ def test_native_batches_carry_only_active_lanes(backend, width, monkeypatch):
         return scatter_add(self, dest, idx, vals, mask)
 
     monkeypatch.setattr(Backend, "gather", gathering)
+    monkeypatch.setattr(Backend, "load", loading)
     monkeypatch.setattr(Backend, "scatter_add", scattering)
     variant = make_variant("VecI", backend, width)
     compute(state, nl, table, variant)
     W = variant.backend.width
-    assert lane_masks
+    assert loads
+    # a load's active lanes are a prefix of its mask
+    assert all(not m[np.count_nonzero(m):].any() for m in loads)
+    lane_masks += loads
     assert all(mask.shape[0] <= W for mask in lane_masks)
     partial = [m for m in lane_masks if not m.all()]
     if backend == "native":
@@ -324,6 +334,54 @@ def test_index_record_follows_topology_and_species(variant):
     assert nl.topology.records is not record
     state.species[:5] = 1 - state.species[:5]  # the same array, edited
     check()
+
+
+def ones_cluster(seed=12, n=40):
+    """A cluster of species 1 only on the two-species table: one
+    parameter row for every pair and triple, m = 1 and lam3 != 0."""
+    state, _, table = cluster(seed, n, mixed=True)
+    state.species = np.ones(n, dtype=np.int64)
+    return state, build_neighbor_list(state, table.r_cut, skin=0.3), table
+
+
+def test_one_species_parameter_rows_same_bits():
+    """With one species the lane kernel broadcasts one (pair, triple)
+    parameter row over the lanes instead of gathering it per lane: strict
+    W=1 still equals ScalarOpt bit for bit, and every width gives the
+    same bytes."""
+    state, nl, table = ones_cluster()
+    base = compute(state, nl, table, make_variant("ScalarOpt"))
+    for tag in ("VecJ", "VecI"):
+        res = compute(state, nl, table,
+                      make_variant(tag, "emulated", 1, strict=True))
+        assert _output_bytes(res)[:3] == _output_bytes(base)[:3]
+    assert nl.topology.records[2][3] is not None  # the per-type path ran
+    for precision in ("double", "single"):
+        widths = ([("VecI", "emulated", w) for w in EMULATED_WIDTHS]
+                  + [("VecJ", "emulated", w) for w in EMULATED_WIDTHS]
+                  + [("VecI", "native", w) for w in (1024, 4096)])
+        outputs = {_output_bytes(compute(
+            state, nl, table, make_variant(*w, precision=precision)))[:3]
+            for w in widths}
+        assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("variant", LANE_RECORD_VARIANTS,
+                         ids=[v.describe() for v in LANE_RECORD_VARIANTS])
+def test_second_species_takes_the_per_lane_parameters_again(variant):
+    """The record notes one species and its parameter rows; one atom of
+    another species puts the per-lane parameter gathers back, with the
+    bytes of a fresh neighbor list."""
+    state, nl, table = ones_cluster()
+    one = compute(state, nl, table, variant)
+    state.species[7] = 0
+    mixed = compute(state, nl, table, variant)
+    assert nl.topology.records[2][3] is None
+    assert mixed.stats["gathers"] > one.stats["gathers"]
+    fresh = build_neighbor_list(state, table.r_cut, skin=0.3)
+    assert _output_bytes(mixed) == _output_bytes(
+        compute(state, fresh, table, variant))
+    assert _output_bytes(mixed)[:3] != _output_bytes(one)[:3]
 
 
 def test_vec_j_is_vec_i_when_each_batch_is_one_row():
@@ -421,15 +479,16 @@ def test_lane_utilization_exact_on_chain():
     assert vi.stats["lane_active"] == 4
     assert vi.stats["lane_total"] == 4
     assert vi.lane_utilization == 1.0
-    # Per pair batch, 3 gathers: the (i, j, pair type) record, the
-    # geometry and the pair parameters. Per chunk of up to W triples, 4:
-    # the (pair, k-pair, triple type) record, the geometry of both pairs
-    # and the triple parameters. The k = j slot makes no triple, so row 1
-    # gives the only two, (1,0,2) and (1,2,0).
+    # Per pair batch, 2 loads: the (i, j, pair type) record and the
+    # geometry. Per chunk of up to W triples, 1 load and 2 gathers: the
+    # (pair, k-pair, triple type) record and the geometry of both pairs.
+    # One species: the parameter rows broadcast and are never gathered.
+    # The k = j slot makes no triple, so row 1 gives the only two, (1,0,2)
+    # and (1,2,0).
     # VecJ: rows of 1, 2 and 1 pairs with 0, 2 and 0 triples.
-    assert vj.stats["gathers"] == 3 + (3 + 4) + 3
+    assert vj.stats["gathers"] == 2 + (2 + 3) + 2
     # VecI: one batch of the 4 pairs and their 2 triples
-    assert vi.stats["gathers"] == 3 + 4
+    assert vi.stats["gathers"] == 2 + 3
     sc = compute(fr, nl, table, make_variant("ScalarOpt"))
     assert sc.lane_utilization is None
     assert sc.stats["gathers"] == 0

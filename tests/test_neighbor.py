@@ -1,14 +1,17 @@
 """Neighbor list and packing against an independent all-pairs oracle."""
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tersoffmd.errors import ConfigurationError, InputError
+from tersoffmd import neighbor
 from tersoffmd.kernels import _batches
 from tersoffmd.neighbor import (
-    build_cell_list, build_neighbor_list, needs_rebuild, pack_adjacency)
+    build_cell_list, build_neighbor_list, min_image, needs_rebuild,
+    pack_adjacency)
 from tersoffmd.simd import Backend
 from tersoffmd.system import gen_diamond, gen_nanotube
 
@@ -268,6 +271,59 @@ def test_needs_rebuild_sees_through_periodic_wrap():
     assert needs_rebuild(fr, nl)
     fr.positions[0, 0] = 0.15  # 0.05 A, below skin/2
     assert not needs_rebuild(fr, nl)
+
+
+def _unchunked_filter(cl, positions, cutoff):
+    """The distance filter over all candidates at once, as a plain
+    min-image copy and a row sum of d * d."""
+    ci, cj = cl.candidate_pairs()
+    d = min_image(positions[cj] - positions[ci], cl.box)
+    keep = (d * d).sum(axis=1) < cutoff * cutoff
+    ci, cj = ci[keep], cj[keep]
+    swap = ci > cj
+    ci[swap], cj[swap] = cj[swap], ci[swap]
+    return ci, cj
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_nanotube(5, 500),
+    lambda: gen_diamond(6),
+    lambda: random_frame(np.random.default_rng(21), 3000, 24.0)],
+    ids=["tube10k", "diamond1728", "random3000"])
+def test_chunked_distance_filter_equals_the_unchunked_one(make):
+    """The filter runs _FILTER_CHUNK candidates at a time; over candidate
+    sets of several chunks it keeps the bytes of one pass over all."""
+    st = make()
+    st.positions += np.random.default_rng(2).uniform(-0.03, 0.03,
+                                                     st.positions.shape)
+    cutoff = R_C + 0.3
+    cl = build_cell_list(st, cutoff)
+    assert cl.candidate_pairs()[0].shape[0] > neighbor._FILTER_CHUNK
+    got = cl.pairs_within(st.positions, cutoff)
+    want = _unchunked_filter(cl, st.positions, cutoff)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
+
+def test_neighbor_build_peak_memory_on_the_10k_tube():
+    """The chunked filter holds one chunk's displacements, not a copy and
+    a square of the whole 134k x 3 candidate block: the 10k-atom tube's
+    build peaked at 10.2 MB with those, 5.2 MB without."""
+    st = gen_nanotube(5, 500)
+    tracemalloc.start()
+    try:
+        build_neighbor_list(st, R_C, skin=0.3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7e6
+
+
+def test_row_norm_is_the_row_sum_bit_for_bit():
+    """needs_rebuild, the filter and pack_adjacency take |d|^2 as a
+    column sum; it has the bits of (d * d).sum(axis=1)."""
+    d = np.random.default_rng(8).uniform(-6.0, 6.0, (200_000, 3))
+    neighbor._wrap(d, Box((5.0, 7.0, 9.0), (True, False, True)))
+    assert neighbor._norm2(d).tobytes() == (d * d).sum(axis=1).tobytes()
 
 
 # ---------------------------------------------------------------- packing

@@ -279,6 +279,43 @@ def test_all_active_lanes_take_the_fast_path_with_the_same_bytes(
             bk.scatter_add(dest.copy(), wrong, vals, every)
 
 
+@pytest.mark.parametrize("fields", [(), (5,)], ids=["n", "nF"])
+@pytest.mark.parametrize("name,width", [("emulated", 8), ("native", None)])
+def test_load_is_gather_over_a_contiguous_run(name, width, fields):
+    """load(records, s, mask, fill) is gather of the slots s, s+1, ...
+    with the same mask and fill: all lanes active, and (on a padded
+    backend) an active prefix with fill on the rest. Both count."""
+    bk = Backend(name, width)
+    w = bk.width
+    records = RNG.uniform(-5, 5, (w + 9,) + fields)
+    masks = [np.ones(w, dtype=bool)]
+    if bk.padded:
+        masks += [np.arange(w) < m for m in (0, 1, w - 3)]
+    for start in (0, 9):
+        for mask in masks:
+            slot = np.where(mask, start + np.arange(w), -1)
+            before = bk.gather_count
+            got = bk.load(records, start, mask, fill=7.5)
+            want = bk.gather(records, slot, mask, fill=7.5)
+            assert bk.gather_count - before == 2
+            assert got.shape == want.shape == fields + (w,)
+            assert got.flags.c_contiguous
+            assert bits_equal(got, want)
+
+
+def test_load_of_a_run_outside_the_records_raises():
+    bk = Backend("emulated", 4)
+    records = np.arange(10.0)
+    every, two = np.ones(4, dtype=bool), np.arange(4) < 2
+    assert bk.load(records, 6, every).tolist() == [6.0, 7.0, 8.0, 9.0]
+    assert bk.load(records, 8, two, fill=-1.0).tolist() == [8.0, 9.0,
+                                                             -1.0, -1.0]
+    for start, mask in ((-1, every), (-1, two), (7, every), (9, two),
+                        (11, two)):
+        with pytest.raises(IndexError, match="out of bounds"):
+            bk.load(records, start, mask)
+
+
 def test_scatter_add_masked_lanes_do_not_write():
     bk = Backend("emulated", 4)
     dest = np.zeros(3)
@@ -396,7 +433,7 @@ def test_backend_validation():
     with pytest.raises(ValueError):
         Backend("native", 64, strict=True)
     assert Backend("scalar").strict
-    assert Backend("native").width == 2048
+    assert Backend("native").width == 4096
     assert Backend("emulated").width == 8
     assert Backend("emulated", np.int64(4)).width == 4
 
