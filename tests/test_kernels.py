@@ -30,6 +30,7 @@ ALL_VARIANTS = [
     make_variant("VecI", "emulated", 4),
     make_variant("VecI", "native"),
     make_variant("VecI", "native", 1024),  # native off its preset width
+    make_variant("VecI", "native", 2048),  # the previous preset width
 ]
 
 VIDS = [v.describe() for v in ALL_VARIANTS]
@@ -293,6 +294,7 @@ def _output_bytes(res):
 
 
 LANE_RECORD_VARIANTS = [make_variant("VecI"),
+                        make_variant("VecI", "native", 2048),
                         make_variant("VecI", "emulated", 4),
                         make_variant("VecJ", "emulated", 4)]
 
