@@ -25,9 +25,9 @@ Topology per rebuild, geometry per step: the lane kernel's index record
 (`_records`: each pair's atoms and type, the triples in ScalarOpt's order,
 each pair's first triple) is built once per neighbor-list topology and
 species array and kept on the topology, in an anonymous memory mapping
-of its own (`_off_heap`), and every batch of either schedule, padded or
-not, slices it. A step then computes only the pair geometry (in
-`pack_adjacency`) and the force math.
+of its own (`_off_heap`), and every batch of either schedule slices it.
+A step then computes only the pair geometry (in `pack_adjacency`) and
+the force math.
 
 Gather only what is scattered: a batch's slices of the record and its
 pairs' geometry are contiguous runs, read with `Backend.load`; the
@@ -46,10 +46,11 @@ stream order. Every per-atom sum and the energy therefore add the same
 terms in the same order at every width and in both schedules: non-strict
 runs give byte-identical forces, per-atom energies and energies at every
 width, and on a strict double backend at width 1 both schedules
-reproduce ScalarOpt bit for bit (forces are flushed with +0.0 on output
-so a masked-lane zero cannot differ in sign). Energies and forces
-accumulate in float64 in both precision modes; "single" converts
-distances, parameters and all intermediate potential math to float32.
+reproduce ScalarOpt bit for bit (forces and per-atom energies are
+flushed with +0.0 on output, so a zero has one sign on every kernel).
+Energies and forces accumulate in float64 in both precision modes;
+"single" converts distances, parameters and all intermediate potential
+math to float32.
 """
 
 import math
@@ -115,6 +116,9 @@ class ForceEnergyResult:
 
     @property
     def lane_utilization(self):
+        """Active lanes over W per batch: the fill of W-wide batches on
+        every backend, though each batch runs only its active lanes.
+        None for the scalar kernels."""
         total = self.stats.get("lane_total", 0)
         if total == 0:
             return None
@@ -145,7 +149,9 @@ def _validate(state, params):
 
 def _result(F, e_at, energy, visits, gathers=0, active=0, total=0):
     """F is the (3, n) force block; e_at the per-atom energies."""
-    forces = np.ascontiguousarray(np.transpose(F)) + 0.0  # flush -0.0
+    # + 0.0 turns -0.0 into +0.0: one sign of zero is then a property of
+    # the output, not of how each kernel starts and orders its sums
+    forces = np.ascontiguousarray(np.transpose(F)) + 0.0
     stats = {"zeta_visits": visits, "gathers": gathers,
              "lane_active": active, "lane_total": total}
     return ForceEnergyResult(forces, energy, np.asarray(e_at) + 0.0, stats)
@@ -308,20 +314,15 @@ def compute_scalar_opt(adj, species, params, variant):
 # the lane kernel: VecJ and VecI
 # ======================================================================
 
-def _batches(bounds, width, padded=True):
-    """(slot, mask) batches of packed-pair slots, none straddling a bound:
-    adj.offsets gives one atom's row per batch (none for an empty row),
-    [0, npairs] consecutive pairs across atoms. A padded batch is W lanes,
-    -1 on its padding lanes; an unpadded one holds only its min(W, end - s)
-    active lanes, with an all-true mask."""
+def _batches(bounds, width):
+    """(start, stop) runs of at most W packed-pair slots, none straddling a
+    bound: adj.offsets gives one atom's row per batch (none for an empty
+    row), [0, npairs] consecutive pairs across atoms. Only the last batch
+    before a bound can be short; it is not padded out to W."""
     bounds = np.asarray(bounds).tolist()
     for begin, end in zip(bounds[:-1], bounds[1:]):
         for s in range(begin, end, width):
-            stop = s + width if padded else min(s + width, end)
-            slot = np.arange(s, stop, dtype=np.int64)
-            mask = slot < end
-            slot[~mask] = -1
-            yield slot, mask
+            yield s, min(s + width, end)
 
 
 def _records(adj, species, S):
@@ -419,59 +420,58 @@ def compute_lanes(adj, species, params, variant):
     active = 0
     total = 0
     bounds = adj.offsets if variant.tag == "VecJ" else [0, adj.npairs]
-    for slot, mask in _batches(bounds, W, bk.padded):
-        a, m = int(slot[0]), int(np.count_nonzero(mask))
+    for a, b in _batches(bounds, W):
+        m = b - a
         active += m
-        total += W  # W per batch, padded or not: fill against the width
-        t0, t1 = int(tfirst[a]), int(tfirst[a + m])
+        total += W  # W per batch: the fill of a W-wide unit
+        t0, t1 = int(tfirst[a]), int(tfirst[b])
         nt = t1 - t0
         visits += nt + m  # sum(n_i): the k = j slots are visits too
         # zeta and the gradient sums over k, rows zeta | gi | gjs of one
         # block: W triples at a time
-        sums = np.zeros((7, slot.shape[0]), dtype=bk.real_dtype)
+        sums = np.zeros((7, m), dtype=bk.real_dtype)
         gks = []
-        for tslot, tmask in _batches([t0, t1], W, bk.padded):
-            p, kk, ttype = bk.load(trip, int(tslot[0]), tmask, fill=-1)
-            tj = bk.gather(geom, p, tmask, fill=1.0)
-            tk = bk.gather(geom, kk, tmask, fill=1.0)
+        for c0, c1 in _batches([t0, t1], W):
+            p, kk, ttype = bk.load(trip, c0, c1)
+            tj = bk.gather(geom, p)
+            tk = bk.gather(geom, kk)
             if rows is None:
-                trip_par = bk.gather(trip_mat, ttype, tmask, fill=1.0)
+                trip_par = bk.gather(trip_mat, ttype)
             val, gj, gk = zeta_parts_lanes(
                 bk, tj[:3], tj[3], tk[:3], tk[3], *trip_par)
             bk.scatter_add(sums, p - a,
-                           np.concatenate([val[None], -(gj + gk), gj]), tmask)
+                           np.concatenate([val[None], -(gj + gk), gj]))
             gks.append(gk)
         zeta, gi, gjs = sums[0], sums[1:4], sums[4:]
-        i_idx, j_idx, pair_idx = bk.load(pairs, a, mask, fill=-1)
-        gj_rec = bk.load(geom, a, mask, fill=1.0)
+        i_idx, j_idx, pair_idx = bk.load(pairs, a, b)
+        gj_rec = bk.load(geom, a, b)
         dj, r_ij = gj_rec[:3], gj_rec[3]
         if rows is None:
-            pair_par = bk.gather(pair_mat, pair_idx, mask, fill=1.0)
+            pair_par = bk.gather(pair_mat, pair_idx)
         v, dv_dr, dz = pair_parts_lanes(bk, r_ij, zeta, *pair_par)
-        energy = bk.reduce_sum(v[:m], energy)
-        bk.scatter_add(e_at, i_idx, v, mask)
+        energy = bk.reduce_sum(v, energy)
+        bk.scatter_add(e_at, i_idx, v)
         # Every force update of the batch as one stream in ScalarOpt's
-        # order: per pair i, then j, then each k. Batches fill their lanes
-        # from lane 0, so the first m pair lanes and the first nt triple
-        # lanes are the active ones.
+        # order: per pair i, then j, then each k.
         fv = dv_dr * (dj / r_ij)
-        at_i = (tfirst[a:a + m] - t0) + 2 * np.arange(m)
+        at_i = (tfirst[a:b] - t0) + 2 * np.arange(m)
         t_lane = trip[t0:t1, 0] - a
-        parts = [(at_i, i_idx[:m], (fv - dz * gi)[:, :m]),
-                 (at_i + 1, j_idx[:m], (-fv - dz * gjs)[:, :m])]
+        parts = [(at_i, i_idx, fv - dz * gi),
+                 (at_i + 1, j_idx, -fv - dz * gjs)]
         if nt:
             # triple t follows t triples and the i and j updates of the
             # pairs up to its own
+            gk = np.concatenate(gks, axis=1)
+            gk *= -dz[t_lane]  # -(dz gk) in place: negation is exact
             parts.append((np.arange(nt) + 2 * (t_lane + 1),
-                          adj.j.take(trip[t0:t1, 1]),
-                          -(dz[t_lane] * np.concatenate(gks, axis=1)[:, :nt])))
+                          adj.j.take(trip[t0:t1, 1]), gk))
         idx = np.empty(2 * m + nt, dtype=np.int64)
         upd = np.empty((3, 2 * m + nt), dtype=bk.real_dtype)
         for at, atoms, f in parts:
             idx[at] = atoms
             for u, fc in zip(upd, f):  # row by row: a 2-D fancy store is slow
                 u[at] = fc
-        bk.scatter_add(F, idx, upd, np.ones(2 * m + nt, dtype=bool))
+        bk.scatter_add(F, idx, upd)
     return _result(F, e_at, energy, visits, bk.gather_count - gathers0,
                    active, total)
 

@@ -36,13 +36,9 @@ import numpy as np
 from .errors import ConfigurationError, InputError
 
 
-def min_image(disp, box):
-    """Wrap displacement vectors (..., 3) to the nearest periodic image."""
-    return _wrap(np.array(disp, dtype=np.float64, copy=True), box)
-
-
 def _wrap(disp, box):
-    """min_image in place on a float64 array."""
+    """Wrap float64 displacement vectors (..., 3) in place to the nearest
+    periodic image."""
     for ax in range(3):
         if box.periodic[ax]:
             edge = box.lengths[ax]

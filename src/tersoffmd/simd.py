@@ -2,25 +2,23 @@
 
 Kernels are written once against this layer and never mention the vector
 width. A lane value is a plain numpy array of shape (W,): real lanes in the
-backend's real dtype, index lanes as int64, masks as bool. A vector
-quantity (a displacement, a gradient, a force) is one (3, W) block with the
-lanes on the last axis, so row c holds component c of every lane; (W,)
-values and masks broadcast across its rows. Arithmetic, comparisons,
-``np.where``, ``np.minimum`` and ``np.maximum`` act on all W lanes at once.
-The `Backend` decides how wide W is and whether transcendentals are strict,
-and owns the operations whose semantics the kernels rely on: masked
-gathers, the ordered scatter, the ordered reduction and the
-transcendentals.
+backend's real dtype, index lanes as integers. A vector quantity (a
+displacement, a gradient, a force) is one (3, W) block with the lanes on
+the last axis, so row c holds component c of every lane; (W,) values
+broadcast across its rows. Arithmetic, comparisons, ``np.where``,
+``np.minimum`` and ``np.maximum`` act on all W lanes at once. The
+`Backend` decides how wide W is and whether transcendentals are strict,
+and owns the operations whose semantics the kernels rely on: the
+bounds-checked gather and load, the ordered scatter, the ordered
+reduction and the transcendentals.
 
-The three backend names are presets of width, strictness and padding:
+The three backend names are presets of width and strictness:
 
 * ``scalar``   - W = 1, strict. The correctness anchor.
 * ``emulated`` - any small W (at least {1, 2, 4, 8, 16} are supported and
-  tested), default 8; strict on request. Models a W-wide SIMD unit: every
-  batch is padded to W lanes.
+  tested), default 8; strict on request.
 * ``native``   - the same lane code at a large default width (4096); no
-  strict mode. Batches carry only their active lanes, so the last batch
-  of a row or of a stream can be shorter than W.
+  strict mode.
 
 Lane arithmetic, gathers, scatters and reductions are bit-identical to
 running the scalar backend once per lane, so at the same width ``native`` and
@@ -29,20 +27,17 @@ running the scalar backend once per lane, so at the same width ``native`` and
 runs its triples W at a time and scatters its force updates as one stream
 in the scalar kernel's order, so its outputs are the same at every width.
 
-Conventions: a batch is W lanes, padding included, on a padded backend,
-and only its active lanes, at most W, on an unpadded one; the shapes below
-say W for either. Index -1 marks a padding lane and must be masked off;
-masked-off lanes are never read from or written to memory. gather loads a
-(n,) array as (W,) lanes and a row-major (n, F) record as one (F, W)
-block; its ``fill`` on masked-off lanes is the only place a padding lane's
-value is chosen, and kernels pick fills that keep the math on padding
-lanes finite. load is gather of a contiguous run of slots whose active
-lanes are a prefix, with one range check on the run. scatter_add takes a
-(n,) destination with (L,) values or an (R, n) destination with (R, L)
-values, for W lanes or a longer stream; it applies the active lanes of
-each row in ascending lane order. With every lane active, gather, load
-and scatter_add skip the fill and the masked copies. reduce_sum adds
-lanes in ascending order to a running total.
+Conventions: a batch holds only its lanes, at most W; a numpy call over m
+lanes costs m, so a short batch is not padded out to W, and the shapes
+below say W for any such count. Every index is checked: gather and
+scatter_add raise IndexError for one outside the array, load for a run
+outside the records. gather loads a (n,) array as (W,) lanes and a
+row-major (n, F) record as one contiguous (F, W) block; load is gather of
+the contiguous run records[start:stop], with one range check on the run.
+scatter_add takes a (n,) destination with (L,) values or an (R, n)
+destination with (R, L) values, for W lanes or a longer stream; it applies
+each row's lanes in ascending lane order. reduce_sum adds lanes in
+ascending order to a running total.
 """
 
 import math
@@ -53,10 +48,8 @@ _REAL_DTYPES = {"double": np.float64, "single": np.float32}
 
 EMULATED_WIDTHS = (1, 2, 4, 8, 16)
 
-# the backend names, each with its preset width and whether its batches
-# are padded to W lanes
+# the backend names, each with its preset width
 DEFAULT_WIDTHS = {"scalar": 1, "emulated": 8, "native": 4096}
-PADDED = {"scalar": True, "emulated": True, "native": False}
 
 
 def real_dtype(precision):
@@ -84,16 +77,15 @@ def _strict(fn, dtype, *args):
 
 
 def _in_bounds(ia, size, op):
-    """ia, the active lanes' indices; IndexError unless all lie in
-    [0, size)."""
+    """ia, the lanes' indices; IndexError unless all lie in [0, size)."""
     if ia.size and (ia.min() < 0 or ia.max() >= size):
-        raise IndexError(f"active {op} lane out of bounds")
+        raise IndexError(f"{op} lane out of bounds")
     return ia
 
 
 class Backend:
-    """Execution descriptor: backend name, lane width, precision,
-    strictness, and whether lane batches are padded to the width.
+    """Execution descriptor: backend name, lane width, precision and
+    strictness.
 
     The lane operations with backend-defined semantics live here so that
     one kernel source runs unchanged at any width on any backend. A width
@@ -119,7 +111,6 @@ class Backend:
         self.width = int(width)
         self.precision = precision
         self.strict = strict or name == "scalar"
-        self.padded = PADDED[name]
         self.gather_count = 0  # instrumentation: gathers issued
 
     def __repr__(self):
@@ -128,57 +119,40 @@ class Backend:
 
     # ---- memory -------------------------------------------------------
 
-    def gather(self, records, idx, mask, fill=0.0):
-        """out[..., l] = records[idx[l]] where mask, else fill.
+    def gather(self, records, idx):
+        """out[..., l] = records[idx[l]] for every lane.
 
         records is (n,) or row-major (n, F); the result is (W,) lanes or a
-        contiguous (F, W) block. Active lanes must hold in-bounds
-        non-negative indices (IndexError otherwise; -1 stays masked off).
+        contiguous (F, W) block. Every index must lie in [0, n)
+        (IndexError otherwise: numpy would wrap a negative one).
         """
         self.gather_count += 1
-        n = records.shape[0]
-        if mask.all():  # no fill, no masked copy
-            ia = _in_bounds(idx, n, "gather")
-            return np.ascontiguousarray(records.take(ia, axis=0).T)
-        out = np.full(records.shape[1:] + (self.width,), fill, records.dtype)
-        ia = _in_bounds(idx[mask], n, "gather")
-        if ia.size:
-            out.T[mask] = records.take(ia, axis=0)
-        return out
+        ia = _in_bounds(idx, records.shape[0], "gather")
+        return np.ascontiguousarray(records.take(ia, axis=0).T)
 
     # benchmark/tracing.py still patches this name
     gather_fields = gather
 
-    def load(self, records, start, mask, fill=0.0):
-        """gather of the contiguous run records[start:start + len(mask)].
-
-        The active lanes are a prefix of the mask, as the batches make
-        them: lane l holds records[start + l] when active, else fill.
-        One range check on the run replaces gather's per-lane one
-        (IndexError if it starts below 0 or ends past the records).
+    def load(self, records, start, stop):
+        """gather of the contiguous run records[start:stop]: lane l holds
+        records[start + l]. One range check on the run replaces gather's
+        per-lane one (IndexError unless 0 <= start <= stop <= n).
         """
         self.gather_count += 1
-        m = int(np.count_nonzero(mask))
-        if start < 0 or start + m > records.shape[0]:
-            raise IndexError("active load lanes out of bounds")
-        run = records[start:start + m].T
-        if m == mask.shape[0]:  # no fill
-            return np.ascontiguousarray(run)
-        out = np.full(records.shape[1:] + mask.shape, fill, records.dtype)
-        out[..., :m] = run
-        return out
+        if not 0 <= start <= stop <= records.shape[0]:
+            raise IndexError("load lanes out of bounds")
+        return np.ascontiguousarray(records[start:stop].T)
 
-    def scatter_add(self, dest, idx, vals, mask):
-        """dest[..., idx[l]] += vals[..., l] for active lanes.
+    def scatter_add(self, dest, idx, vals):
+        """dest[..., idx[l]] += vals[..., l] for every lane.
 
         dest is (n,) with (L,) values or (R, n) with (R, L) values: W
         lanes, or a stream of updates of any length. Each row takes its
-        active lanes in ascending lane order, and duplicate indices
-        accumulate, so every row is bit-for-bit what the equivalent
-        sequential scalar loop produces, on every backend.
+        lanes in ascending lane order, and duplicate indices accumulate,
+        so every row is bit-for-bit what the equivalent sequential scalar
+        loop produces, on every backend. Every index must lie in [0, n);
+        nothing is written otherwise (IndexError).
         """
-        if not mask.all():
-            idx, vals = idx[mask], vals[..., mask]
         ia = _in_bounds(idx, dest.shape[-1], "scatter")
         # one 1-D add.at per row: 2-D add.at is several times slower
         for row, v in zip(np.atleast_2d(dest), np.atleast_2d(vals)):

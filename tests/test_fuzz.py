@@ -15,7 +15,7 @@ import pytest
 
 from helpers import carbon_table
 from tersoffmd.kernels import compute, make_variant
-from tersoffmd.neighbor import build_neighbor_list, min_image
+from tersoffmd.neighbor import _wrap, build_neighbor_list
 from tersoffmd.system import gen_diamond, gen_nanotube
 from tersoffmd.verify import check_cross_variant
 
@@ -28,7 +28,7 @@ def unit(v):
 
 
 def bonds_of(st, i, r_max=1.7):
-    d = min_image(st.positions - st.positions[i], st.box)
+    d = _wrap(st.positions - st.positions[i], st.box)
     r = np.linalg.norm(d, axis=1)
     return [int(j) for j in np.flatnonzero((r > 0) & (r < r_max))]
 
@@ -49,7 +49,7 @@ def perturb(st, rng, table, centers=6):
             continue
         j, k = (int(a) for a in rng.choice(nbrs, 2, replace=False))
         xi = st.positions[i]
-        rij = min_image(st.positions[j] - xi, st.box)
+        rij = _wrap(st.positions[j] - xi, st.box)
         kind = c % 3
         if kind == 0:  # bond just inside or outside a taper join
             side = rng.choice((-1.0, 1.0))
@@ -91,7 +91,7 @@ def test_forces_near_cutoff_joins_and_collinear_bonds(make, seed):
     atoms, kinks = perturb(st, rng, table)
     assert len(atoms) >= 9  # at least three perturbations landed
 
-    d = min_image(st.positions[None] - st.positions[:, None], st.box)
+    d = _wrap(st.positions[None] - st.positions[:, None], st.box)
     r = np.linalg.norm(d, axis=-1)[np.triu_indices(st.natoms, 1)]
     gap = np.min([np.abs(r - k).min() for k in kinks])
     assert 2.0 * STEP < gap < GAP[1]  # some bond near a join, none across

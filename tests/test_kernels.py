@@ -194,7 +194,9 @@ def jittered(state, seed=3):
 IDENTITY_WIDTHS = (
     [("VecI", "emulated", w) for w in EMULATED_WIDTHS]
     + [("VecI", "native", w) for w in (1024, 2048, 4096, 8192)]
-    + [("VecJ", "emulated", w) for w in (1, 8, 16)])
+    + [("VecJ", "emulated", w) for w in (1, 8, 16)]
+    # odd width: the last batch of a row or a chunk is short
+    + [("VecI", "emulated", 3), ("VecJ", "emulated", 3)])
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
@@ -242,50 +244,48 @@ def test_native_is_emulated_at_the_same_width(width):
 
 
 @pytest.mark.parametrize("backend,width",
-                         [("native", None), ("native", 64), ("emulated", 8)])
+                         [("native", None), ("native", 64), ("emulated", 8),
+                          ("scalar", None)])
 def test_native_batches_carry_only_active_lanes(backend, width, monkeypatch):
-    """native batches and triple chunks hold only their active lanes, so
-    every gather, load and lane scatter sees an all-true mask of at most
-    W lanes; emulated models a W-wide unit and pads its last ones."""
+    """Batches and triple chunks hold only their active lanes on every
+    backend, not only on native: every gather, load and lane scatter sees
+    at most W lanes, some fewer, the pair batches' lanes sum to
+    lane_active, and lane_total is W per pair batch."""
     state = gen_nanotube(5, 10)
     table = carbon_table()
     nl = build_neighbor_list(state, table.r_cut, skin=0.3)
     gather, load = Backend.gather, Backend.load
     scatter_add = Backend.scatter_add
-    lane_masks = []
-    loads = []
+    lanes = []  # lanes of every gather, load and lane scatter
+    pair_lanes = []  # lanes of each pair batch: its per-atom energy scatter
 
-    def gathering(self, records, idx, mask, fill=0.0):
-        lane_masks.append(mask.copy())
-        return gather(self, records, idx, mask, fill)
+    def gathering(self, records, idx):
+        lanes.append(idx.shape[0])
+        return gather(self, records, idx)
 
-    def loading(self, records, start, mask, fill=0.0):
-        loads.append(mask.copy())
-        return load(self, records, start, mask, fill)
+    def loading(self, records, start, stop):
+        lanes.append(stop - start)
+        return load(self, records, start, stop)
 
-    def scattering(self, dest, idx, vals, mask):
+    def scattering(self, dest, idx, vals):
+        if dest.shape == (state.natoms,):
+            pair_lanes.append(idx.shape[0])
         if dest.shape != (3, state.natoms):  # the force block takes a stream
-            lane_masks.append(mask.copy())
-        return scatter_add(self, dest, idx, vals, mask)
+            lanes.append(idx.shape[0])
+        return scatter_add(self, dest, idx, vals)
 
     monkeypatch.setattr(Backend, "gather", gathering)
     monkeypatch.setattr(Backend, "load", loading)
     monkeypatch.setattr(Backend, "scatter_add", scattering)
     variant = make_variant("VecI", backend, width)
-    compute(state, nl, table, variant)
+    res = compute(state, nl, table, variant)
     W = variant.backend.width
-    assert loads
-    # a load's active lanes are a prefix of its mask
-    assert all(not m[np.count_nonzero(m):].any() for m in loads)
-    lane_masks += loads
-    assert all(mask.shape[0] <= W for mask in lane_masks)
-    partial = [m for m in lane_masks if not m.all()]
-    if backend == "native":
-        assert partial == []
-        assert min(mask.shape[0] for mask in lane_masks) < W  # trimmed
-    else:
-        assert partial
-        assert all(mask.shape == (W,) for mask in lane_masks)
+    assert lanes and max(lanes) <= W
+    if W > 1:
+        assert min(lanes) < W  # a short batch is not padded out to W
+    assert sum(pair_lanes) == res.stats["lane_active"] \
+        == pack_adjacency(state, nl).npairs
+    assert res.stats["lane_total"] == W * len(pair_lanes)
 
 
 def _output_bytes(res):
@@ -419,8 +419,8 @@ def _padding_frames():
     ("VecI", "emulated", 16), ("VecI", "native", None)])
 def test_padding_lanes_raise_no_floating_point_error(tag, backend, width,
                                                      precision):
-    """The gathers' fill values keep the math on padding and finished lanes
-    finite: no overflow, invalid or divide-by-zero anywhere in a call."""
+    """No overflow, invalid or divide-by-zero anywhere in a call, with
+    short last batches and chunks and a lone atom's empty row."""
     table = carbon_table()
     variant = make_variant(tag, backend, width, precision)
     for fr in _padding_frames():

@@ -10,8 +10,7 @@ from tersoffmd.errors import ConfigurationError, InputError
 from tersoffmd import neighbor
 from tersoffmd.kernels import _batches
 from tersoffmd.neighbor import (
-    build_cell_list, build_neighbor_list, min_image, needs_rebuild,
-    pack_adjacency)
+    build_cell_list, build_neighbor_list, needs_rebuild, pack_adjacency)
 from tersoffmd.simd import Backend
 from tersoffmd.system import gen_diamond, gen_nanotube
 
@@ -277,7 +276,7 @@ def _unchunked_filter(cl, positions, cutoff):
     """The distance filter over all candidates at once, as a plain
     min-image copy and a row sum of d * d."""
     ci, cj = cl.candidate_pairs()
-    d = min_image(positions[cj] - positions[ci], cl.box)
+    d = neighbor._wrap(positions[cj] - positions[ci], cl.box)
     keep = (d * d).sum(axis=1) < cutoff * cutoff
     ci, cj = ci[keep], cj[keep]
     swap = ci > cj
@@ -365,24 +364,21 @@ def test_pack_modes_enumerate_each_directed_pair_once(mode, width):
     seen = []
     bk = Backend("emulated", width)
     ij = np.stack([adj.i, adj.j], axis=1)
-    for slot, act in batches:
-        assert slot.shape == act.shape == (width,)
-        assert slot.dtype == np.int64 and act.dtype == bool
-        assert np.all(slot[~act] == -1)
+    for a, b in batches:
+        assert type(a) is int and type(b) is int
+        assert 0 < b - a <= width
         # lanes loaded as the lane kernel loads them
-        i_idx, j_idx = bk.gather(ij, slot, act, fill=-1)
-        r = bk.gather(adj.geom, slot, act, fill=1.0)[3]
-        assert np.all(i_idx[~act] == -1)
-        assert np.all(j_idx[~act] == -1)
-        assert np.all(r[~act] == 1.0)
-        assert np.all(r[act] < R_C)
-        seen += list(zip(i_idx[act].tolist(), j_idx[act].tolist()))
+        i_idx, j_idx = bk.load(ij, a, b)
+        r = bk.load(adj.geom, a, b)[3]
+        assert i_idx.shape == j_idx.shape == r.shape == (b - a,)
+        assert np.all(r < R_C)
+        seen += list(zip(i_idx.tolist(), j_idx.tolist()))
     assert len(seen) == len(set(seen))  # exactly once each
     assert set(seen) == brute_directed(fr.positions, fr.box, R_C)
     if mode == "J":
         first_i = []
-        for slot, act in batches:
-            ii = adj.i[slot[act]]
+        for a, b in batches:
+            ii = adj.i[a:b]
             assert np.all(ii == ii[0])  # one i per batch
             first_i.append(ii[0])
         assert first_i == sorted(first_i)  # rows in ascending i
@@ -396,15 +392,15 @@ def test_pack_mode_j_batch_shapes():
     adj = pack_adjacency(fr, nl)
     batches = list(_batches(adj.offsets, 8))
     # one batch per non-empty row: the loner's empty row yields none
-    assert [int(adj.i[slot[0]]) for slot, _ in batches] == [0, 1, 2, 3]
-    slot, mask = batches[0]  # 3 neighbors fit one width-8 batch
-    assert np.count_nonzero(mask) == 3
-    assert slot.tolist() == [0, 1, 2, -1, -1, -1, -1, -1]
-    assert adj.i[slot[mask]].tolist() == [0, 0, 0]
-    assert sorted(adj.j[slot[:3]].tolist()) == [1, 2, 3]
+    assert [int(adj.i[a]) for a, _ in batches] == [0, 1, 2, 3]
+    # 3 neighbors fit one width-8 batch of 3 lanes, not padded out to 8
+    assert batches[0] == (0, 3)
+    assert adj.i[0:3].tolist() == [0, 0, 0]
+    assert sorted(adj.j[0:3].tolist()) == [1, 2, 3]
     # a width-2 repack needs ceil(3/2) batches per 3-neighbor row
-    assert [int(adj.i[slot[0]]) for slot, _ in _batches(adj.offsets, 2)] == \
-        [0, 0, 1, 1, 2, 2, 3, 3]
+    assert adj.offsets.tolist() == [0, 3, 6, 9, 12, 12]
+    assert list(_batches(adj.offsets, 2)) == [
+        (0, 2), (2, 3), (3, 5), (5, 6), (6, 8), (8, 9), (9, 11), (11, 12)]
 
 
 def test_pack_mode_i_is_ascending_and_dense():
@@ -413,15 +409,16 @@ def test_pack_mode_i_is_ascending_and_dense():
     nl = build_neighbor_list(fr, R_C, skin=0.3)
     adj = pack_adjacency(fr, nl)
     batches = list(_batches([0, adj.npairs], 4))
-    i_seq = np.concatenate([adj.i[slot[mask]] for slot, mask in batches])
-    j_seq = np.concatenate([adj.j[slot[mask]] for slot, mask in batches])
+    i_seq = np.concatenate([adj.i[a:b] for a, b in batches])
+    j_seq = np.concatenate([adj.j[a:b] for a, b in batches])
     # every CSR entry once, in row order: (i, j) follow the adjacency
     csr_i = np.repeat(np.arange(adj.natoms), np.diff(adj.offsets))
     assert np.array_equal(i_seq, csr_i)
     assert np.array_equal(j_seq, adj.j)
     assert np.all(np.diff(i_seq) >= 0)  # ascending i across the flat order
-    # only the final batch may be partial
-    assert all(np.count_nonzero(mask) == 4 for _, mask in batches[:-1])
+    # only the final batch may be short
+    assert all(b - a == 4 for a, b in batches[:-1])
+    assert 0 < batches[-1][1] - batches[-1][0] <= 4
 
 
 def _packed_bytes(adj):

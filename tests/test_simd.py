@@ -1,6 +1,6 @@
 """Lane-layer tests: every backend/width against a per-lane scalar oracle.
 
-Lane values are numpy arrays of shape (W,); masks are bool arrays.
+Lane values are numpy arrays of shape (W,).
 """
 
 import math
@@ -118,39 +118,24 @@ def test_reduce_sum_folds_batches_into_one_running_sum(width):
 
 # ---------------------------------------------------------------- memory ops
 
-@pytest.mark.parametrize("width", EMULATED_WIDTHS)
-def test_masked_gather_and_padding(width):
-    bk = Backend("emulated", width)
-    base = RNG.uniform(-5, 5, 40)
-    idx_vals = RNG.integers(0, 40, width)
-    idx_vals[::2] = -1  # padding lanes
-    out = bk.gather(base, idx_vals, idx_vals >= 0, fill=7.5)
-    assert out.shape == (width,)
-    for lane in range(width):
-        if idx_vals[lane] >= 0:
-            assert out[lane] == base[idx_vals[lane]]
-        else:
-            assert out[lane] == 7.5  # padding untouched by memory
-
-
 def test_gather_counts_are_instrumented():
     bk = Backend("emulated", 4)
     base = np.arange(10.0)
     before = bk.gather_count
-    idx, mask = np.array([1, 2, 3, 4]), np.ones(4, dtype=bool)
-    bk.gather(base, idx, mask)
-    bk.gather(base, idx, mask)
+    idx = np.array([1, 2, 3, 4])
+    bk.gather(base, idx)
+    bk.gather(base, idx)
     assert bk.gather_count - before == 2
 
 
 def test_gather_out_of_bounds_active_lane_is_checked():
     bk = Backend("emulated", 2)
     base = np.arange(4.0)
-    mask = np.ones(2, dtype=bool)
-    with pytest.raises(IndexError):
-        bk.gather(base, np.array([1, 9]), mask)
-    with pytest.raises(IndexError):
-        bk.gather(base, np.array([-1, 2]), mask)  # -1 must be masked
+    for records in (base, base.reshape(2, 2)):
+        with pytest.raises(IndexError, match="out of bounds"):
+            bk.gather(records, np.array([1, 9]))
+        with pytest.raises(IndexError, match="out of bounds"):
+            bk.gather(records, np.array([-1, 0]))  # numpy would wrap -1
 
 
 @pytest.mark.parametrize("name", ["emulated", "native"])
@@ -159,14 +144,12 @@ def test_scatter_out_of_bounds_active_lane_is_checked(name):
     dest = np.zeros(4)
     for bad in ([1, 4], [-1, 2]):
         with pytest.raises(IndexError):
-            bk.scatter_add(dest, np.array(bad), real_lanes(bk, [1.0, 1.0]),
-                           np.ones(2, dtype=bool))
+            bk.scatter_add(dest, np.array(bad), real_lanes(bk, [1.0, 1.0]))
     assert not dest.any()  # nothing written before the check
     # a (3, n) block is checked against n, once for all three rows
     block = np.zeros((3, 4))
     with pytest.raises(IndexError):
-        bk.scatter_add(block, np.array([3, 4]), np.ones((3, 2)),
-                       np.ones(2, dtype=bool))
+        bk.scatter_add(block, np.array([3, 4]), np.ones((3, 2)))
     assert not block.any()
 
 
@@ -177,10 +160,12 @@ def test_bounds_checks_survive_python_O():
         "from tersoffmd.simd import Backend\n"
         "bk = Backend('emulated', 2)\n"
         # numpy itself would wrap -1 to the last element
-        "idx, m = np.array([0, -1]), np.ones(2, dtype=bool)\n"
-        "calls = [lambda: bk.gather(np.zeros(3), idx, m),\n"
-        "         lambda: bk.gather(np.zeros((3, 2)), idx, m),\n"
-        "         lambda: bk.scatter_add(np.zeros(3), idx, np.ones(2), m)]\n"
+        "idx = np.array([0, -1])\n"
+        "calls = [lambda: bk.gather(np.zeros(3), idx),\n"
+        "         lambda: bk.gather(np.zeros((3, 2)), idx),\n"
+        "         lambda: bk.scatter_add(np.zeros(3), idx, np.ones(2)),\n"
+        "         lambda: bk.load(np.zeros(3), -1, 1),\n"
+        "         lambda: bk.load(np.zeros((3, 2)), 2, 4)]\n"
         "for call in calls:\n"
         "    try:\n"
         "        call()\n"
@@ -201,14 +186,12 @@ def test_record_gather_matches_per_field_gathers():
     bk = Backend("emulated", 8)
     records = RNG.uniform(-2, 2, (30, 5))
     idx_vals = RNG.integers(0, 30, 8)
-    idx_vals[3] = -1
-    mask = idx_vals >= 0
-    fields = bk.gather(records, idx_vals, mask, fill=0.25)
+    fields = bk.gather(records, idx_vals)
     assert fields.shape == (5, 8) and fields.flags.c_contiguous
     for f in range(5):
-        ref = bk.gather(np.ascontiguousarray(records[:, f]), idx_vals, mask,
-                        fill=0.25)
+        ref = bk.gather(np.ascontiguousarray(records[:, f]), idx_vals)
         assert bits_equal(fields[f], ref)
+        assert fields[f].tolist() == records[idx_vals, f].tolist()
 
 
 @pytest.mark.parametrize("name,width", [("emulated", 8), ("emulated", 16),
@@ -225,80 +208,28 @@ def test_scatter_add_bit_equals_sequential_loop(name, width):
             idx_vals = RNG.integers(0, 13, width)
             idx_vals[1] = idx_vals[0]  # at least one duplicate
             vals = real_lanes(bk, RNG.uniform(-1, 1, rows + (width,)))
-            active = RNG.random(width) < 0.8
-            active[:2] = True
-            active[-1] = False  # at least one masked lane
-            bk.scatter_add(dest, idx_vals, vals, active)
+            bk.scatter_add(dest, idx_vals, vals)
             for lane in range(width):  # sequential scalar oracle
-                if active[lane]:
-                    ref[..., idx_vals[lane]] += vals[..., lane].astype(float)
+                ref[..., idx_vals[lane]] += vals[..., lane].astype(float)
             assert bits_equal(dest, ref), precision
 
 
 @pytest.mark.parametrize("fields", [(), (5,)], ids=["n", "nF"])
 @pytest.mark.parametrize("name,width", [("emulated", 8), ("native", None)])
-def test_all_active_lanes_take_the_fast_path_with_the_same_bytes(
-        name, width, fields):
-    """With every lane active, gather and scatter_add skip the fill and the
-    masked copies. The bytes are those of the same lanes passed through
-    the masked path (here with one padding lane after them), the fill
-    shows only on masked lanes, and a bad index on an active lane still
-    raises."""
-    bk = Backend(name, width)
-    w = bk.width
-    padded = Backend(name, w + 1)
-    every = np.ones(w, dtype=bool)
-    with_pad = np.append(every, False)
-    records = RNG.uniform(-5, 5, (40,) + fields)
-    idx = RNG.integers(0, 40, w)
-    fast = bk.gather(records, idx, every, fill=7.5)
-    slow = padded.gather(records, np.append(idx, -1), with_pad, fill=7.5)
-    assert fast.shape == fields + (w,) and fast.flags.c_contiguous
-    assert bits_equal(fast, slow[..., :w])
-    assert not (fast == 7.5).any() and (slow[..., w] == 7.5).all()
-    rows = (3,) if fields else ()
-    dest = RNG.uniform(-1, 1, rows + (13,))
-    sidx = RNG.integers(0, 13, w)
-    sidx[1] = sidx[0]  # a duplicate
-    vals = RNG.uniform(-1, 1, rows + (w,))
-    d_fast, d_slow = dest.copy(), dest.copy()
-    bk.scatter_add(d_fast, sidx, vals, every)
-    padded.scatter_add(d_slow, np.append(sidx, -1),
-                       np.append(vals, np.zeros(rows + (1,)), axis=-1),
-                       with_pad)
-    assert bits_equal(d_fast, d_slow)
-    for bad in (-1, 40):
-        wrong = idx.copy()
-        wrong[w // 2] = bad
-        with pytest.raises(IndexError, match="out of bounds"):
-            bk.gather(records, wrong, every)
-    for bad in (-1, 13):
-        wrong = sidx.copy()
-        wrong[w // 2] = bad
-        with pytest.raises(IndexError, match="out of bounds"):
-            bk.scatter_add(dest.copy(), wrong, vals, every)
-
-
-@pytest.mark.parametrize("fields", [(), (5,)], ids=["n", "nF"])
-@pytest.mark.parametrize("name,width", [("emulated", 8), ("native", None)])
 def test_load_is_gather_over_a_contiguous_run(name, width, fields):
-    """load(records, s, mask, fill) is gather of the slots s, s+1, ...
-    with the same mask and fill: all lanes active, and (on a padded
-    backend) an active prefix with fill on the rest. Both count."""
+    """load(records, start, stop) is gather of the slots start, ...,
+    stop - 1: a full run of W lanes and the short runs a batch ends on
+    (0, 1 and W - 3 lanes). Both count."""
     bk = Backend(name, width)
     w = bk.width
     records = RNG.uniform(-5, 5, (w + 9,) + fields)
-    masks = [np.ones(w, dtype=bool)]
-    if bk.padded:
-        masks += [np.arange(w) < m for m in (0, 1, w - 3)]
     for start in (0, 9):
-        for mask in masks:
-            slot = np.where(mask, start + np.arange(w), -1)
+        for m in (w, 0, 1, w - 3):
             before = bk.gather_count
-            got = bk.load(records, start, mask, fill=7.5)
-            want = bk.gather(records, slot, mask, fill=7.5)
+            got = bk.load(records, start, start + m)
+            want = bk.gather(records, np.arange(start, start + m))
             assert bk.gather_count - before == 2
-            assert got.shape == want.shape == fields + (w,)
+            assert got.shape == want.shape == fields + (m,)
             assert got.flags.c_contiguous
             assert bits_equal(got, want)
 
@@ -306,39 +237,24 @@ def test_load_is_gather_over_a_contiguous_run(name, width, fields):
 def test_load_of_a_run_outside_the_records_raises():
     bk = Backend("emulated", 4)
     records = np.arange(10.0)
-    every, two = np.ones(4, dtype=bool), np.arange(4) < 2
-    assert bk.load(records, 6, every).tolist() == [6.0, 7.0, 8.0, 9.0]
-    assert bk.load(records, 8, two, fill=-1.0).tolist() == [8.0, 9.0,
-                                                             -1.0, -1.0]
-    for start, mask in ((-1, every), (-1, two), (7, every), (9, two),
-                        (11, two)):
+    assert bk.load(records, 6, 10).tolist() == [6.0, 7.0, 8.0, 9.0]
+    assert bk.load(records, 8, 10).tolist() == [8.0, 9.0]
+    assert bk.load(records, 10, 10).tolist() == []
+    for start, stop in ((-1, 3), (-1, 1), (7, 11), (9, 11), (11, 13),
+                        (5, 4)):
         with pytest.raises(IndexError, match="out of bounds"):
-            bk.load(records, start, mask)
-
-
-def test_scatter_add_masked_lanes_do_not_write():
-    bk = Backend("emulated", 4)
-    dest = np.zeros(3)
-    bk.scatter_add(dest, np.array([0, 1, 2, 0]),
-                   real_lanes(bk, [1.0, 2.0, 3.0, 4.0]),
-                   np.array([True, False, True, False]))
-    assert dest.tolist() == [1.0, 0.0, 3.0, 0.0][:3]
-    # all-false mask: no write at all, even with junk indices
-    bk.scatter_add(dest, np.array([-1, 99, -5, 7]), real_lanes(bk, [9.0] * 4),
-                   np.zeros(4, dtype=bool))
-    assert dest.tolist() == [1.0, 0.0, 3.0]
+            bk.load(records, start, stop)
 
 
 # ---------------------------------------------------- backend equivalence
 
-def _run_little_program(bk, base, idx_vals, active):
-    """A miniature masked compute: gather, arithmetic, transcendentals, sum."""
-    x = bk.gather(base, idx_vals, active, fill=1.0)
+def _run_little_program(bk, base, idx_vals):
+    """A miniature compute: gather, arithmetic, transcendentals, sum."""
+    x = bk.gather(base, idx_vals)
     y = np.sqrt(x * x + 1.0)  # correctly rounded in every mode
     z = bk.exp(-y) * bk.sin(y) + bk.cos(y * 0.5)
-    z = np.where(active, z, 0.0)
     dest = np.zeros(base.shape[0])
-    bk.scatter_add(dest, idx_vals, z, active)
+    bk.scatter_add(dest, idx_vals, z)
     return bk.reduce_sum(z), dest
 
 
@@ -347,18 +263,15 @@ def test_emulated_strict_bit_identical_to_scalar_backend(width):
     """Strict emulated lanes == the W=1 scalar backend applied lane by lane."""
     base = RNG.uniform(0.2, 3.0, 25)
     idx_vals = RNG.integers(0, 25, width)
-    idx_vals[width // 2] = -1
-    active = idx_vals >= 0
 
     bk = Backend("emulated", width, strict=True)
-    total, dest = _run_little_program(bk, base, idx_vals, active)
+    total, dest = _run_little_program(bk, base, idx_vals)
 
     sbk = Backend("scalar")
     ref_dest = np.zeros(base.shape[0])
     lane_vals = []
     for lane in range(width):
-        t, d = _run_little_program(sbk, base, np.array([idx_vals[lane]]),
-                                   np.array([active[lane]]))
+        t, d = _run_little_program(sbk, base, np.array([idx_vals[lane]]))
         lane_vals.append(t)
         ref_dest += d
     acc = 0.0
@@ -409,9 +322,8 @@ def test_native_backend_same_values_as_emulated():
         emu = Backend("emulated", width)  # same width, past the listed set
         base = RNG.uniform(0.2, 3.0, 50)
         idx_vals = RNG.integers(0, 50, width)
-        active = RNG.random(width) < 0.9
-        total_n, dest_n = _run_little_program(nat, base, idx_vals, active)
-        total_e, dest_e = _run_little_program(emu, base, idx_vals, active)
+        total_n, dest_n = _run_little_program(nat, base, idx_vals)
+        total_e, dest_e = _run_little_program(emu, base, idx_vals)
         assert np.float64(total_n).tobytes() == \
             np.float64(total_e).tobytes()
         assert bits_equal(dest_n, dest_e)
@@ -456,6 +368,6 @@ def test_single_precision_lanes():
     assert np.where(v > 2.0, v, 0.0).dtype == np.float32
     # records cast once to float32 come back from the gather as float32
     records = np.array([[0.1, 1.0], [0.2, 2.0], [0.3, 3.0]], dtype=np.float32)
-    mask = np.array([True, True, False, True])
-    for lane in bk.gather(records, np.array([2, 0, -1, 1]), mask, fill=1.0):
+    for lane in bk.gather(records, np.array([2, 0, 2, 1])):
         assert lane.dtype == np.float32
+    assert bk.load(records, 1, 3).dtype == np.float32
