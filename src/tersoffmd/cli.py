@@ -200,9 +200,8 @@ def cmd_run(args):
 def cmd_bench(args):
     params = _load_params(args)
     state = _load_structure(args.structure, params)
-    if args.variant is None:  # every kernel that runs on --backend
-        names = [n for n in _VARIANT_NAMES
-                 if n != "vec-j" or args.backend != "native"]
+    if args.variant is None:
+        names = list(_VARIANT_NAMES)
     else:
         names = [name.strip() for name in args.variant.split(",")]
     report = run_benchmark(
@@ -245,16 +244,16 @@ def _add_common(p, bench=False):
     if bench:
         p.add_argument("--variant", default=None,
                        help="comma-separated list of kernels to time "
-                            "(default: every kernel that runs on --backend)")
+                            "(default: every kernel)")
     else:
         p.add_argument("--variant", choices=sorted(_VARIANT_NAMES),
                        help="kernel to run (default: the production kernel)")
         p.add_argument("--seed", type=int, default=0, metavar="N",
                        help="RNG seed (velocities, probe selection)")
     p.add_argument("--backend", choices=tuple(DEFAULT_WIDTHS), default=None,
-                   help="lane backend of vec-j and vec-i (default: native "
-                        "for vec-i, emulated for vec-j; vec-j does not run "
-                        "on native)")
+                   help="lane backend of vec-j and vec-i, which presets "
+                        "the width (default: native for vec-i, emulated "
+                        "for vec-j)")
     p.add_argument("--width", type=int, default=None, metavar="N",
                    help="lane count of vec-j and vec-i")
     p.add_argument("--precision", choices=("single", "double"),

@@ -14,8 +14,9 @@
   runs the zeta term over them W triples at a time; the ordered scatter
   sums zeta and the gradient sums per pair lane. One pair pass follows,
   and every force update of the batch goes out as one stream in
-  ScalarOpt's order: per pair i, then j, then each k. A row holds a few
-  neighbors, so VecJ runs on the scalar and emulated backends only.
+  ScalarOpt's order: per pair i, then j, then each k. Either schedule
+  runs on any backend; a batch holds only its lanes, so a VecJ row of a
+  few neighbors costs a few lanes at any width.
 
 `_KERNELS` gives each tag its kernel and default backend; the tags, the
 lane tags and the production kernel (``make_variant()``) come from it.
@@ -42,12 +43,12 @@ gradient sums over k, and the per-k F_k updates. The scalar kernels work
 per component and accumulate in Python lists; the lane kernel keeps every
 3-vector (displacements, gradients, gradient sums, pair forces) as one
 (3, W) block and scatters into one (3, n) force block, row by row in
-stream order. Every per-atom sum and the energy therefore add the same
+stream order. Every per-atom force and the energy therefore add the same
 terms in the same order at every width and in both schedules: non-strict
-runs give byte-identical forces, per-atom energies and energies at every
-width, and on a strict double backend at width 1 both schedules
-reproduce ScalarOpt bit for bit (forces and per-atom energies are
-flushed with +0.0 on output, so a zero has one sign on every kernel).
+runs give byte-identical forces and energies at every width, and on a
+strict double backend both schedules reproduce ScalarOpt bit for bit at
+any width (forces are flushed with +0.0 on output, so a zero has one
+sign on every kernel).
 Energies and forces accumulate in float64 in both precision modes;
 "single" converts distances, parameters and all intermediate potential
 math to float32.
@@ -80,11 +81,6 @@ class KernelVariant:
     def __post_init__(self):
         if self.tag not in KERNEL_TAGS:
             raise ConfigurationError(f"unknown kernel tag {self.tag!r}")
-        if self.tag == "VecJ" and self.backend.name == "native":
-            # rows hold a few neighbors: the native preset's lanes would
-            # run nearly empty
-            raise ConfigurationError(
-                "VecJ runs on the scalar or emulated backend, not native")
 
     @property
     def precision(self):
@@ -111,7 +107,6 @@ def make_variant(tag=None, backend=None, width=None, precision="double",
 class ForceEnergyResult:
     forces: np.ndarray
     potential_energy: float
-    per_atom_energy: np.ndarray
     stats: dict
 
     @property
@@ -147,14 +142,14 @@ def _validate(state, params):
     return species
 
 
-def _result(F, e_at, energy, visits, gathers=0, active=0, total=0):
-    """F is the (3, n) force block; e_at the per-atom energies."""
+def _result(F, energy, visits, gathers=0, active=0, total=0):
+    """F is the (3, n) force block."""
     # + 0.0 turns -0.0 into +0.0: one sign of zero is then a property of
     # the output, not of how each kernel starts and orders its sums
     forces = np.ascontiguousarray(np.transpose(F)) + 0.0
     stats = {"zeta_visits": visits, "gathers": gathers,
              "lane_active": active, "lane_total": total}
-    return ForceEnergyResult(forces, energy, np.asarray(e_at) + 0.0, stats)
+    return ForceEnergyResult(forces, energy, stats)
 
 
 def check_threads(threads):
@@ -192,7 +187,7 @@ def compute_reference(adj, species, params, variant):
     S = params.nspecies
     n = adj.natoms
 
-    fx, fy, fz, e_at = ([0.0] * n for _ in range(4))
+    fx, fy, fz = ([0.0] * n for _ in range(3))
     energy = 0.0
     visits = 0
     for i in range(n):
@@ -217,7 +212,6 @@ def compute_reference(adj, species, params, variant):
             v, dv_dr, dz = _pair_parts(
                 r_ij, zeta, *pair_sc[base_i + sl[j]], xm)
             energy += float(v)
-            e_at[i] += float(v)
             fxv = dv_dr * (dxj / r_ij)
             fyv = dv_dr * (dyj / r_ij)
             fzv = dv_dr * (dzj / r_ij)
@@ -246,7 +240,7 @@ def compute_reference(adj, species, params, variant):
                 fx[k] -= float(dz * gkx)
                 fy[k] -= float(dz * gky)
                 fz[k] -= float(dz * gkz)
-    return _result(np.array([fx, fy, fz]), e_at, energy, visits)
+    return _result(np.array([fx, fy, fz]), energy, visits)
 
 
 # ======================================================================
@@ -259,7 +253,7 @@ def compute_scalar_opt(adj, species, params, variant):
     S = params.nspecies
     n = adj.natoms
 
-    fx, fy, fz, e_at = ([0.0] * n for _ in range(4))
+    fx, fy, fz = ([0.0] * n for _ in range(3))
     energy = 0.0
     visits = 0
     for i in range(n):
@@ -293,7 +287,6 @@ def compute_scalar_opt(adj, species, params, variant):
             v, dv_dr, dz = _pair_parts(
                 r_ij, zeta, *pair_sc[base_i + sl[j]], xm)
             energy += float(v)
-            e_at[i] += float(v)
             fxv = dv_dr * (dxj / r_ij)
             fyv = dv_dr * (dyj / r_ij)
             fzv = dv_dr * (dzj / r_ij)
@@ -307,7 +300,7 @@ def compute_scalar_opt(adj, species, params, variant):
                 fx[k] -= float(dz * gkx)
                 fy[k] -= float(dz * gky)
                 fz[k] -= float(dz * gkz)
-    return _result(np.array([fx, fy, fz]), e_at, energy, visits)
+    return _result(np.array([fx, fy, fz]), energy, visits)
 
 
 # ======================================================================
@@ -414,7 +407,6 @@ def compute_lanes(adj, species, params, variant):
         trip_par = trip_mat[rows[1]][:, None]
 
     F = np.zeros((3, adj.natoms))
-    e_at = np.zeros(adj.natoms)
     energy = 0.0
     visits = 0
     active = 0
@@ -450,7 +442,6 @@ def compute_lanes(adj, species, params, variant):
             pair_par = bk.gather(pair_mat, pair_idx)
         v, dv_dr, dz = pair_parts_lanes(bk, r_ij, zeta, *pair_par)
         energy = bk.reduce_sum(v, energy)
-        bk.scatter_add(e_at, i_idx, v)
         # Every force update of the batch as one stream in ScalarOpt's
         # order: per pair i, then j, then each k.
         fv = dv_dr * (dj / r_ij)
@@ -472,8 +463,8 @@ def compute_lanes(adj, species, params, variant):
             for u, fc in zip(upd, f):  # row by row: a 2-D fancy store is slow
                 u[at] = fc
         bk.scatter_add(F, idx, upd)
-    return _result(F, e_at, energy, visits, bk.gather_count - gathers0,
-                   active, total)
+    return _result(F, energy, visits, bk.gather_count - gathers0, active,
+                   total)
 
 
 # ======================================================================

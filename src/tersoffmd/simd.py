@@ -12,18 +12,18 @@ and owns the operations whose semantics the kernels rely on: the
 bounds-checked gather and load, the ordered scatter, the ordered
 reduction and the transcendentals.
 
-The three backend names are presets of width and strictness:
+The three backend names only preset the width:
 
-* ``scalar``   - W = 1, strict. The correctness anchor.
-* ``emulated`` - any small W (at least {1, 2, 4, 8, 16} are supported and
-  tested), default 8; strict on request.
-* ``native``   - the same lane code at a large default width (4096); no
-  strict mode.
+* ``scalar``   - W = 1, always strict. The correctness anchor.
+* ``emulated`` - default W = 8; at least {1, 2, 4, 8, 16} are tested.
+* ``native``   - default W = 4096.
 
-Lane arithmetic, gathers, scatters and reductions are bit-identical to
-running the scalar backend once per lane, so at the same width ``native`` and
-``emulated`` give the same bits. Transcendentals are numpy ufuncs kept within
-4 ulp of libm, or exact libm per lane when ``strict=True``. The lane kernel
+``emulated`` and ``native`` take any width, and strict mode in double
+precision; they run the same lane code. Lane arithmetic, gathers,
+scatters and reductions are bit-identical to running the scalar backend
+once per lane, so at the same width ``native`` and ``emulated`` give the
+same bits. Transcendentals are numpy ufuncs kept within 4 ulp of libm, or
+exact libm per lane at any width when ``strict=True``. The lane kernel
 runs its triples W at a time and scatters its force updates as one stream
 in the scalar kernel's order, so its outputs are the same at every width.
 
@@ -105,8 +105,6 @@ class Backend:
             raise ValueError("scalar backend is width 1")
         if strict and precision != "double":
             raise ValueError("strict transcendental mode requires double precision")
-        if strict and name == "native":
-            raise ValueError("native backend has no strict mode")
         self.name = name
         self.width = int(width)
         self.precision = precision

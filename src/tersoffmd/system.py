@@ -172,6 +172,9 @@ def gen_nanotube(n_chirality, length_cells, bond_length=1.421, margin=6.0):
         raise ConfigurationError(f"need at least 1 cell, got {cells}")
     if bond_length <= 0:
         raise ConfigurationError("bond_length must be positive")
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ConfigurationError(
+            f"margin must be finite and >= 0, got {margin!r}")
     alpha = 2.0 * math.pi / (3.0 * n)
     radius = bond_length / (2.0 * math.sin(alpha / 2.0))
     diag = 2.0 * radius * math.sin(alpha / 4.0)  # in-plane part of diagonal
@@ -299,6 +302,8 @@ def state_from_xyz(path):
     if not frames:
         raise InputError(f"no frames in {path}")
     symbols, pos, comment = frames[-1]
+    if not symbols:
+        raise InputError(f"{path}: no atoms in the last frame")
     box = _parse_box_comment(comment, path)
     if box is None:
         span = pos.max(axis=0) - pos.min(axis=0)

@@ -1,4 +1,4 @@
-"""The narrative demos run to completion.
+"""The narrative demos run to completion, on the package's public names.
 
 speedup_scan.py is left out: it times kernels on a 5,000-atom tube and
 takes about a minute.
@@ -25,3 +25,11 @@ def test_demo_runs(name, tmp_path):
                          cwd=tmp_path, env=env, capture_output=True,
                          text=True, timeout=300)
     assert out.returncode == 0, out.stdout + out.stderr
+
+
+def test_every_public_name_resolves():
+    """`from tersoffmd import *`, which the demos' imports rely on, binds
+    every name in __all__."""
+    namespace = {}
+    exec("from tersoffmd import *", namespace)
+    assert [n for n in tersoffmd.__all__ if n not in namespace] == []

@@ -85,7 +85,6 @@ def test_dimer_matches_frozen_goldens(variant):
     assert res.forces[0, 0] == pytest.approx(DIMER_F0X, rel=5e-13)
     assert res.forces[0, 0] == -res.forces[1, 0]  # exact pair antisymmetry
     assert np.all(res.forces[:, 1:] == 0.0)
-    assert res.per_atom_energy.sum() == pytest.approx(DIMER_E, rel=5e-14)
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["carbon", "mixed"])
@@ -100,7 +99,6 @@ def test_matches_oracle_on_random_clusters(variant, mixed):
         f_ref = oracle_forces(fr.positions, fr.species, table)
         assert np.max(np.abs(res.forces
                              - f_ref.astype(np.float64))) < 1e-10
-        assert res.per_atom_energy.sum() == pytest.approx(e_ref, rel=1e-12)
 
 
 def test_forces_match_finite_differences():
@@ -160,14 +158,16 @@ def test_cross_variant_single():
 @pytest.mark.parametrize("mixed", [False, True], ids=["carbon", "mixed"])
 @pytest.mark.parametrize("tag", ["VecJ", "VecI"])
 def test_strict_width1_bit_identical_to_scalar_opt(tag, mixed):
+    """Strict lanes are libm per lane, so strict W=1 and the strict native
+    widths all reproduce ScalarOpt bit for bit."""
     fr, nl, table = cluster(7, 8, mixed)
     base = compute(fr, nl, table, make_variant("ScalarOpt"))
-    res = compute(fr, nl, table, make_variant(tag, "emulated", 1,
-                                              strict=True))
-    assert res.forces.tobytes() == base.forces.tobytes()
-    assert np.float64(res.potential_energy).tobytes() == \
-        np.float64(base.potential_energy).tobytes()
-    assert res.per_atom_energy.tobytes() == base.per_atom_energy.tobytes()
+    for backend, width in (("emulated", 1), ("native", 64), ("native", None)):
+        res = compute(fr, nl, table, make_variant(tag, backend, width,
+                                                  strict=True))
+        assert res.forces.tobytes() == base.forces.tobytes()
+        assert np.float64(res.potential_energy).tobytes() == \
+            np.float64(base.potential_energy).tobytes()
 
 
 @pytest.mark.parametrize("tag", ["VecJ", "VecI"])
@@ -195,6 +195,7 @@ IDENTITY_WIDTHS = (
     [("VecI", "emulated", w) for w in EMULATED_WIDTHS]
     + [("VecI", "native", w) for w in (1024, 2048, 4096, 8192)]
     + [("VecJ", "emulated", w) for w in (1, 8, 16)]
+    + [("VecJ", "native", w) for w in (64, 4096)]
     # odd width: the last batch of a row or a chunk is short
     + [("VecI", "emulated", 3), ("VecJ", "emulated", 3)])
 
@@ -206,8 +207,7 @@ IDENTITY_WIDTHS = (
 def test_outputs_byte_identical_at_every_width(make_state, precision):
     """Criterion 04 at the production widths and in both schedules: the
     lane kernel adds every force update and every pair energy in
-    ScalarOpt's order, so forces, per-atom energies and the energy do not
-    move by a bit."""
+    ScalarOpt's order, so forces and the energy do not move by a bit."""
     state = jittered(make_state())
     table = carbon_table()
     nl = build_neighbor_list(state, table.r_cut, skin=0.3)
@@ -216,8 +216,7 @@ def test_outputs_byte_identical_at_every_width(make_state, precision):
         res = compute(state, nl, table,
                       make_variant(tag, backend, width, precision))
         outputs[(tag, backend, width)] = (
-            res.forces.tobytes(), res.per_atom_energy.tobytes(),
-            np.float64(res.potential_energy).tobytes())
+            res.forces.tobytes(), np.float64(res.potential_energy).tobytes())
     first = outputs[IDENTITY_WIDTHS[0]]
     assert [k for k, out in outputs.items() if out != first] == []
 
@@ -234,7 +233,6 @@ def test_native_is_emulated_at_the_same_width(width):
         emu = compute(state, nl, params,
                       make_variant("VecI", "emulated", width))
         assert nat.forces.tobytes() == emu.forces.tobytes()
-        assert nat.per_atom_energy.tobytes() == emu.per_atom_energy.tobytes()
         assert nat.potential_energy == emu.potential_energy
         # trimming native batches moves no counter: lane_total still
         # counts W per batch
@@ -249,15 +247,16 @@ def test_native_is_emulated_at_the_same_width(width):
 def test_native_batches_carry_only_active_lanes(backend, width, monkeypatch):
     """Batches and triple chunks hold only their active lanes on every
     backend, not only on native: every gather, load and lane scatter sees
-    at most W lanes, some fewer, the pair batches' lanes sum to
-    lane_active, and lane_total is W per pair batch."""
+    at most W lanes, some fewer, the pair batches' lanes (their loads of
+    the pair record) sum to lane_active, and lane_total is W per pair
+    batch."""
     state = gen_nanotube(5, 10)
     table = carbon_table()
     nl = build_neighbor_list(state, table.r_cut, skin=0.3)
     gather, load = Backend.gather, Backend.load
     scatter_add = Backend.scatter_add
     lanes = []  # lanes of every gather, load and lane scatter
-    pair_lanes = []  # lanes of each pair batch: its per-atom energy scatter
+    pair_lanes = []  # lanes of each pair batch: its pair-record load
 
     def gathering(self, records, idx):
         lanes.append(idx.shape[0])
@@ -265,11 +264,11 @@ def test_native_batches_carry_only_active_lanes(backend, width, monkeypatch):
 
     def loading(self, records, start, stop):
         lanes.append(stop - start)
+        if records is nl.topology.records[2][0]:  # (i, j, pair type)
+            pair_lanes.append(stop - start)
         return load(self, records, start, stop)
 
     def scattering(self, dest, idx, vals):
-        if dest.shape == (state.natoms,):
-            pair_lanes.append(idx.shape[0])
         if dest.shape != (3, state.natoms):  # the force block takes a stream
             lanes.append(idx.shape[0])
         return scatter_add(self, dest, idx, vals)
@@ -289,8 +288,8 @@ def test_native_batches_carry_only_active_lanes(backend, width, monkeypatch):
 
 
 def _output_bytes(res):
-    return (res.forces.tobytes(), res.per_atom_energy.tobytes(),
-            np.float64(res.potential_energy).tobytes(), res.stats)
+    return (res.forces.tobytes(), np.float64(res.potential_energy).tobytes(),
+            res.stats)
 
 
 LANE_RECORD_VARIANTS = [make_variant("VecI"),
@@ -356,14 +355,14 @@ def test_one_species_parameter_rows_same_bits():
     for tag in ("VecJ", "VecI"):
         res = compute(state, nl, table,
                       make_variant(tag, "emulated", 1, strict=True))
-        assert _output_bytes(res)[:3] == _output_bytes(base)[:3]
+        assert _output_bytes(res)[:2] == _output_bytes(base)[:2]
     assert nl.topology.records[2][3] is not None  # the per-type path ran
     for precision in ("double", "single"):
         widths = ([("VecI", "emulated", w) for w in EMULATED_WIDTHS]
                   + [("VecJ", "emulated", w) for w in EMULATED_WIDTHS]
                   + [("VecI", "native", w) for w in (1024, 4096)])
         outputs = {_output_bytes(compute(
-            state, nl, table, make_variant(*w, precision=precision)))[:3]
+            state, nl, table, make_variant(*w, precision=precision)))[:2]
             for w in widths}
         assert len(outputs) == 1
 
@@ -383,7 +382,7 @@ def test_second_species_takes_the_per_lane_parameters_again(variant):
     fresh = build_neighbor_list(state, table.r_cut, skin=0.3)
     assert _output_bytes(mixed) == _output_bytes(
         compute(state, fresh, table, variant))
-    assert _output_bytes(mixed)[:3] != _output_bytes(one)[:3]
+    assert _output_bytes(mixed)[:2] != _output_bytes(one)[:2]
 
 
 def test_vec_j_is_vec_i_when_each_batch_is_one_row():
@@ -399,7 +398,6 @@ def test_vec_j_is_vec_i_when_each_batch_is_one_row():
     vj = compute(state, nl, table, make_variant("VecJ", "emulated", 4))
     vi = compute(state, nl, table, make_variant("VecI", "emulated", 4))
     assert vj.forces.tobytes() == vi.forces.tobytes()
-    assert vj.per_atom_energy.tobytes() == vi.per_atom_energy.tobytes()
     assert vj.potential_energy == vi.potential_energy
     assert vj.stats == vi.stats
 
@@ -545,17 +543,20 @@ def test_unknown_tag_rejected():
         make_variant("Fastest")
 
 
-def test_default_backends_and_vec_j_not_native():
+def test_default_backends_and_vec_j_on_native():
+    """A backend name only presets the width: VecJ defaults to emulated
+    and runs on native too."""
     assert make_variant("Reference").backend.name == "scalar"
     assert make_variant("ScalarOpt").backend.name == "scalar"
     vec_j = make_variant("VecJ").backend
     assert (vec_j.name, vec_j.width) == ("emulated", 8)
     vec_i = make_variant("VecI").backend
     assert (vec_i.name, vec_i.width) == ("native", DEFAULT_WIDTHS["native"])
-    with pytest.raises(ConfigurationError, match="VecJ"):
-        make_variant("VecJ", "native")
-    with pytest.raises(ConfigurationError, match="VecJ"):
-        KernelVariant("VecJ", Backend("native", 16))
+    w = DEFAULT_WIDTHS["native"]
+    assert make_variant("VecJ", "native").describe() == \
+        f"VecJ[native,W={w},double]"
+    assert KernelVariant("VecJ", Backend("native", 16, strict=True)) \
+        .describe() == "VecJ[native,W=16,double,strict]"
 
 
 def test_make_variant_without_tag_is_the_production_kernel():

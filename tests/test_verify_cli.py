@@ -424,16 +424,17 @@ class TestCli:
         assert [(r["backend"], r["width"]) for r in rows] == \
             [("scalar", 1), ("scalar", 1), lanes]
 
-    def test_bench_native_default_list_skips_vec_j(self, capsys):
+    def test_bench_native_default_list_is_every_kernel(self, capsys):
         code, out, err = run_cli(
             capsys, "bench", "--structure", "nanotube:n=3,cells=2",
             "--backend", "native", "--steps", "1", "--repeats", "1",
             "--warmup", "0", "--format", "json")
         assert code == 0, err
         rows = json.loads(out)["rows"]
+        w = DEFAULT_WIDTHS["native"]
         assert [(r["variant"], r["backend"], r["width"]) for r in rows] == \
             [("Reference", "scalar", 1), ("ScalarOpt", "scalar", 1),
-             ("VecI", "native", DEFAULT_WIDTHS["native"])]
+             ("VecJ", "native", w), ("VecI", "native", w)]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_verify_cli_passes_and_fails(self, tmp_path, capsys):
@@ -480,9 +481,24 @@ class TestCli:
         unparseable.write_text("C C C 3 1.0\n")
         cases.append(("run", "--structure", "nanotube:n=3,cells=2",
                       "--params", str(unparseable), "--steps", "0"))
+        for margin in ("-1", "nan", "inf"):
+            cases.append(("run", "--structure",
+                          f"nanotube:n=3,cells=2,margin={margin}",
+                          "--steps", "0"))
         for argv in cases:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, argv
+        # zero atoms, with and without a box comment: an error naming the
+        # file, not numpy's or an MD run of nothing
+        empty = tmp_path / "empty.xyz"
+        empty_box = tmp_path / "empty_box.xyz"
+        empty.write_text("0\n\n")
+        empty_box.write_text("0\nbox 10 10 10 periodic 000 time 0\n")
+        for path in (empty, empty_box):
+            for command in ("run", "verify"):
+                code, _, err = run_cli(capsys, command, "--structure",
+                                       str(path), "--steps", "1")
+                assert code == 2 and f"{path}: no atoms" in err, err
 
     @pytest.mark.parametrize("command", ["run", "bench", "verify"])
     @pytest.mark.parametrize("field,value", [(3, "inf"), (3, "nan"),
@@ -561,12 +577,13 @@ class TestCli:
         assert word in err, err
 
     @pytest.mark.parametrize("command", ["run", "bench", "verify"])
-    def test_vec_j_on_native_exits_two(self, command, capsys):
+    def test_vec_j_on_native_runs(self, command, capsys):
         code, out, err = run_cli(capsys, command, "--structure",
                                  "nanotube:n=3,cells=2", "--steps", "1",
                                  "--variant", "vec-j", "--backend", "native")
-        assert code == 2 and out == ""
-        assert "VecJ" in err, err
+        assert code == 0, err
+        if command != "verify":  # the verify report names no variant
+            assert "VecJ" in out and "native" in out, out
 
     @pytest.mark.parametrize("argv", [
         ("bench",), ("run", "--variant", "vec-i"),
