@@ -228,7 +228,8 @@ def cmd_verify(args):
             print(f"{state_txt}  {c['name']:<28} measured {meas:>10} "
                   f"tolerance {tol:>10}  {c['worst']}")
         print(f"{'PASS' if report['passed'] else 'FAIL'}  overall "
-              f"({report['natoms']} atoms, tol_scale {report['tol_scale']:g})")
+              f"({report['variant']}, {report['natoms']} atoms, "
+              f"tol_scale {report['tol_scale']:g})")
     else:
         print(json.dumps(report, indent=2))
     return 0 if report["passed"] else 1

@@ -10,25 +10,20 @@
 * VecJ and VecI: two batch schedules of one lane kernel. VecJ fills a
   batch with one atom's neighbor row (one i per batch); VecI fills it
   with consecutive (i,j) pairs across atoms. Each pair batch lists its
-  triples in ScalarOpt's order (pair by pair, k ascending, k != j) and
-  runs the zeta term over them W triples at a time; the ordered scatter
-  sums zeta and the gradient sums per pair lane. One pair pass follows,
-  and every force update of the batch goes out as one stream in
-  ScalarOpt's order: per pair i, then j, then each k. Either schedule
-  runs on any backend; a batch holds only its lanes, so a VecJ row of a
-  few neighbors costs a few lanes at any width.
+  triples in ScalarOpt's order (pair by pair, k ascending, k != j), runs
+  the zeta term over them W triples at a time, sums zeta and the
+  gradient sums per pair lane with the ordered scatter, then runs one
+  pair pass. Either schedule runs on any backend; a batch holds only its
+  lanes, so a VecJ row of a few neighbors costs a few lanes at any width.
 
 `_KERNELS` gives each tag its kernel and default backend; the tags, the
 lane tags and the production kernel (``make_variant()``) come from it.
 `compute` validates and packs once per call; `_batches` is the schedule.
 
 Topology per rebuild, geometry per step: the lane kernel's index record
-(`_records`: each pair's atoms and type, the triples in ScalarOpt's order,
-each pair's first triple) is built once per neighbor-list topology and
-species array and kept on the topology, in an anonymous memory mapping
-of its own (`_off_heap`), and every batch of either schedule slices it.
-A step then computes only the pair geometry (in `pack_adjacency`) and
-the force math.
+(`_records`) is built once per neighbor-list topology and species array
+and kept on the topology; every batch of either schedule slices it, and
+a step computes only the pair geometry (`pack_adjacency`) and the math.
 
 Gather only what is scattered: a batch's slices of the record and its
 pairs' geometry are contiguous runs, read with `Backend.load`; the
@@ -39,21 +34,24 @@ across the lanes as (F, 1) blocks; a mixed system gathers each lane's.
 
 All optimized variants share the scalar forms' expression trees operation
 for operation and accumulate per (i,j) at the same granularity: zeta, the
-gradient sums over k, and the per-k F_k updates. The scalar kernels work
-per component and accumulate in Python lists; the lane kernel keeps every
-3-vector (displacements, gradients, gradient sums, pair forces) as one
-(3, W) block and scatters into one (3, n) force block, row by row in
-stream order. Every per-atom force and the energy therefore add the same
-terms in the same order at every width and in both schedules: non-strict
-runs give byte-identical forces and energies at every width, and on a
-strict double backend both schedules reproduce ScalarOpt bit for bit at
-any width (forces are flushed with +0.0 on output, so a zero has one
-sign on every kernel).
+gradient sums over k, and the per-k F_k updates. ScalarOpt and the lane
+kernel keep one force accumulator per role and return (F_i + F_j) + F_k:
+F_i takes fv - dz*gi and F_j -fv - dz*gjs per pair, in global pair order;
+F_k takes -(dz*gk) per triple, in global triple order. The scalar kernels
+work per component in Python lists; the lane kernel holds every 3-vector
+as one (3, W) block and makes one plain scatter per role and batch, row
+by row in lane order. So no batch boundary, width or schedule changes
+the order in which an accumulator, or the energy, adds its terms:
+non-strict forces and energies are byte-identical at every width in both
+schedules, and strict double lanes reproduce ScalarOpt bit for bit
+(forces are flushed with +0.0 on output, so a zero has one sign on every
+kernel).
 Energies and forces accumulate in float64 in both precision modes;
 "single" converts distances, parameters and all intermediate potential
 math to float32.
 """
 
+import ctypes
 import math
 import mmap
 from dataclasses import dataclass
@@ -154,11 +152,7 @@ def _result(F, energy, visits, gathers=0, active=0, total=0):
 
 def check_threads(threads):
     """Reject any thread count but 1: every kernel runs one plain pass.
-
-    benchmark/workloads.py still passes threads=1 to compute, ForceField,
-    RunConfig and run_verification; this check and those four parameters
-    go once the harness drops the argument (ROADMAP item 6).
-    """
+    benchmark/workloads.py still passes threads=1 (ROADMAP item 6)."""
     if threads != 1:
         raise ConfigurationError(
             f"threads must be 1 (the kernels run on one thread), "
@@ -253,7 +247,8 @@ def compute_scalar_opt(adj, species, params, variant):
     S = params.nspecies
     n = adj.natoms
 
-    fx, fy, fz = ([0.0] * n for _ in range(3))
+    (fxi, fyi, fzi), (fxj, fyj, fzj), (fxk, fyk, fzk) = (
+        [[0.0] * n for _ in range(3)] for _ in range(3))
     energy = 0.0
     visits = 0
     for i in range(n):
@@ -290,17 +285,18 @@ def compute_scalar_opt(adj, species, params, variant):
             fxv = dv_dr * (dxj / r_ij)
             fyv = dv_dr * (dyj / r_ij)
             fzv = dv_dr * (dzj / r_ij)
-            fx[i] += float(fxv - dz * gix)
-            fy[i] += float(fyv - dz * giy)
-            fz[i] += float(fzv - dz * giz)
-            fx[j] += float(-fxv - dz * gjxs)
-            fy[j] += float(-fyv - dz * gjys)
-            fz[j] += float(-fzv - dz * gjzs)
+            fxi[i] += float(fxv - dz * gix)
+            fyi[i] += float(fyv - dz * giy)
+            fzi[i] += float(fzv - dz * giz)
+            fxj[j] += float(-fxv - dz * gjxs)
+            fyj[j] += float(-fyv - dz * gjys)
+            fzj[j] += float(-fzv - dz * gjzs)
             for k, gkx, gky, gkz in cache:
-                fx[k] -= float(dz * gkx)
-                fy[k] -= float(dz * gky)
-                fz[k] -= float(dz * gkz)
-    return _result(np.array([fx, fy, fz]), energy, visits)
+                fxk[k] -= float(dz * gkx)
+                fyk[k] -= float(dz * gky)
+                fzk[k] -= float(dz * gkz)
+    F = np.array([fxi, fyi, fzi]) + np.array([fxj, fyj, fzj])
+    return _result(F + np.array([fxk, fyk, fzk]), energy, visits)
 
 
 # ======================================================================
@@ -394,6 +390,18 @@ def _off_heap(n, dtype):
     return np.frombuffer(mmap.mmap(-1, max(size, 1)), dtype, count=n)
 
 
+# Fixed glibc heap thresholds: arrays from 4 MiB up get mappings of their
+# own, and the heap top goes back to the system only beyond 8 MiB. With
+# the sliding defaults, whether each step's few MB of freed temporaries
+# were returned and faulted in again hung on unrelated earlier allocations.
+try:
+    _mallopt = ctypes.CDLL(None).mallopt
+    _mallopt(-3, 4 << 20)  # M_MMAP_THRESHOLD
+    _mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+except (OSError, AttributeError, TypeError):  # not glibc
+    pass
+
+
 def compute_lanes(adj, species, params, variant):
     """VecJ and VecI: one body, the tag picks the batch schedule."""
     bk = variant.backend
@@ -406,7 +414,7 @@ def compute_lanes(adj, species, params, variant):
         pair_par = pair_mat[rows[0]][:, None]
         trip_par = trip_mat[rows[1]][:, None]
 
-    F = np.zeros((3, adj.natoms))
+    Fi, Fj, Fk = np.zeros((3, 3, adj.natoms))
     energy = 0.0
     visits = 0
     active = 0
@@ -442,29 +450,16 @@ def compute_lanes(adj, species, params, variant):
             pair_par = bk.gather(pair_mat, pair_idx)
         v, dv_dr, dz = pair_parts_lanes(bk, r_ij, zeta, *pair_par)
         energy = bk.reduce_sum(v, energy)
-        # Every force update of the batch as one stream in ScalarOpt's
-        # order: per pair i, then j, then each k.
         fv = dv_dr * (dj / r_ij)
-        at_i = (tfirst[a:b] - t0) + 2 * np.arange(m)
-        t_lane = trip[t0:t1, 0] - a
-        parts = [(at_i, i_idx, fv - dz * gi),
-                 (at_i + 1, j_idx, -fv - dz * gjs)]
+        bk.scatter_add(Fi, i_idx, fv - dz * gi)
+        bk.scatter_add(Fj, j_idx, -fv - dz * gjs)
         if nt:
-            # triple t follows t triples and the i and j updates of the
-            # pairs up to its own
             gk = np.concatenate(gks, axis=1)
-            gk *= -dz[t_lane]  # -(dz gk) in place: negation is exact
-            parts.append((np.arange(nt) + 2 * (t_lane + 1),
-                          adj.j.take(trip[t0:t1, 1]), gk))
-        idx = np.empty(2 * m + nt, dtype=np.int64)
-        upd = np.empty((3, 2 * m + nt), dtype=bk.real_dtype)
-        for at, atoms, f in parts:
-            idx[at] = atoms
-            for u, fc in zip(upd, f):  # row by row: a 2-D fancy store is slow
-                u[at] = fc
-        bk.scatter_add(F, idx, upd)
-    return _result(F, energy, visits, bk.gather_count - gathers0, active,
-                   total)
+            # F_k -= dz gk as F_k += -(dz gk), in place: negation is exact
+            gk *= -dz[trip[t0:t1, 0] - a]
+            bk.scatter_add(Fk, adj.j.take(trip[t0:t1, 1]), gk)
+    return _result((Fi + Fj) + Fk, energy, visits,
+                   bk.gather_count - gathers0, active, total)
 
 
 # ======================================================================

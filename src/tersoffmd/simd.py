@@ -24,8 +24,8 @@ scatters and reductions are bit-identical to running the scalar backend
 once per lane, so at the same width ``native`` and ``emulated`` give the
 same bits. Transcendentals are numpy ufuncs kept within 4 ulp of libm, or
 exact libm per lane at any width when ``strict=True``. The lane kernel
-runs its triples W at a time and scatters its force updates as one stream
-in the scalar kernel's order, so its outputs are the same at every width.
+adds each force role (i, j, k) to its own accumulator in pair or triple
+order, so its outputs are the same at every width.
 
 Conventions: a batch holds only its lanes, at most W; a numpy call over m
 lanes costs m, so a short batch is not padded out to W, and the shapes

@@ -170,8 +170,9 @@ def gen_nanotube(n_chirality, length_cells, bond_length=1.421, margin=6.0):
         raise ConfigurationError(f"chirality n={n} below the minimum of 3")
     if cells < 1:
         raise ConfigurationError(f"need at least 1 cell, got {cells}")
-    if bond_length <= 0:
-        raise ConfigurationError("bond_length must be positive")
+    if not (math.isfinite(bond_length) and bond_length > 0):
+        raise ConfigurationError(
+            f"bond_length must be finite and positive, got {bond_length!r}")
     if not (math.isfinite(margin) and margin >= 0):
         raise ConfigurationError(
             f"margin must be finite and >= 0, got {margin!r}")
@@ -212,8 +213,9 @@ def gen_diamond(cells_per_axis, lattice_constant=3.566):
     cells = int(cells_per_axis)
     if cells < 1:
         raise ConfigurationError(f"need at least 1 cell, got {cells}")
-    if lattice_constant <= 0:
-        raise ConfigurationError("lattice_constant must be positive")
+    if not (math.isfinite(lattice_constant) and lattice_constant > 0):
+        raise ConfigurationError(f"lattice_constant must be finite and "
+                                 f"positive, got {lattice_constant!r}")
     origins = np.stack(np.meshgrid(*[np.arange(cells)] * 3,
                                    indexing="ij"), -1).reshape(-1, 3)
     frac = (origins[:, None, :] + _DIAMOND_BASIS[None, :, :]).reshape(-1, 3)

@@ -295,5 +295,6 @@ def run_verification(state, params, variant=None, tol_scale=1.0,
         "passed": all(c.passed for c in checks),
         "tol_scale": float(tol_scale),
         "natoms": int(state.natoms),
+        "variant": (variant or make_variant()).describe(),
         "checks": [c.as_dict() for c in checks],
     }

@@ -5,6 +5,9 @@ finite differences), written before the kernels and sharing no code with
 them.
 """
 
+import platform
+import resource
+
 import numpy as np
 import pytest
 
@@ -205,9 +208,11 @@ IDENTITY_WIDTHS = (
                                         lambda: gen_diamond(2)],
                          ids=["tube200", "diamond64"])
 def test_outputs_byte_identical_at_every_width(make_state, precision):
-    """Criterion 04 at the production widths and in both schedules: the
-    lane kernel adds every force update and every pair energy in
-    ScalarOpt's order, so forces and the energy do not move by a bit."""
+    """Criterion 04 at the production widths and in both schedules: each
+    of the lane kernel's three force accumulators (the i, j and k roles)
+    adds its updates in global pair or triple order, and the pair
+    energies add in pair order, so forces and the energy do not move by
+    a bit."""
     state = jittered(make_state())
     table = carbon_table()
     nl = build_neighbor_list(state, table.r_cut, skin=0.3)
@@ -219,6 +224,27 @@ def test_outputs_byte_identical_at_every_width(make_state, precision):
             res.forces.tobytes(), np.float64(res.potential_energy).tobytes())
     first = outputs[IDENTITY_WIDTHS[0]]
     assert [k for k, out in outputs.items() if out != first] == []
+
+
+def test_mixed_species_outputs_byte_identical_at_every_width():
+    """The per-lane parameter gather of a two-species system keeps the
+    claim: non-strict lanes give one set of bytes at every width in both
+    schedules, and strict lanes equal ScalarOpt bit for bit."""
+    state, nl, table = cluster(11, 40, mixed=True)
+    outputs = set()
+    for tag in LANE_TAGS:
+        for backend, width in (("emulated", 1), ("emulated", 3),
+                               ("emulated", 16), ("native", 64),
+                               ("native", None)):
+            res = compute(state, nl, table, make_variant(tag, backend, width))
+            outputs.add(_output_bytes(res)[:2])
+    assert nl.topology.records[2][3] is None  # the per-lane gather ran
+    assert len(outputs) == 1
+    base = _output_bytes(compute(state, nl, table,
+                                 make_variant("ScalarOpt")))[:2]
+    for variant in (make_variant("VecI", "native", 256, strict=True),
+                    make_variant("VecJ", "emulated", 5, strict=True)):
+        assert _output_bytes(compute(state, nl, table, variant))[:2] == base
 
 
 @pytest.mark.parametrize("width", [64, 1024])
@@ -269,7 +295,7 @@ def test_native_batches_carry_only_active_lanes(backend, width, monkeypatch):
         return load(self, records, start, stop)
 
     def scattering(self, dest, idx, vals):
-        if dest.shape != (3, state.natoms):  # the force block takes a stream
+        if dest.shape != (3, state.natoms):  # a force block: > W k updates
             lanes.append(idx.shape[0])
         return scatter_add(self, dest, idx, vals)
 
@@ -442,6 +468,24 @@ def test_repeat_runs_bit_identical(variant):
     assert a.forces.tobytes() == b.forces.tobytes()
     assert a.potential_energy == b.potential_energy
     assert a.stats == b.stats
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are glibc's")
+def test_evaluations_reuse_the_freed_heap():
+    """Importing the package fixes glibc's heap thresholds, so each
+    evaluation reuses the heap the last one freed: with the sliding
+    defaults a 1728-atom diamond evaluation could fault hundreds of pages
+    back in."""
+    state = jittered(gen_diamond(6))
+    table = carbon_table()
+    nl = build_neighbor_list(state, table.r_cut, skin=0.3)
+    compute(state, nl, table, make_variant())
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        compute(state, nl, table, make_variant())
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 20 * 20, faults
 
 
 # ---------------------------------------------------------------------

@@ -500,6 +500,17 @@ class TestCli:
                                        str(path), "--steps", "1")
                 assert code == 2 and f"{path}: no atoms" in err, err
 
+    @pytest.mark.parametrize("spec,name", [
+        ("nanotube:n=3,cells=2,bond_length=nan", "bond_length"),
+        ("diamond:cells=2,lattice_constant=inf", "lattice_constant")])
+    def test_non_finite_generator_length_names_it(self, spec, name, capsys):
+        """The error names the parameter given, not the box edges or the
+        positions it would have made."""
+        code, out, err = run_cli(capsys, "run", "--structure", spec,
+                                 "--steps", "0")
+        assert code == 2 and out == ""
+        assert f"{name} must be finite and positive" in err, err
+
     @pytest.mark.parametrize("command", ["run", "bench", "verify"])
     @pytest.mark.parametrize("field,value", [(3, "inf"), (3, "nan"),
                                              (15, "nan"), (8, "inf")])
@@ -582,8 +593,20 @@ class TestCli:
                                  "nanotube:n=3,cells=2", "--steps", "1",
                                  "--variant", "vec-j", "--backend", "native")
         assert code == 0, err
-        if command != "verify":  # the verify report names no variant
-            assert "VecJ" in out and "native" in out, out
+        assert "VecJ" in out and "native" in out, out
+
+    def test_verify_report_names_the_variant(self, capsys):
+        """A saved report tells vec-j on native from the default."""
+        described = []
+        for argv in ((), ("--variant", "vec-j", "--backend", "native")):
+            code, out, err = run_cli(capsys, "verify", "--structure",
+                                     "nanotube:n=3,cells=2", "--steps", "1",
+                                     *argv)
+            assert code == 0, err
+            described.append(json.loads(out)["variant"])
+        assert described == [make_variant().describe(),
+                              make_variant("VecJ", "native").describe()]
+        assert described[0] != described[1]
 
     @pytest.mark.parametrize("argv", [
         ("bench",), ("run", "--variant", "vec-i"),
