@@ -403,63 +403,71 @@ except (OSError, AttributeError, TypeError):  # not glibc
 
 
 def compute_lanes(adj, species, params, variant):
-    """VecJ and VecI: one body, the tag picks the batch schedule."""
+    """VecJ and VecI: one body, the tag picks the batch schedule.
+
+    Each pair batch runs in a call of its own, so its temporaries are
+    freed before the next batch allocates its own: the peak is one
+    batch's working set, not two.
+    """
     bk = variant.backend
     pair_mat, trip_mat = params.views(bk.precision)
     W = bk.width
     gathers0 = bk.gather_count
     geom = adj.geom.astype(bk.real_dtype, copy=False)
     pairs, trip, tfirst, rows = _records(adj, species, params.nspecies)
+    pair_par = trip_par = None
     if rows is not None:  # one species: one row of each, broadcast on lanes
         pair_par = pair_mat[rows[0]][:, None]
         trip_par = trip_mat[rows[1]][:, None]
-
     Fi, Fj, Fk = np.zeros((3, 3, adj.natoms))
-    energy = 0.0
-    visits = 0
-    active = 0
-    total = 0
-    bounds = adj.offsets if variant.tag == "VecJ" else [0, adj.npairs]
-    for a, b in _batches(bounds, W):
-        m = b - a
-        active += m
-        total += W  # W per batch: the fill of a W-wide unit
+
+    def chunk(a, c0, c1, sums):
+        """Triples c0 .. c1-1 of the batch from pair a: add zeta and the
+        gradient sums over k to the rows zeta | gi | gjs of sums, and
+        return the triples' gk."""
+        p, kk, ttype = bk.load(trip, c0, c1)
+        tj = bk.gather(geom, p)
+        tk = bk.gather(geom, kk)
+        par = trip_par if rows is not None else bk.gather(trip_mat, ttype)
+        val, gj, gk = zeta_parts_lanes(bk, tj[:3], tj[3], tk[:3], tk[3], *par)
+        bk.scatter_add(sums, p - a,
+                       np.concatenate([val[None], -(gj + gk), gj]))
+        return gk
+
+    def batch(a, b, energy):
+        """Pairs a .. b-1: scatter their forces; the energy so far."""
         t0, t1 = int(tfirst[a]), int(tfirst[b])
-        nt = t1 - t0
-        visits += nt + m  # sum(n_i): the k = j slots are visits too
-        # zeta and the gradient sums over k, rows zeta | gi | gjs of one
-        # block: W triples at a time
-        sums = np.zeros((7, m), dtype=bk.real_dtype)
-        gks = []
+        sums = np.zeros((7, b - a), dtype=bk.real_dtype)
+        # every triple's gk in one block, filled W triples at a time
+        gk = np.empty((3, t1 - t0), dtype=bk.real_dtype)
         for c0, c1 in _batches([t0, t1], W):
-            p, kk, ttype = bk.load(trip, c0, c1)
-            tj = bk.gather(geom, p)
-            tk = bk.gather(geom, kk)
-            if rows is None:
-                trip_par = bk.gather(trip_mat, ttype)
-            val, gj, gk = zeta_parts_lanes(
-                bk, tj[:3], tj[3], tk[:3], tk[3], *trip_par)
-            bk.scatter_add(sums, p - a,
-                           np.concatenate([val[None], -(gj + gk), gj]))
-            gks.append(gk)
+            gk[:, c0 - t0:c1 - t0] = chunk(a, c0, c1, sums)
         zeta, gi, gjs = sums[0], sums[1:4], sums[4:]
         i_idx, j_idx, pair_idx = bk.load(pairs, a, b)
         gj_rec = bk.load(geom, a, b)
         dj, r_ij = gj_rec[:3], gj_rec[3]
-        if rows is None:
-            pair_par = bk.gather(pair_mat, pair_idx)
-        v, dv_dr, dz = pair_parts_lanes(bk, r_ij, zeta, *pair_par)
-        energy = bk.reduce_sum(v, energy)
+        par = pair_par if rows is not None else bk.gather(pair_mat, pair_idx)
+        v, dv_dr, dz = pair_parts_lanes(bk, r_ij, zeta, *par)
         fv = dv_dr * (dj / r_ij)
         bk.scatter_add(Fi, i_idx, fv - dz * gi)
         bk.scatter_add(Fj, j_idx, -fv - dz * gjs)
-        if nt:
-            gk = np.concatenate(gks, axis=1)
+        if t1 > t0:
             # F_k -= dz gk as F_k += -(dz gk), in place: negation is exact
             gk *= -dz[trip[t0:t1, 0] - a]
             bk.scatter_add(Fk, adj.j.take(trip[t0:t1, 1]), gk)
-    return _result((Fi + Fj) + Fk, energy, visits,
-                   bk.gather_count - gathers0, active, total)
+        return bk.reduce_sum(v, energy)
+
+    energy = 0.0
+    nbatch = 0
+    bounds = adj.offsets if variant.tag == "VecJ" else [0, adj.npairs]
+    for a, b in _batches(bounds, W):
+        energy = batch(a, b, energy)
+        nbatch += 1
+    # the batches cover every pair once; visits are sum(n_i), the triples
+    # plus the k = j slots, and lane_total is W per batch, the fill of a
+    # W-wide unit
+    return _result((Fi + Fj) + Fk, energy, int(tfirst[-1]) + adj.npairs,
+                   bk.gather_count - gathers0, adj.npairs, W * nbatch)
 
 
 # ======================================================================

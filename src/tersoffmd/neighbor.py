@@ -258,12 +258,14 @@ def needs_rebuild(state, nl):
 class Topology:
     """The pairs of a neighbor list inside the cutoff, as a directed CSR.
 
-    keep marks the list entries it holds. Pair p runs i[p] -> j[p]; rows
+    keep marks the list entries it holds, and kept lists their indices,
+    or is None when it holds them all. Pair p runs i[p] -> j[p]; rows
     keep the list's ascending-j order. records is free for the kernels'
     index record of these pairs, which they build on first use.
     """
 
     keep: np.ndarray
+    kept: np.ndarray
     offsets: np.ndarray
     i: np.ndarray
     j: np.ndarray
@@ -327,23 +329,23 @@ def pack_adjacency(state, nl, r_cut=None):
     _wrap(d, state.box)
     r2 = _norm2(d)
     keep = r2 < r_cut * r_cut
-    whole = keep.all()
-    if not whole:
-        geom, r2 = geom[keep], r2[keep]
+    topo = nl.topology
+    if topo is None or not np.array_equal(keep, topo.keep):
+        if keep.all():
+            topo = Topology(keep, None, nl.offsets, i_all, j_all)
+        else:
+            kept = np.flatnonzero(keep)
+            i_k = i_all.take(kept)
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(i_k, minlength=n), out=offsets[1:])
+            topo = Topology(keep, kept, offsets, i_k, j_all.take(kept))
+        object.__setattr__(nl, "topology", topo)  # frozen: a cache slot
+    if topo.kept is not None:
+        geom, r2 = geom.take(topo.kept, axis=0), r2.take(topo.kept)
     if r2.size and r2.min() < 1e-16:  # kernels divide by r
         at = int(np.argmin(r2))
         raise InputError(
-            f"atoms {int(i_all[keep][at])} and {int(j_all[keep][at])} are "
+            f"atoms {int(topo.i[at])} and {int(topo.j[at])} are "
             f"coincident (r = {math.sqrt(r2[at]):.3e} A)")
     np.sqrt(r2, out=geom[:, 3])
-    topo = nl.topology
-    if topo is None or not np.array_equal(keep, topo.keep):
-        if whole:
-            topo = Topology(keep, nl.offsets, i_all, j_all)
-        else:
-            i_k = i_all[keep]
-            offsets = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(i_k, minlength=n), out=offsets[1:])
-            topo = Topology(keep, offsets, i_k, j_all[keep])
-        object.__setattr__(nl, "topology", topo)  # frozen: a cache slot
     return PackedAdjacency(topo, geom)

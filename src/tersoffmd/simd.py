@@ -16,7 +16,7 @@ The three backend names only preset the width:
 
 * ``scalar``   - W = 1, always strict. The correctness anchor.
 * ``emulated`` - default W = 8; at least {1, 2, 4, 8, 16} are tested.
-* ``native``   - default W = 4096.
+* ``native``   - default W = 8192.
 
 ``emulated`` and ``native`` take any width, and strict mode in double
 precision; they run the same lane code. Lane arithmetic, gathers,
@@ -49,7 +49,7 @@ _REAL_DTYPES = {"double": np.float64, "single": np.float32}
 EMULATED_WIDTHS = (1, 2, 4, 8, 16)
 
 # the backend names, each with its preset width
-DEFAULT_WIDTHS = {"scalar": 1, "emulated": 8, "native": 4096}
+DEFAULT_WIDTHS = {"scalar": 1, "emulated": 8, "native": 8192}
 
 
 def real_dtype(precision):

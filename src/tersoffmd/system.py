@@ -258,9 +258,11 @@ def write_xyz(path, state, comment=None, append=False):
     """One XYZ frame: count line, comment line, `element x y z` rows."""
     if comment is None:
         comment = _box_comment(state)
-    rows = "".join(f"{state.symbols[s]} {x:.10f} {y:.10f} {z:.10f}\n"
-                   for s, (x, y, z) in zip(state.species.tolist(),
-                                           state.positions.tolist()))
+    # one % over the flattened (symbol, x, y, z) rows
+    cells = np.empty((state.natoms, 4), dtype=object)
+    cells[:, 0] = np.array(state.symbols, dtype=object)[state.species]
+    cells[:, 1:] = state.positions
+    rows = ("%s %.10f %.10f %.10f\n" * state.natoms) % tuple(cells.flat)
     with open(path, "a" if append else "w") as f:
         f.write(f"{state.natoms}\n{comment}\n{rows}")
 

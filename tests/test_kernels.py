@@ -7,6 +7,7 @@ them.
 
 import platform
 import resource
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,8 @@ ALL_VARIANTS = [
     make_variant("VecI", "emulated", 4),
     make_variant("VecI", "native"),
     make_variant("VecI", "native", 1024),  # native off its preset width
-    make_variant("VecI", "native", 2048),  # the previous preset width
+    make_variant("VecI", "native", 2048),  # earlier preset widths
+    make_variant("VecI", "native", 4096),
 ]
 
 VIDS = [v.describe() for v in ALL_VARIANTS]
@@ -320,6 +322,7 @@ def _output_bytes(res):
 
 LANE_RECORD_VARIANTS = [make_variant("VecI"),
                         make_variant("VecI", "native", 2048),
+                        make_variant("VecI", "native", 4096),
                         make_variant("VecI", "emulated", 4),
                         make_variant("VecJ", "emulated", 4)]
 
@@ -486,6 +489,36 @@ def test_evaluations_reuse_the_freed_heap():
         compute(state, nl, table, make_variant())
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 20 * 20, faults
+
+
+def test_batch_temporaries_die_with_their_batch(monkeypatch):
+    """Each pair batch frees its temporaries before the next one starts:
+    the traced memory at the pair pass reads the same in every full
+    batch. A batch that still held the previous batch's arrays would
+    read at least one lane array (8 W bytes) more from the second batch
+    on."""
+    state = jittered(gen_nanotube(5, 30))  # 1,780 pairs: 3 full batches
+    table = carbon_table()
+    nl = build_neighbor_list(state, table.r_cut, skin=0.3)
+    W = 512
+    variant = make_variant("VecI", "emulated", W)
+    compute(state, nl, table, variant)  # build the record first
+    readings = []
+    pair_parts = kernels.pair_parts_lanes
+
+    def reading(bk, r, *args):
+        if r.shape[0] == W:
+            readings.append(tracemalloc.get_traced_memory()[0])
+        return pair_parts(bk, r, *args)
+
+    monkeypatch.setattr(kernels, "pair_parts_lanes", reading)
+    tracemalloc.start()
+    try:
+        compute(state, nl, table, variant)
+    finally:
+        tracemalloc.stop()
+    assert len(readings) == pack_adjacency(state, nl).npairs // W == 3
+    assert max(readings) - min(readings) < 8 * W, readings
 
 
 # ---------------------------------------------------------------------

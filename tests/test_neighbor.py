@@ -476,6 +476,62 @@ def test_coincident_atoms_on_a_reused_topology_rejected():
     assert nl.topology is topo
 
 
+def _mask_pack(fr, nl):
+    """The pack compacted by boolean masks over the whole list: the
+    reference for the kept-index compaction."""
+    pos = fr.positions
+    i_all = np.repeat(np.arange(nl.natoms), np.diff(nl.offsets))
+    geom = np.empty((nl.neighbors.shape[0], 4))
+    np.subtract(pos[nl.neighbors], pos[i_all], out=geom[:, :3])
+    neighbor._wrap(geom[:, :3], fr.box)
+    r2 = neighbor._norm2(geom)
+    keep = r2 < R_C * R_C
+    geom, i = geom[keep], i_all[keep]
+    geom[:, 3] = np.sqrt(r2[keep])
+    offsets = np.zeros(nl.natoms + 1, dtype=np.int64)
+    offsets[1:] = np.cumsum(np.bincount(i, minlength=nl.natoms))
+    return tuple(a.tobytes() for a in (offsets, i, nl.neighbors[keep], geom))
+
+
+def test_kept_index_compaction_matches_a_boolean_mask():
+    """A jittered periodic lattice whose skin list holds pairs beyond
+    r_cut: the first pack, packs on the reused topology and a pack after
+    the topology was derived again all equal the boolean-mask reference
+    byte for byte, and a coincident pair is named by its atoms, not by
+    its slot in the list."""
+    fr = gen_diamond(3)
+    rng = np.random.default_rng(4)
+    fr.positions += rng.uniform(-0.03, 0.03, fr.positions.shape)
+    nl = build_neighbor_list(fr, R_C, skin=0.5)  # second shell at 2.52 A
+    adj = pack_adjacency(fr, nl)
+    assert adj.npairs < nl.neighbors.shape[0]
+    assert _packed_bytes(adj) == _mask_pack(fr, nl)
+    topo = adj.topology
+    assert np.array_equal(topo.kept, np.flatnonzero(topo.keep))
+    for _ in range(2):
+        fr.positions += rng.uniform(-1e-3, 1e-3, fr.positions.shape)
+        adj = pack_adjacency(fr, nl)
+        assert adj.topology is topo
+        assert _packed_bytes(adj) == _mask_pack(fr, nl)
+    # (i, j) with i < j is the first of the two coincident pairs; the
+    # dropped entries before it give it another slot in the list
+    i = next(i for i in range(nl.natoms // 2, nl.natoms)
+             if adj.j[adj.offsets[i + 1] - 1] > i)
+    j = int(adj.j[adj.offsets[i + 1] - 1])
+    assert nl.offsets[i] + np.searchsorted(
+        nl.neighbors[nl.offsets[i]:nl.offsets[i + 1]], j) \
+        != adj.offsets[i + 1] - 1
+    fr.positions[j] = fr.positions[i] + [1e-9, 0.0, 0.0]
+    for lst in (nl, build_neighbor_list(fr, R_C, skin=0.5)):
+        with pytest.raises(InputError,
+                           match=f"atoms {i} and {j} are coincident"):
+            pack_adjacency(fr, lst)
+    fr.positions[j] += [0.0, 0.0, 0.2]  # 0.2 A apart: a pack again
+    adj = pack_adjacency(fr, nl)
+    assert adj.topology is not topo
+    assert _packed_bytes(adj) == _mask_pack(fr, nl)
+
+
 def test_pack_cutoff_wider_than_list_rejected():
     fr = free_frame([[0, 0, 0], [1.5, 0, 0]])
     nl = build_neighbor_list(fr, R_C, skin=0.3)

@@ -344,7 +344,7 @@ def test_backend_validation():
         Backend("emulated", 4, precision="single", strict=True)
     assert Backend("native", 64, strict=True).strict
     assert Backend("scalar").strict
-    assert Backend("native").width == 4096
+    assert Backend("native").width == 8192
     assert Backend("emulated").width == 8
     assert Backend("emulated", np.int64(4)).width == 4
 
