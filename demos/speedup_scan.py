@@ -38,7 +38,7 @@ for cells in (25, 75, 250):
               f"{util:>7s}")
 
 print("\nnotes: emulated and native run the same lane code; at W=8 every "
-      "lane operation\npays a numpy call for up to 8 values, at W=4096 "
-      "(native) for up to 4096;\nevery batch carries only its active lanes, "
+      "lane operation\npays a numpy call for up to 8 values, at W=8192 "
+      "(native) for up to 8192;\nevery batch carries only its active lanes, "
       "and the lanes column is their\nfill against W. VecI on native is the "
       "performance claim.")
