@@ -21,16 +21,18 @@ lane tags and the production kernel (``make_variant()``) come from it.
 `compute` validates and packs once per call; `_batches` is the schedule.
 
 Topology per rebuild, geometry per step: the lane kernel's index record
-(`_records`) is built once per neighbor-list topology and species array
-and kept on the topology; every batch of either schedule slices it, and
-a step computes only the pair geometry (`pack_adjacency`) and the math.
+(`_records`), plain int32 arrays of pair types and triples, is built in
+one pass once per neighbor-list topology and species array and kept on
+the topology; every batch of either schedule slices it and the
+topology's own i and j, and a step computes only the pair geometry
+(`pack_adjacency`) and the math.
 
-Gather only what is scattered: a batch's slices of the record and its
-pairs' geometry are contiguous runs, read with `Backend.load`; the
-geometry of a triple's two pairs is gathered per lane. When every atom
-has one species, every pair and every triple take the same parameter
-row: the record keeps those two row indices, and the rows broadcast
-across the lanes as (F, 1) blocks; a mixed system gathers each lane's.
+Gather only what is scattered: a batch's triple records and its pairs'
+geometry are contiguous runs, read with `Backend.load`; the geometry of
+a triple's two pairs is gathered per lane. When every atom has one
+species, every pair and every triple take the same parameter row: the
+record keeps those two row indices, and the rows broadcast across the
+lanes as (F, 1) blocks; a mixed system gathers each lane's.
 
 All optimized variants share the scalar forms' expression trees operation
 for operation and accumulate per (i,j) at the same granularity: zeta, the
@@ -53,7 +55,6 @@ math to float32.
 
 import ctypes
 import math
-import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -315,10 +316,11 @@ def _batches(bounds, width):
 
 
 def _records(adj, species, S):
-    """The whole system's int32 index record, built once per topology and
-    species array and kept on the topology:
+    """The whole system's index record, plain int32 arrays built in one
+    vectorised pass once per topology and species array and kept on the
+    topology:
 
-    * pairs (npairs, 3): (i, j, pair type);
+    * ptype (npairs,): each pair's type; pair p runs adj.i[p] -> adj.j[p];
     * trip (ntrip, 3): the triples in ScalarOpt's order, pair by pair, k
       ascending, k != j: (pair, k-pair, triple type). Row i's slot for
       k = j is the pair itself;
@@ -326,8 +328,7 @@ def _records(adj, species, S):
     * rows: when every atom has one species, the (pair, triple) rows of
       the parameter table that every pair and triple take, else None.
 
-    A batch of pairs a .. a+m-1 slices every column. The columns and the
-    species key share one off-heap buffer.
+    A batch of pairs a .. b-1 slices every column, and adj.i and adj.j.
     """
     topo = adj.topology
     if topo.records is not None:
@@ -336,58 +337,30 @@ def _records(adj, species, S):
             return rec
     topo.records = None  # free the stale record before building
     i32 = np.int32
-    row_len = np.diff(adj.offsets).astype(i32)
-    npairs, natoms = adj.npairs, adj.natoms
-    count = row_len.take(adj.i) - 1  # each pair's triples: n_i - 1
-    ntrip = int(count.sum())
-    buf = _off_heap(natoms + 4 * npairs + 1 + 3 * ntrip, i32)
-    sp = buf[:natoms]
-    pairs = buf[natoms:natoms + 3 * npairs].reshape(npairs, 3)
-    tfirst = buf[natoms + 3 * npairs:natoms + 4 * npairs + 1]
-    trip = buf[natoms + 4 * npairs + 1:].reshape(ntrip, 3)
-    sp[:] = species
-    tfirst[0] = 0
-    np.cumsum(count, dtype=i32, out=tfirst[1:])
-    del count
-    # a chunk of pairs at a time, so the temporaries stay small
-    for a in range(0, npairs, _RECORD_CHUNK):
-        b = min(a + _RECORD_CHUNK, npairs)
-        i, j = adj.i[a:b], adj.j[a:b]
-        ptype = sp.take(i) * S + sp.take(j)
-        pairs[a:b, 0], pairs[a:b, 1], pairs[a:b, 2] = i, j, ptype
-        n_i = row_len.take(i)
-        pair = np.repeat(np.arange(a, b), n_i)
-        kk = np.arange(pair.shape[0]) + np.repeat(
-            adj.offsets.take(i) - np.cumsum(n_i) + n_i, n_i)
-        other = kk != pair
-        pair, kk = pair[other], kk[other]
-        t = trip[tfirst[a]:tfirst[b]]
-        t[:, 0], t[:, 1] = pair, kk
-        t[:, 2] = ptype.take(pair - a) * S + sp.take(adj.j.take(kk))
+    sp = species.astype(i32)
+    npairs = adj.npairs
+    n_i = np.diff(adj.offsets).astype(i32).take(adj.i)
+    tfirst = np.zeros(npairs + 1, dtype=i32)
+    np.cumsum(n_i - 1, out=tfirst[1:])  # each pair's triples: n_i - 1
+    ptype = sp.take(adj.i) * S + sp.take(adj.j)
+    # pair p's n_i slots run over row i, the k = j slot among them: slot
+    # block p starts at tfirst[p] + p, row i at offsets[i]
+    shift = adj.offsets.take(adj.i) - tfirst[:-1] - np.arange(npairs)
+    pair = np.repeat(np.arange(npairs, dtype=i32), n_i)
+    kk = np.arange(pair.shape[0], dtype=i32) + np.repeat(shift.astype(i32),
+                                                         n_i)
+    other = kk != pair
+    trip = np.empty((int(tfirst[-1]), 3), dtype=i32)
+    trip[:, 0], trip[:, 1] = pair[other], kk[other]
+    del shift, pair, kk, other
+    trip[:, 2] = ptype.take(trip[:, 0]) * S + sp.take(adj.j.take(trip[:, 1]))
     rows = None
-    if natoms and (sp == sp[0]).all():
+    if sp.size and (sp == sp[0]).all():
         pair_row = int(sp[0]) * (S + 1)
         rows = (pair_row, pair_row * S + int(sp[0]))
-    rec = (pairs, trip, tfirst, rows)
+    rec = (ptype, trip, tfirst, rows)
     topo.records = (S, sp, rec)
     return rec
-
-
-_RECORD_CHUNK = 2048
-
-
-def _off_heap(n, dtype):
-    """An empty (n,) array in an anonymous memory mapping of its own.
-
-    The index record lives from one neighbor-list rebuild to the next. On
-    the malloc heap, among the arrays each step allocates and frees, such
-    long-lived blocks fragment the free space: the heap then grew at the
-    next large transient, and the 10k-atom tube's peak resident memory
-    rose by about 10% (5.6 MiB for a 1.3 MB record). A mapping of its own
-    stays out of the heap and goes back whole when the record is freed.
-    """
-    size = n * np.dtype(dtype).itemsize
-    return np.frombuffer(mmap.mmap(-1, max(size, 1)), dtype, count=n)
 
 
 # Fixed glibc heap thresholds: arrays from 4 MiB up get mappings of their
@@ -414,7 +387,7 @@ def compute_lanes(adj, species, params, variant):
     W = bk.width
     gathers0 = bk.gather_count
     geom = adj.geom.astype(bk.real_dtype, copy=False)
-    pairs, trip, tfirst, rows = _records(adj, species, params.nspecies)
+    ptype, trip, tfirst, rows = _records(adj, species, params.nspecies)
     pair_par = trip_par = None
     if rows is not None:  # one species: one row of each, broadcast on lanes
         pair_par = pair_mat[rows[0]][:, None]
@@ -443,14 +416,14 @@ def compute_lanes(adj, species, params, variant):
         for c0, c1 in _batches([t0, t1], W):
             gk[:, c0 - t0:c1 - t0] = chunk(a, c0, c1, sums)
         zeta, gi, gjs = sums[0], sums[1:4], sums[4:]
-        i_idx, j_idx, pair_idx = bk.load(pairs, a, b)
         gj_rec = bk.load(geom, a, b)
         dj, r_ij = gj_rec[:3], gj_rec[3]
-        par = pair_par if rows is not None else bk.gather(pair_mat, pair_idx)
+        par = (pair_par if rows is not None
+               else bk.gather(pair_mat, ptype[a:b]))
         v, dv_dr, dz = pair_parts_lanes(bk, r_ij, zeta, *par)
         fv = dv_dr * (dj / r_ij)
-        bk.scatter_add(Fi, i_idx, fv - dz * gi)
-        bk.scatter_add(Fj, j_idx, -fv - dz * gjs)
+        bk.scatter_add(Fi, adj.i[a:b], fv - dz * gi)
+        bk.scatter_add(Fj, adj.j[a:b], -fv - dz * gjs)
         if t1 > t0:
             # F_k -= dz gk as F_k += -(dz gk), in place: negation is exact
             gk *= -dz[trip[t0:t1, 0] - a]

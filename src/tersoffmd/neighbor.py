@@ -203,19 +203,23 @@ def check_skin(skin):
         raise ConfigurationError(f"skin must be finite and >= 0, got {skin!r}")
 
 
+def check_box(box, build_cutoff):
+    """Reject a periodic edge shorter than twice the build cutoff: the
+    minimum image needs L >= 2 r so a pair meets at most one image."""
+    for ax in range(3):
+        if box.periodic[ax] and box.lengths[ax] < 2.0 * build_cutoff:
+            raise ConfigurationError(
+                f"periodic edge {box.lengths[ax]:g} A along axis {ax} is "
+                f"shorter than twice the build cutoff "
+                f"{build_cutoff:g} A; replicate the cell")
+
+
 def build_neighbor_list(state, r_cut, skin=0.3):
     check_skin(skin)
     pos = np.asarray(state.positions, dtype=np.float64)
     n = pos.shape[0]
     build_cutoff = float(r_cut) + float(skin)
-    lengths = np.asarray(state.box.lengths, dtype=np.float64)
-    for ax in range(3):
-        # minimum image needs L >= 2 r so a pair meets at most one image
-        if state.box.periodic[ax] and lengths[ax] < 2.0 * build_cutoff:
-            raise ConfigurationError(
-                f"periodic edge {lengths[ax]:g} A along axis {ax} is "
-                f"shorter than twice the build cutoff "
-                f"{build_cutoff:g} A; replicate the cell")
+    check_box(state.box, build_cutoff)
     cl = build_cell_list(state, build_cutoff)
     ci, cj = cl.pairs_within(pos, build_cutoff)
     di = np.concatenate([ci, cj])  # both directions: full list

@@ -269,13 +269,19 @@ def write_xyz(path, state, comment=None, append=False):
 
 def read_xyz(path):
     """All frames in the file as (symbols, positions, comment) tuples; a
-    malformed count line or atom row, or a nan/inf coordinate, raises
-    InputError naming path:line."""
+    malformed count line or atom row, a nan/inf coordinate, or a blank
+    line with more than whitespace after it raises InputError naming
+    path:line."""
     frames = []
     with open(path) as f:
         lines = enumerate(f, start=1)
         for first, head in lines:
             if not head.strip():
+                more = next((at for at, line in lines if line.strip()), None)
+                if more is not None:
+                    raise InputError(
+                        f"{path}:{first}: blank line before more XYZ data "
+                        f"at line {more}")
                 break
             if not head.strip().isdecimal():
                 raise InputError(

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .kernels import LANE_TAGS, check_threads, compute, make_variant
-from .neighbor import build_neighbor_list
+from .neighbor import build_neighbor_list, check_box
 from .simd import EMULATED_WIDTHS
 from .system import run_nve, RunConfig, seed_velocities, total_momentum
 
@@ -278,8 +278,12 @@ def run_verification(state, params, variant=None, tol_scale=1.0,
     if not (math.isfinite(tol_scale) and tol_scale >= 0):
         raise ConfigurationError(
             f"tol_scale must be finite and >= 0, got {tol_scale!r}")
-    # bad steps, dt or skin raise here, not as a FAIL row of every suite
+    # bad steps, dt, skin, box or seed raise here, not as a FAIL row of
+    # every suite
     RunConfig(dt=dt, steps=conservation_steps, skin=skin)
+    check_box(state.box, params.r_cut + skin)
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
     checks = []
     checks += _guard("gradient_fd", lambda: check_gradients(
         state, params, variant=variant, tol_scale=tol_scale, skin=skin,

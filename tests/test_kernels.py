@@ -276,7 +276,7 @@ def test_native_batches_carry_only_active_lanes(backend, width, monkeypatch):
     """Batches and triple chunks hold only their active lanes on every
     backend, not only on native: every gather, load and lane scatter sees
     at most W lanes, some fewer, the pair batches' lanes (their loads of
-    the pair record) sum to lane_active, and lane_total is W per pair
+    the pair geometry) sum to lane_active, and lane_total is W per pair
     batch."""
     state = gen_nanotube(5, 10)
     table = carbon_table()
@@ -284,7 +284,7 @@ def test_native_batches_carry_only_active_lanes(backend, width, monkeypatch):
     gather, load = Backend.gather, Backend.load
     scatter_add = Backend.scatter_add
     lanes = []  # lanes of every gather, load and lane scatter
-    pair_lanes = []  # lanes of each pair batch: its pair-record load
+    pair_lanes = []  # lanes of each pair batch: its geometry load
 
     def gathering(self, records, idx):
         lanes.append(idx.shape[0])
@@ -292,7 +292,7 @@ def test_native_batches_carry_only_active_lanes(backend, width, monkeypatch):
 
     def loading(self, records, start, stop):
         lanes.append(stop - start)
-        if records is nl.topology.records[2][0]:  # (i, j, pair type)
+        if records.shape[1:] == (4,):  # the pairs' (dx, dy, dz, r)
             pair_lanes.append(stop - start)
         return load(self, records, start, stop)
 
@@ -364,6 +364,73 @@ def test_index_record_follows_topology_and_species(variant):
     assert nl.topology.records is not record
     state.species[:5] = 1 - state.species[:5]  # the same array, edited
     check()
+
+
+def _record_by_loops(adj, species, S):
+    """The index record from plain loops over the CSR rows, in
+    ScalarOpt's order: pair by pair, k ascending, k != j."""
+    offs, jl, sl = adj.offsets.tolist(), adj.j.tolist(), species.tolist()
+    ptype, trip, tfirst = [], [], [0]
+    for i in range(adj.natoms):
+        for p in range(offs[i], offs[i + 1]):
+            ptype.append(sl[i] * S + sl[jl[p]])
+            for kk in range(offs[i], offs[i + 1]):
+                if jl[kk] != jl[p]:
+                    trip.append([p, kk, ptype[-1] * S + sl[jl[kk]]])
+            tfirst.append(len(trip))
+    rows = None
+    if len(set(sl)) == 1:
+        rows = (sl[0] * S + sl[0], (sl[0] * S + sl[0]) * S + sl[0])
+    return ptype, trip, tfirst, rows
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["tube800", "mixed40"])
+def test_index_record_matches_a_loop_over_the_rows(mixed):
+    """The one-pass vectorised record equals a Python loop over the CSR
+    rows: pair types, triples, tfirst and the one-species rows. The tube
+    has more than 2,048 pairs and a topology that drops skin-list pairs
+    beyond r_cut."""
+    if mixed:
+        state, nl, table = cluster(11, 40, mixed=True)
+    else:
+        state, table = jittered(gen_nanotube(5, 40)), carbon_table()
+        nl = build_neighbor_list(state, table.r_cut, skin=0.3)
+    compute(state, nl, table, make_variant())
+    adj = pack_adjacency(state, nl)
+    assert adj.topology is nl.topology
+    if not mixed:
+        assert adj.npairs > 2048 and nl.topology.kept is not None
+    ptype, trip, tfirst, rows = nl.topology.records[2]
+    assert {a.dtype for a in (ptype, trip, tfirst)} == {np.dtype(np.int32)}
+    want = _record_by_loops(adj, np.asarray(state.species), table.nspecies)
+    assert (ptype.tolist(), trip.tolist(), tfirst.tolist(), rows) == want
+
+
+def test_index_record_memory_on_the_10k_tube():
+    """One record build of the 10k-atom tube peaks at most 4 MB, under
+    the neighbor build's own 7e6 bound (test_neighbor.py), and then holds
+    exactly its int32 columns: the species key, the pair types, tfirst
+    and the triples, no copy of the topology's i or j."""
+    state = jittered(gen_nanotube(5, 500))
+    table = carbon_table()
+    nl = build_neighbor_list(state, table.r_cut, skin=0.3)
+    adj = pack_adjacency(state, nl)
+    species = np.zeros(state.natoms, dtype=np.int64)
+    kernels._records(adj, species, 1)
+    adj.topology.records = None
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        ptype, trip, tfirst, _ = kernels._records(adj, species, 1)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ntrip = trip.shape[0]
+    assert ntrip == int(tfirst[-1]) > 0
+    record_bytes = 4 * (state.natoms + adj.npairs + (adj.npairs + 1)
+                        + 3 * ntrip)
+    assert peak - before <= 4e6
+    assert 0 <= (held - before) - record_bytes < 2048, held - before
 
 
 def ones_cluster(seed=12, n=40):
@@ -556,16 +623,16 @@ def test_lane_utilization_exact_on_chain():
     assert vi.stats["lane_active"] == 4
     assert vi.stats["lane_total"] == 4
     assert vi.lane_utilization == 1.0
-    # Per pair batch, 2 loads: the (i, j, pair type) record and the
-    # geometry. Per chunk of up to W triples, 1 load and 2 gathers: the
+    # Per pair batch, 1 load: the geometry; its i and j are slices of the
+    # topology's. Per chunk of up to W triples, 1 load and 2 gathers: the
     # (pair, k-pair, triple type) record and the geometry of both pairs.
     # One species: the parameter rows broadcast and are never gathered.
     # The k = j slot makes no triple, so row 1 gives the only two, (1,0,2)
     # and (1,2,0).
     # VecJ: rows of 1, 2 and 1 pairs with 0, 2 and 0 triples.
-    assert vj.stats["gathers"] == 2 + (2 + 3) + 2
+    assert vj.stats["gathers"] == 1 + (1 + 3) + 1
     # VecI: one batch of the 4 pairs and their 2 triples
-    assert vi.stats["gathers"] == 2 + 3
+    assert vi.stats["gathers"] == 1 + 3
     sc = compute(fr, nl, table, make_variant("ScalarOpt"))
     assert sc.lane_utilization is None
     assert sc.stats["gathers"] == 0

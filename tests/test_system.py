@@ -169,6 +169,9 @@ def test_xyz_round_trip(tmp_path):
     assert np.max(np.abs(back.positions - st.positions)) < 1e-9
     write_xyz(path, st, comment="frame 2", append=True)
     assert len(read_xyz(path)) == 2
+    with open(path, "a") as f:
+        f.write("\n  \n\t\n")  # trailing whitespace ends the frames
+    assert len(read_xyz(path)) == 2
 
 
 def test_write_xyz_exact_bytes(tmp_path):

@@ -574,7 +574,9 @@ class TestCli:
     @pytest.mark.parametrize("flag,value,word", [
         ("--steps", "-5", "steps"), ("--dt", "-1", "dt"),
         ("--dt", "nan", "dt"), ("--skin", "-1", "skin"),
-        ("--skin", "nan", "skin")])
+        ("--skin", "nan", "skin"), ("--seed", "-1", "seed"),
+        # the last --structure wins: a periodic edge under 2 x 2.4 A
+        ("--structure", "diamond:cells=1", "twice the build cutoff")])
     def test_verify_rejects_bad_steps_dt_and_skin(self, flag, value, word,
                                                   capsys, monkeypatch):
         """Exit 2 before any suite runs, as `run` does on the same values,
@@ -692,7 +694,9 @@ class TestCli:
         ("2\nc\nC 0 0 0\nC 1.4 0\n", 4, "fewer than 4 fields"),
         ("2\nc\nC 0 0 0\nC nan 0 0\n", 4, "non-finite coordinate"),
         ("2\nc\nC 0 inf 0\nC 1.4 0 0\n", 3, "non-finite coordinate"),
-    ], ids=["bad-float", "negative-count", "short-row", "nan", "inf"])
+        ("1\nc\nC 0 0 0\n\n2\nc\nC 0 0 0\nC 1.4 0 0\n", 4, "blank line"),
+    ], ids=["bad-float", "negative-count", "short-row", "nan", "inf",
+            "blank-before-frame"])
     def test_malformed_xyz_names_file_and_line(self, text, line, what,
                                                tmp_path, capsys):
         path = tmp_path / "bad.xyz"
