@@ -21,8 +21,9 @@ from .errors import ConfigurationError, InputError
 from .kernels import LANE_TAGS, make_variant
 from .paramfile import ParamFileError, builtin_params, load_params
 from .simd import DEFAULT_WIDTHS
-from .system import (RunConfig, StretchSpec, gen_diamond, gen_nanotube,
-                     run_nve, seed_velocities, state_from_xyz, write_xyz)
+from .system import (RunConfig, StretchSpec, check_seed, gen_diamond,
+                     gen_nanotube, run_nve, seed_velocities, state_from_xyz,
+                     write_xyz)
 from .verify import run_verification
 
 _VARIANT_NAMES = {"reference": "Reference", "scalar": "ScalarOpt",
@@ -150,6 +151,7 @@ def cmd_gen(args):
 def cmd_run(args):
     params = _load_params(args)
     state = _load_structure(args.structure, params)
+    check_seed(args.seed)
     if args.temperature != 0.0:  # seed_velocities rejects < 0 and non-finite
         seed_velocities(state, args.temperature, args.seed)
     variant, = _variants(args, [args.variant])

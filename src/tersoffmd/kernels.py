@@ -21,18 +21,19 @@ lane tags and the production kernel (``make_variant()``) come from it.
 `compute` validates and packs once per call; `_batches` is the schedule.
 
 Topology per rebuild, geometry per step: the lane kernel's index record
-(`_records`), plain int32 arrays of pair types and triples, is built in
-one pass once per neighbor-list topology and species array and kept on
-the topology; every batch of either schedule slices it and the
-topology's own i and j, and a step computes only the pair geometry
-(`pack_adjacency`) and the math.
+(`_records`), the triples as plain int32 arrays, depends on the topology
+alone; it is built in one pass once per neighbor-list topology and kept
+on it. Every batch of either schedule slices it and the topology's own
+i and j, and a step computes only the pair geometry (`pack_adjacency`)
+and the math.
 
 Gather only what is scattered: a batch's triple records and its pairs'
 geometry are contiguous runs, read with `Backend.load`; the geometry of
 a triple's two pairs is gathered per lane. When every atom has one
-species, every pair and every triple take the same parameter row: the
-record keeps those two row indices, and the rows broadcast across the
-lanes as (F, 1) blocks; a mixed system gathers each lane's.
+species, every pair and every triple take the same parameter row, and
+the two rows broadcast across the lanes as (F, 1) blocks; with more
+species, each call forms its pair and triple types from the species
+array and gathers each lane's row.
 
 All optimized variants share the scalar forms' expression trees operation
 for operation and accumulate per (i,j) at the same granularity: zeta, the
@@ -315,52 +316,35 @@ def _batches(bounds, width):
             yield s, min(s + width, end)
 
 
-def _records(adj, species, S):
-    """The whole system's index record, plain int32 arrays built in one
-    vectorised pass once per topology and species array and kept on the
-    topology:
+def _records(adj):
+    """The topology's index record, plain int32 arrays built in one
+    vectorised pass on first use and kept on the topology:
 
-    * ptype (npairs,): each pair's type; pair p runs adj.i[p] -> adj.j[p];
-    * trip (ntrip, 3): the triples in ScalarOpt's order, pair by pair, k
-      ascending, k != j: (pair, k-pair, triple type). Row i's slot for
-      k = j is the pair itself;
-    * tfirst (npairs + 1,): pair p's triples are trip[tfirst[p]:tfirst[p+1]];
-    * rows: when every atom has one species, the (pair, triple) rows of
-      the parameter table that every pair and triple take, else None.
+    * trip (ntrip, 2): the triples in ScalarOpt's order, pair by pair, k
+      ascending, k != j: (pair, k-pair), pair p running adj.i[p] ->
+      adj.j[p]. Row i's slot for k = j is the pair itself;
+    * tfirst (npairs + 1,): pair p's triples are trip[tfirst[p]:tfirst[p+1]].
 
-    A batch of pairs a .. b-1 slices every column, and adj.i and adj.j.
+    A batch of pairs a .. b-1 slices both, and adj.i and adj.j.
     """
     topo = adj.topology
-    if topo.records is not None:
-        key_S, key_species, rec = topo.records
-        if key_S == S and np.array_equal(key_species, species):
-            return rec
-    topo.records = None  # free the stale record before building
-    i32 = np.int32
-    sp = species.astype(i32)
-    npairs = adj.npairs
-    n_i = np.diff(adj.offsets).astype(i32).take(adj.i)
-    tfirst = np.zeros(npairs + 1, dtype=i32)
-    np.cumsum(n_i - 1, out=tfirst[1:])  # each pair's triples: n_i - 1
-    ptype = sp.take(adj.i) * S + sp.take(adj.j)
-    # pair p's n_i slots run over row i, the k = j slot among them: slot
-    # block p starts at tfirst[p] + p, row i at offsets[i]
-    shift = adj.offsets.take(adj.i) - tfirst[:-1] - np.arange(npairs)
-    pair = np.repeat(np.arange(npairs, dtype=i32), n_i)
-    kk = np.arange(pair.shape[0], dtype=i32) + np.repeat(shift.astype(i32),
-                                                         n_i)
-    other = kk != pair
-    trip = np.empty((int(tfirst[-1]), 3), dtype=i32)
-    trip[:, 0], trip[:, 1] = pair[other], kk[other]
-    del shift, pair, kk, other
-    trip[:, 2] = ptype.take(trip[:, 0]) * S + sp.take(adj.j.take(trip[:, 1]))
-    rows = None
-    if sp.size and (sp == sp[0]).all():
-        pair_row = int(sp[0]) * (S + 1)
-        rows = (pair_row, pair_row * S + int(sp[0]))
-    rec = (ptype, trip, tfirst, rows)
-    topo.records = (S, sp, rec)
-    return rec
+    if topo.records is None:
+        i32 = np.int32
+        npairs = adj.npairs
+        n_i = np.diff(adj.offsets).astype(i32).take(adj.i)
+        tfirst = np.zeros(npairs + 1, dtype=i32)
+        np.cumsum(n_i - 1, out=tfirst[1:])  # each pair's triples: n_i - 1
+        # pair p's n_i slots run over row i, the k = j slot among them:
+        # slot block p starts at tfirst[p] + p, row i at offsets[i]
+        shift = adj.offsets.take(adj.i) - tfirst[:-1] - np.arange(npairs)
+        pair = np.repeat(np.arange(npairs, dtype=i32), n_i)
+        kk = np.arange(pair.shape[0], dtype=i32) + np.repeat(
+            shift.astype(i32), n_i)
+        other = kk != pair
+        trip = np.empty((int(tfirst[-1]), 2), dtype=i32)
+        trip[:, 0], trip[:, 1] = pair[other], kk[other]
+        topo.records = (trip, tfirst)
+    return topo.records
 
 
 # Fixed glibc heap thresholds: arrays from 4 MiB up get mappings of their
@@ -387,21 +371,27 @@ def compute_lanes(adj, species, params, variant):
     W = bk.width
     gathers0 = bk.gather_count
     geom = adj.geom.astype(bk.real_dtype, copy=False)
-    ptype, trip, tfirst, rows = _records(adj, species, params.nspecies)
-    pair_par = trip_par = None
-    if rows is not None:  # one species: one row of each, broadcast on lanes
-        pair_par = pair_mat[rows[0]][:, None]
-        trip_par = trip_mat[rows[1]][:, None]
+    trip, tfirst = _records(adj)
+    S = params.nspecies
+    one = species.size and (species == species[0]).all()
+    if one:  # one species: one row of each, broadcast on the lanes
+        s0 = int(species[0])
+        pair_par = pair_mat[s0 * (S + 1)][:, None]
+        trip_par = trip_mat[s0 * (S * S + S + 1)][:, None]
+    else:  # this call's pair and triple types, gathered per lane
+        ptype = species.take(adj.i) * S + species.take(adj.j)
+        ttype = ptype.take(trip[:, 0]) * S + species.take(
+            adj.j.take(trip[:, 1]))
     Fi, Fj, Fk = np.zeros((3, 3, adj.natoms))
 
     def chunk(a, c0, c1, sums):
         """Triples c0 .. c1-1 of the batch from pair a: add zeta and the
         gradient sums over k to the rows zeta | gi | gjs of sums, and
         return the triples' gk."""
-        p, kk, ttype = bk.load(trip, c0, c1)
+        p, kk = bk.load(trip, c0, c1)
         tj = bk.gather(geom, p)
         tk = bk.gather(geom, kk)
-        par = trip_par if rows is not None else bk.gather(trip_mat, ttype)
+        par = trip_par if one else bk.gather(trip_mat, ttype[c0:c1])
         val, gj, gk = zeta_parts_lanes(bk, tj[:3], tj[3], tk[:3], tk[3], *par)
         bk.scatter_add(sums, p - a,
                        np.concatenate([val[None], -(gj + gk), gj]))
@@ -418,8 +408,7 @@ def compute_lanes(adj, species, params, variant):
         zeta, gi, gjs = sums[0], sums[1:4], sums[4:]
         gj_rec = bk.load(geom, a, b)
         dj, r_ij = gj_rec[:3], gj_rec[3]
-        par = (pair_par if rows is not None
-               else bk.gather(pair_mat, ptype[a:b]))
+        par = pair_par if one else bk.gather(pair_mat, ptype[a:b])
         v, dv_dr, dz = pair_parts_lanes(bk, r_ij, zeta, *par)
         fv = dv_dr * (dj / r_ij)
         bk.scatter_add(Fi, adj.i[a:b], fv - dz * gi)

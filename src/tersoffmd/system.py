@@ -138,6 +138,11 @@ def total_momentum(state):
     return (state.atom_masses[:, None] * state.velocities).sum(axis=0)
 
 
+def check_seed(seed):
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+
+
 def seed_velocities(state, temperature, rng=0):
     """Maxwell-Boltzmann velocities at `temperature` K, zero net momentum."""
     if not (math.isfinite(temperature) and temperature >= 0.0):
@@ -463,12 +468,17 @@ def run_nve(state, params, cfg):
 
     With a moving cfg.stretch the grip slabs keep a fixed velocity of
     +-speed/2 along the axis (frozen out of every kick) while the
-    interior runs NVE, and the record gains the strain series.
+    interior runs NVE, and the record gains the strain series. The pull
+    axis must not be periodic: its grips would meet across the boundary.
     """
     spec = cfg.stretch
     pull = spec is not None and spec.speed != 0.0
     frozen = None
     if pull:
+        if state.box.periodic[spec.axis]:
+            raise ConfigurationError(
+                f"cannot pull along the periodic {'xyz'[spec.axis]} axis: "
+                f"the grips would meet across the boundary")
         lo, hi = select_grips(state, spec)
         frozen = lo | hi
         state.velocities[frozen] = 0.0

@@ -24,7 +24,8 @@ from .errors import ConfigurationError
 from .kernels import LANE_TAGS, check_threads, compute, make_variant
 from .neighbor import build_neighbor_list, check_box
 from .simd import EMULATED_WIDTHS
-from .system import run_nve, RunConfig, seed_velocities, total_momentum
+from .system import (run_nve, RunConfig, check_seed, seed_velocities,
+                     total_momentum)
 
 # Fixed settings of the checks; tol_scale multiplies every TOL_ constant.
 FD_STEP = 2e-4            # A, central-difference step of the gradient check
@@ -282,8 +283,7 @@ def run_verification(state, params, variant=None, tol_scale=1.0,
     # every suite
     RunConfig(dt=dt, steps=conservation_steps, skin=skin)
     check_box(state.box, params.r_cut + skin)
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+    check_seed(seed)
     checks = []
     checks += _guard("gradient_fd", lambda: check_gradients(
         state, params, variant=variant, tol_scale=tol_scale, skin=skin,

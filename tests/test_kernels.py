@@ -5,8 +5,13 @@ finite differences), written before the kernels and sharing no code with
 them.
 """
 
+import functools
+import json
+import os
 import platform
 import resource
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -17,11 +22,13 @@ from helpers import (Box, Frame, carbon_table, free_frame,
 from oracle import oracle_energy, oracle_forces
 from tersoffmd.errors import ConfigurationError, InputError
 from tersoffmd import kernels
+import tersoffmd
 from tersoffmd.kernels import (KERNEL_TAGS, LANE_TAGS, KernelVariant, compute,
                                make_variant)
 from tersoffmd.neighbor import build_neighbor_list, pack_adjacency
 from tersoffmd.simd import DEFAULT_WIDTHS, EMULATED_WIDTHS, Backend
 from tersoffmd.system import ForceField, gen_diamond, gen_nanotube
+from tersoffmd.verify import TOL_ENERGY, TOL_FORCE
 
 # frozen in test_potential.py from the 50-digit evaluation
 DIMER_E = -10.235536457692383
@@ -228,11 +235,108 @@ def test_outputs_byte_identical_at_every_width(make_state, precision):
     assert [k for k, out in outputs.items() if out != first] == []
 
 
-def test_mixed_species_outputs_byte_identical_at_every_width():
+def parameter_gathers(monkeypatch, table):
+    """Count, in the returned list, the lanes of every gather from the
+    table's parameter rows: the per-lane parameter path."""
+    gather = Backend.gather
+    lanes = []
+
+    def gathering(self, records, idx):
+        if any(records is m for m in table.views(self.precision)):
+            lanes.append(idx.shape[0])
+        return gather(self, records, idx)
+
+    monkeypatch.setattr(Backend, "gather", gathering)
+    return lanes
+
+
+# numpy's dispatch levels, lowest last: "all" disables nothing; a named
+# level disables every dispatched feature numpy lists after it
+DISPATCH_LEVELS = ("all", "X86_V3", "X86_V2")
+
+# one child per level: the outputs of a jittered 200-atom tube as
+# name -> [forces hex, energy hex], and the features numpy found there
+_DISPATCH_CHILD = """
+import json
+import numpy as np
+from tersoffmd.kernels import compute, make_variant
+from tersoffmd.neighbor import build_neighbor_list
+from tersoffmd.paramfile import builtin_params
+from tersoffmd.system import gen_nanotube
+state = gen_nanotube(5, 10)
+rng = np.random.default_rng(3)
+state.positions += rng.uniform(-0.03, 0.03, state.positions.shape)
+table = builtin_params("C")
+nl = build_neighbor_list(state, table.r_cut, skin=0.3)
+variants = {"ScalarOpt": make_variant("ScalarOpt"),
+            "strict W=1": make_variant("VecI", "emulated", 1, strict=True),
+            "strict preset": make_variant("VecI", "native", strict=True),
+            "W=1": make_variant("VecI", "emulated", 1),
+            "W=8": make_variant("VecI", "emulated", 8),
+            "preset": make_variant("VecI", "native")}
+runs = {}
+for name, variant in variants.items():
+    res = compute(state, nl, table, variant)
+    runs[name] = [res.forces.tobytes().hex(),
+                  np.float64(res.potential_energy).tobytes().hex()]
+simd = np.show_config(mode="dicts")["SIMD Extensions"]
+print(json.dumps({"found": simd.get("found", []), "runs": runs}))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def _dispatch_child(disabled):
+    """The child's outputs as name -> (forces bytes, energy bytes), run
+    with NPY_DISABLE_CPU_FEATURES set to the disabled features in its own
+    environment only."""
+    src = os.path.dirname(os.path.dirname(tersoffmd.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(disabled)
+    out = subprocess.run([sys.executable, "-c", _DISPATCH_CHILD], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    report = json.loads(out.stdout)
+    assert not set(disabled) & set(report["found"]), report["found"]
+    return {name: tuple(map(bytes.fromhex, run))
+            for name, run in report["runs"].items()}
+
+
+@pytest.mark.parametrize("level", DISPATCH_LEVELS)
+def test_outputs_at_each_numpy_dispatch_level(level):
+    """The architecture axis: at each numpy SIMD dispatch level this CPU
+    has, strict lanes at W=1 and at the native preset give ScalarOpt's
+    bytes, the same at every level; non-strict lanes give one set of
+    bytes at W = 1, 8 and the preset, and agree across levels within the
+    cross-variant tolerances."""
+    simd = np.show_config(mode="dicts")["SIMD Extensions"]
+    found = simd.get("found", [])
+    if level == "all":
+        disabled = ()
+    elif level in simd.get("baseline", []):
+        disabled = tuple(found)
+    elif level in found:
+        disabled = tuple(found[found.index(level) + 1:])
+    else:
+        pytest.skip(f"this CPU lacks numpy dispatch level {level}")
+    runs = _dispatch_child(disabled)
+    ref = _dispatch_child(())
+    assert runs["strict W=1"] == runs["strict preset"] == runs["ScalarOpt"] \
+        == ref["ScalarOpt"]
+    assert runs["W=1"] == runs["W=8"] == runs["preset"]
+    forces, energy = map(np.frombuffer, runs["preset"])
+    ref_forces, ref_energy = map(np.frombuffer, ref["preset"])
+    assert np.max(np.abs(forces - ref_forces)) <= TOL_FORCE
+    assert abs(energy[0] - ref_energy[0]) <= TOL_ENERGY * abs(ref_energy[0])
+
+
+def test_mixed_species_outputs_byte_identical_at_every_width(monkeypatch):
     """The per-lane parameter gather of a two-species system keeps the
     claim: non-strict lanes give one set of bytes at every width in both
     schedules, and strict lanes equal ScalarOpt bit for bit."""
     state, nl, table = cluster(11, 40, mixed=True)
+    per_lane = parameter_gathers(monkeypatch, table)
     outputs = set()
     for tag in LANE_TAGS:
         for backend, width in (("emulated", 1), ("emulated", 3),
@@ -240,7 +344,7 @@ def test_mixed_species_outputs_byte_identical_at_every_width():
                                ("native", None)):
             res = compute(state, nl, table, make_variant(tag, backend, width))
             outputs.add(_output_bytes(res)[:2])
-    assert nl.topology.records[2][3] is None  # the per-lane gather ran
+    assert per_lane  # the per-lane gather ran
     assert len(outputs) == 1
     base = _output_bytes(compute(state, nl, table,
                                  make_variant("ScalarOpt")))[:2]
@@ -330,10 +434,11 @@ LANE_RECORD_VARIANTS = [make_variant("VecI"),
 @pytest.mark.parametrize("variant", LANE_RECORD_VARIANTS,
                          ids=[v.describe() for v in LANE_RECORD_VARIANTS])
 def test_index_record_follows_topology_and_species(variant):
-    """The lane kernel's index record lives on the list's topology, keyed
-    by the species array: a reused topology, one derived again after a
+    """The lane kernel's index record lives on the list's topology and
+    depends on it alone: a reused topology, one derived again after a
     pair left the cutoff, a new species array and one edited in place all
-    give the bytes of a fresh neighbor list."""
+    give the bytes of a fresh neighbor list, and a species change keeps
+    the record."""
     state, nl, table = cluster(11, 40, mixed=True)
     rng = np.random.default_rng(6)
 
@@ -358,38 +463,34 @@ def test_index_record_follows_topology_and_species(variant):
     state.positions[j] += step
     check()
     assert nl.topology.records is not record
-    record = nl.topology.records
+    topo, record = nl.topology, nl.topology.records
     state.species = 1 - state.species  # a new array
     check()
-    assert nl.topology.records is not record
+    assert nl.topology is topo and topo.records is record
     state.species[:5] = 1 - state.species[:5]  # the same array, edited
     check()
+    assert nl.topology is topo and topo.records is record
 
 
-def _record_by_loops(adj, species, S):
+def _record_by_loops(adj):
     """The index record from plain loops over the CSR rows, in
     ScalarOpt's order: pair by pair, k ascending, k != j."""
-    offs, jl, sl = adj.offsets.tolist(), adj.j.tolist(), species.tolist()
-    ptype, trip, tfirst = [], [], [0]
+    offs, jl = adj.offsets.tolist(), adj.j.tolist()
+    trip, tfirst = [], [0]
     for i in range(adj.natoms):
         for p in range(offs[i], offs[i + 1]):
-            ptype.append(sl[i] * S + sl[jl[p]])
             for kk in range(offs[i], offs[i + 1]):
                 if jl[kk] != jl[p]:
-                    trip.append([p, kk, ptype[-1] * S + sl[jl[kk]]])
+                    trip.append([p, kk])
             tfirst.append(len(trip))
-    rows = None
-    if len(set(sl)) == 1:
-        rows = (sl[0] * S + sl[0], (sl[0] * S + sl[0]) * S + sl[0])
-    return ptype, trip, tfirst, rows
+    return trip, tfirst
 
 
 @pytest.mark.parametrize("mixed", [False, True], ids=["tube800", "mixed40"])
 def test_index_record_matches_a_loop_over_the_rows(mixed):
     """The one-pass vectorised record equals a Python loop over the CSR
-    rows: pair types, triples, tfirst and the one-species rows. The tube
-    has more than 2,048 pairs and a topology that drops skin-list pairs
-    beyond r_cut."""
+    rows: the triples and tfirst. The tube has more than 2,048 pairs and
+    a topology that drops skin-list pairs beyond r_cut."""
     if mixed:
         state, nl, table = cluster(11, 40, mixed=True)
     else:
@@ -400,35 +501,32 @@ def test_index_record_matches_a_loop_over_the_rows(mixed):
     assert adj.topology is nl.topology
     if not mixed:
         assert adj.npairs > 2048 and nl.topology.kept is not None
-    ptype, trip, tfirst, rows = nl.topology.records[2]
-    assert {a.dtype for a in (ptype, trip, tfirst)} == {np.dtype(np.int32)}
-    want = _record_by_loops(adj, np.asarray(state.species), table.nspecies)
-    assert (ptype.tolist(), trip.tolist(), tfirst.tolist(), rows) == want
+    trip, tfirst = nl.topology.records
+    assert {a.dtype for a in (trip, tfirst)} == {np.dtype(np.int32)}
+    assert (trip.tolist(), tfirst.tolist()) == _record_by_loops(adj)
 
 
 def test_index_record_memory_on_the_10k_tube():
     """One record build of the 10k-atom tube peaks at most 4 MB, under
     the neighbor build's own 7e6 bound (test_neighbor.py), and then holds
-    exactly its int32 columns: the species key, the pair types, tfirst
-    and the triples, no copy of the topology's i or j."""
+    exactly its int32 columns, tfirst and the (pair, k-pair) triples: no
+    species, pair or triple types and no copy of the topology's i or j."""
     state = jittered(gen_nanotube(5, 500))
     table = carbon_table()
     nl = build_neighbor_list(state, table.r_cut, skin=0.3)
     adj = pack_adjacency(state, nl)
-    species = np.zeros(state.natoms, dtype=np.int64)
-    kernels._records(adj, species, 1)
+    kernels._records(adj)
     adj.topology.records = None
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        ptype, trip, tfirst, _ = kernels._records(adj, species, 1)
+        trip, tfirst = kernels._records(adj)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     ntrip = trip.shape[0]
     assert ntrip == int(tfirst[-1]) > 0
-    record_bytes = 4 * (state.natoms + adj.npairs + (adj.npairs + 1)
-                        + 3 * ntrip)
+    record_bytes = 4 * ((adj.npairs + 1) + 2 * ntrip)
     assert peak - before <= 4e6
     assert 0 <= (held - before) - record_bytes < 2048, held - before
 
@@ -441,18 +539,19 @@ def ones_cluster(seed=12, n=40):
     return state, build_neighbor_list(state, table.r_cut, skin=0.3), table
 
 
-def test_one_species_parameter_rows_same_bits():
+def test_one_species_parameter_rows_same_bits(monkeypatch):
     """With one species the lane kernel broadcasts one (pair, triple)
     parameter row over the lanes instead of gathering it per lane: strict
     W=1 still equals ScalarOpt bit for bit, and every width gives the
     same bytes."""
     state, nl, table = ones_cluster()
+    per_lane = parameter_gathers(monkeypatch, table)
     base = compute(state, nl, table, make_variant("ScalarOpt"))
     for tag in ("VecJ", "VecI"):
         res = compute(state, nl, table,
                       make_variant(tag, "emulated", 1, strict=True))
         assert _output_bytes(res)[:2] == _output_bytes(base)[:2]
-    assert nl.topology.records[2][3] is not None  # the per-type path ran
+    assert per_lane == []  # the per-type path ran
     for precision in ("double", "single"):
         widths = ([("VecI", "emulated", w) for w in EMULATED_WIDTHS]
                   + [("VecJ", "emulated", w) for w in EMULATED_WIDTHS]
@@ -465,15 +564,19 @@ def test_one_species_parameter_rows_same_bits():
 
 @pytest.mark.parametrize("variant", LANE_RECORD_VARIANTS,
                          ids=[v.describe() for v in LANE_RECORD_VARIANTS])
-def test_second_species_takes_the_per_lane_parameters_again(variant):
-    """The record notes one species and its parameter rows; one atom of
-    another species puts the per-lane parameter gathers back, with the
-    bytes of a fresh neighbor list."""
+def test_second_species_takes_the_per_lane_parameters_again(variant,
+                                                            monkeypatch):
+    """Each call picks its parameter rows from its species: one species
+    broadcasts one row of each, and one atom of another species puts the
+    per-lane parameter gathers back, with the bytes of a fresh neighbor
+    list."""
     state, nl, table = ones_cluster()
+    per_lane = parameter_gathers(monkeypatch, table)
     one = compute(state, nl, table, variant)
+    assert per_lane == []
     state.species[7] = 0
     mixed = compute(state, nl, table, variant)
-    assert nl.topology.records[2][3] is None
+    assert per_lane
     assert mixed.stats["gathers"] > one.stats["gathers"]
     fresh = build_neighbor_list(state, table.r_cut, skin=0.3)
     assert _output_bytes(mixed) == _output_bytes(

@@ -313,6 +313,25 @@ def test_transcendentals_within_4ulp_of_correctly_rounded():
                     assert abs(g - exact) <= 4 * np.spacing(abs(exact)), (name, fn)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_strict_special_values_are_numpys():
+    """Where libm raises, a strict lane takes the IEEE value the numpy
+    path gives, and the other lanes are still computed: exp(1000) is inf,
+    pow(-1, 0.5) and sin(inf) are nan."""
+    cases = (("exp", ([1000.0, 0.5],)), ("pow", ([-1.0, 4.0], 0.5)),
+             ("sin", ([np.inf, 0.0],)))
+    for fn, args in cases:
+        outs = [getattr(Backend("emulated", 2, strict=strict), fn)(
+            np.array(args[0]), *args[1:]) for strict in (True, False)]
+        for out in outs:
+            assert out.dtype == np.float64
+            assert out.tolist()[1] == getattr(math, fn)(args[0][1], *args[1:])
+        # equal as values: a nan's sign bit is libm's or numpy's own
+        assert np.array_equal(outs[0], outs[1], equal_nan=True), fn
+        assert not np.isfinite(outs[0][0]), fn
+    assert Backend("scalar").exp(np.array([1000.0])).tolist() == [np.inf]
+
+
 def test_native_backend_same_values_as_emulated():
     """native is the emulated lane code at another default width: the whole
     little program (gather, arithmetic, ufuncs, scatter, reduce) is

@@ -344,6 +344,10 @@ def test_stretch_requires_spec_and_grips():
         StretchSpec(speed=0.01, grip_fraction=0.6)
     with pytest.raises(ConfigurationError, match="axis"):
         StretchSpec(axis=3)
+    # the grips of a periodic axis would meet across the boundary
+    cfg = RunConfig(steps=1, stretch=StretchSpec(axis=0, speed=0.05))
+    with pytest.raises(ConfigurationError, match="periodic x axis"):
+        run_stretch(gen_diamond(2), TABLE, cfg)
 
 
 @pytest.mark.parametrize("speed", [np.inf, -np.inf, np.nan])

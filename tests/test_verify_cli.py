@@ -393,6 +393,15 @@ class TestCli:
         text = dump.read_text().splitlines()
         assert text.count("72") == 4  # frames at steps 0, 10, 20, 30
 
+    def test_run_pull_along_a_periodic_axis_exits_two(self, capsys):
+        """The grips of a periodic axis meet across the boundary: a pull
+        would report a compression, so it is refused before any step."""
+        code, out, err = run_cli(capsys, "run", "--structure",
+                                 "diamond:cells=3", "--pull-speed", "0.05",
+                                 "--steps", "40")
+        assert code == 2 and out == ""
+        assert "periodic z axis" in err, err
+
     def test_bench_cli_formats(self, capsys):
         base = ("bench", "--structure", "nanotube:n=3,cells=2", "--steps",
                 "1", "--repeats", "1", "--warmup", "0",
@@ -450,6 +459,35 @@ class TestCli:
         bad.write_text(broken_beta_text())
         code, out, _ = run_cli(capsys, *base, "--params", str(bad))
         assert code == 1
+
+    def test_verify_table_format(self, capsys):
+        """One PASS/FAIL line per check in report order, then an overall
+        line naming the variant, the atom count and tol_scale. A zero
+        tol_scale fails every tolerance row; the exact bitwise rows still
+        pass."""
+        base = ("verify", "--structure", "nanotube:n=3,cells=2",
+                "--steps", "5")
+        code, out, _ = run_cli(capsys, *base)
+        assert code == 0
+        checks = json.loads(out)["checks"]
+        for scale, want_code in (("1", 0), ("0", 1)):
+            code, out, _ = run_cli(capsys, *base, "--format", "table",
+                                   "--tol-scale", scale)
+            assert code == want_code
+            lines = out.splitlines()
+            assert len(lines) == len(checks) + 1
+            for line, c in zip(lines, checks):
+                verdict, name = line.split()[:2]
+                assert name == c["name"]
+                exact = c["tolerance"] == 0.0
+                assert verdict == ("PASS" if scale == "1" or exact
+                                   else "FAIL"), line
+            assert lines[-1] == (
+                f"{'PASS' if scale == '1' else 'FAIL'}  overall "
+                f"(VecI[native,W={DEFAULT_WIDTHS['native']},double], "
+                f"24 atoms, tol_scale {scale})")
+        assert {c["name"] for c in checks if c["tolerance"] == 0.0} == {
+            "strict_w1_bitwise_vecj", "strict_w1_bitwise_veci"}
 
     @pytest.mark.parametrize("cells", [2, 3])
     def test_verify_cli_passes_on_the_ideal_diamond(self, cells, capsys):
@@ -543,7 +581,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flag,value", [
         ("--temperature", "-300"), ("--temperature", "nan"),
-        ("--temperature", "inf"), ("--dt", "nan"), ("--dt", "inf")])
+        ("--temperature", "inf"), ("--dt", "nan"), ("--dt", "inf"),
+        ("--seed", "-1")])
     def test_run_rejects_bad_temperature_and_dt(self, flag, value, capsys):
         code, out, err = run_cli(capsys, "run", "--structure",
                                  "nanotube:n=3,cells=2", "--steps", "2",
