@@ -4,10 +4,12 @@ Three layers:
 
 * ``build_cell_list`` / ``build_neighbor_list``: spatial binning at
   build_cutoff = r_C + skin, producing a full (symmetric) flat-CSR
-  NeighborList whose rows are sorted ascending by neighbor index. The
-  pair search makes one array pass over all atoms per stencil shift (at
-  most 27) and looks cells up among the occupied ones only, so its cost
-  follows the atom count, not the size of a sparse free-boundary grid.
+  NeighborList whose rows are sorted ascending by neighbor index, with
+  each entry's row index beside it. The pair search makes one array pass
+  over the occupied cells per stencil shift (at most 27), looking each
+  neighbor cell up among the occupied ones, and expands the cell pairs
+  found into atom pairs in one CSR pass; its cost follows the occupied
+  cells and the candidates, not the size of a sparse free-boundary grid.
 * ``needs_rebuild``: the skin/2 displacement trigger. While it reports
   False, every pair inside r_C is guaranteed present in the list.
 * ``pack_adjacency``: re-filter the (stale, padded with skin) list
@@ -80,15 +82,20 @@ class CellList:
                     raise ConfigurationError(
                         f"periodic edge {edge:g} A on axis {ax} is smaller "
                         f"than the cell size {cell_size:g} A")
-                ncells[ax] = max(int(edge / cell_size), 1)
+                count = max(int(edge / cell_size), 1)
                 origin[ax] = 0.0
-                width[ax] = edge / ncells[ax]
+                width[ax] = edge / count
             else:
                 lo = float(pos[:, ax].min()) if n else 0.0
                 hi = float(pos[:, ax].max()) if n else 0.0
+                count = max(int((hi - lo) / cell_size) + 1, 1)
                 origin[ax] = lo
-                ncells[ax] = max(int((hi - lo) / cell_size) + 1, 1)
                 width[ax] = cell_size
+            if count >= 2**63:  # int64 coordinates, +1 for a shift
+                raise ConfigurationError(
+                    f"axis {ax} needs {count:.3g} cells of {cell_size:g} A, "
+                    f"more than a 64-bit cell index holds")
+            ncells[ax] = count
         self.ncells = ncells
         self.origin = origin
         self.width = width
@@ -100,55 +107,97 @@ class CellList:
         cxyz = np.floor(coords / width).astype(np.int64)
         cxyz = np.clip(cxyz, 0, ncells - 1)  # atoms sitting on the max edge
         self.cell_coords = cxyz
-        self.cell_ids = (cxyz[:, 0] * ncells[1] + cxyz[:, 1]) * ncells[2] \
-            + cxyz[:, 2]
+        ids = (cxyz[:, 0] * ncells[1] + cxyz[:, 1]) * ncells[2] + cxyz[:, 2]
         # CSR of atoms grouped by cell, atom order preserved inside a cell
-        self.order = np.argsort(self.cell_ids, kind="stable")
-        sorted_ids = self.cell_ids[self.order]
-        self.occupied, starts = np.unique(sorted_ids, return_index=True)
+        self.order = np.argsort(ids, kind="stable")
+        sorted_ids = ids[self.order]
+        new_cell = np.empty(n, dtype=bool)
+        new_cell[:1] = True
+        np.not_equal(sorted_ids[1:], sorted_ids[:-1], out=new_cell[1:])
+        starts = np.flatnonzero(new_cell)
+        self.occupied = sorted_ids[starts]
         self.starts = np.append(starts, n)
+
+    def _axis_steps(self):
+        """Per axis, one (share, valid) for each stencil offset d.
+
+        share holds each occupied cell's neighbor coordinate times the
+        stride of the axis, so the three shares of a shift add up to the
+        neighbor cell's id, wrapping modulo 2^64 as the ids do. valid
+        marks the cells whose neighbor lies on the grid of a free axis,
+        or is None where all do. Offsets are deduplicated per axis (a
+        periodic axis with two cells has offsets {0, 1}, with one cell
+        {0}), so wraparound never visits a cell twice.
+        """
+        # each occupied cell's coordinates, read off its first atom: past
+        # 2^63 cells the ids wrap, so they cannot be decoded from the id
+        corner = self.cell_coords[self.order[self.starts[:-1]]]
+        steps = []
+        for ax in range(3):
+            nc, c = int(self.ncells[ax]), corner[:, ax]
+            if self.box.periodic[ax]:
+                row = [((c + d) % nc, None)
+                       for d in sorted({d % nc for d in (-1, 0, 1)})]
+            else:
+                row = [(c + d, ((c + d >= 0) & (c + d < nc)) if d else None)
+                       for d in (-1, 0, 1) if abs(d) < nc]
+            for stride in self.ncells[ax + 1:]:
+                row = [(share * stride, valid) for share, valid in row]
+            steps.append(row)
+        return steps
 
     def candidate_pairs(self):
         """Each unordered candidate pair once, as (ci, cj) index arrays.
 
         Purely adjacency-based; callers apply the distance filter. One
-        pass per stencil shift expands every atom's neighbor cell at
-        once. Shifts are deduplicated per axis (a periodic axis with two
-        cells has offsets {0, 1}, with one cell {0}), so wraparound never
-        visits a cell twice; a cell pair is emitted from its lower id, and
-        inside one cell only j > i is kept.
+        pass per stencil shift over the occupied cells finds each cell's
+        neighbor cell among the occupied ones; a cell pair is kept from
+        its lower id. Then one CSR pass expands every such cell pair
+        into its atom pairs, and each cell into its pairs j > i.
         """
-        ncells = self.ncells
-        periodic = np.asarray(self.box.periodic, dtype=bool)
-        sizes = np.diff(self.starts)
-        offsets = [sorted({d % int(nc) for d in (-1, 0, 1)}) if wrap
-                   else [d for d in (-1, 0, 1) if abs(d) < nc]
-                   for wrap, nc in zip(periodic, ncells)]
-        out_i, out_j = [], []
-        for shift in itertools.product(*offsets):
-            q = self.cell_coords + shift
-            q[:, periodic] %= ncells[periodic]
-            nid = (q[:, 0] * ncells[1] + q[:, 1]) * ncells[2] + q[:, 2]
-            own_cell = not any(shift)
-            keep = ((q >= 0) & (q < ncells)).all(axis=1)
-            if not own_cell:
-                keep &= nid > self.cell_ids
-            src, nid = np.flatnonzero(keep), nid[keep]
-            slot = np.searchsorted(self.occupied, nid)
-            hit = self.occupied.take(slot, mode="clip") == nid
-            src, slot = src[hit], slot[hit]
-            count = sizes[slot]
-            ci = np.repeat(src, count)
-            # CSR expansion: slot s contributes order[starts[s]:starts[s+1]]
-            first = np.repeat(self.starts[slot] - np.cumsum(count) + count,
-                              count)
-            cj = self.order[first + np.arange(ci.shape[0])]
-            if own_cell:
-                upper = cj > ci
-                ci, cj = ci[upper], cj[upper]
-            out_i.append(ci)
-            out_j.append(cj)
-        return np.concatenate(out_i), np.concatenate(out_j)
+        occupied, starts, order = self.occupied, self.starts, self.order
+        out_a, out_b = [], []
+        for (q0, v0), (q1, v1), (q2, v2) in itertools.product(
+                *self._axis_steps()):
+            nid = q0 + q1
+            nid += q2
+            # the own shift keeps nothing (nid == cid): its pairs are the
+            # in-cell runs below
+            keep = nid > occupied
+            for valid in (v0, v1, v2):
+                if valid is not None:
+                    keep &= valid
+            a = np.flatnonzero(keep)
+            nid = nid.take(a)
+            b = np.searchsorted(occupied, nid)
+            hit = occupied.take(b, mode="clip") == nid
+            out_a.append(a[hit])
+            out_b.append(b[hit])
+        # each stage frees its arrays before the next one allocates: the
+        # expansion below is the peak of a build
+        a, b = np.concatenate(out_a), np.concatenate(out_b)
+        del out_a, out_b
+        # runs: the atom in slot s pairs with order[first[s]:][:length[s]];
+        # first each atom with the atoms after it in its cell, then each
+        # atom of cell a with all of cell b
+        n = int(starts[-1])
+        count = starts[a + 1] - starts[a]
+        slot, first, length = np.empty((3, n + int(count.sum())),
+                                       dtype=np.int64)
+        slot[:n] = np.arange(n)
+        first[:n] = slot[:n] + 1
+        length[:n] = np.repeat(starts[1:], np.diff(starts)) - first[:n]
+        slot[n:] = np.repeat(starts[a] - np.cumsum(count) + count, count)
+        slot[n:] += np.arange(slot.shape[0] - n)
+        first[n:] = np.repeat(starts[b], count)
+        length[n:] = np.repeat(starts[b + 1] - starts[b], count)
+        del a, b, count
+        ci = np.repeat(order.take(slot), length)
+        first -= np.cumsum(length) - length
+        cj = np.repeat(first, length)
+        del slot, first, length
+        cj += np.arange(cj.shape[0])
+        return ci, order.take(cj)
 
     def pairs_within(self, positions, cutoff):
         """Undirected pairs (i < j) with min-image distance < cutoff.
@@ -178,14 +227,16 @@ def build_cell_list(state, cell_size):
 class NeighborList:
     """Full symmetric neighbor list in flat CSR form.
 
-    Row i is neighbors[offsets[i]:offsets[i+1]], sorted ascending; pairs
-    were within build_cutoff = r_cut + skin of each other at build time
-    (positions snapshotted in reference_positions). topology is the
-    filtered pair set of the last pack_adjacency call on this list.
+    Row i is neighbors[offsets[i]:offsets[i+1]], sorted ascending, and
+    i[p] is the row of entry p; pairs were within build_cutoff = r_cut +
+    skin of each other at build time (positions snapshotted in
+    reference_positions). topology is the filtered pair set of the last
+    pack_adjacency call on this list.
     """
 
     offsets: np.ndarray
     neighbors: np.ndarray
+    i: np.ndarray
     build_cutoff: float
     r_cut: float
     skin: float
@@ -222,14 +273,17 @@ def build_neighbor_list(state, r_cut, skin=0.3):
     check_box(state.box, build_cutoff)
     cl = build_cell_list(state, build_cutoff)
     ci, cj = cl.pairs_within(pos, build_cutoff)
-    di = np.concatenate([ci, cj])  # both directions: full list
-    dj = np.concatenate([cj, ci])
-    order = np.lexsort((dj, di))  # rows ascending i, ascending j inside
-    di, dj = di[order], dj[order]
+    # both directions, as the unique keys i * n + j: sorted, they give
+    # rows ascending in i and ascending in j inside. The keys are unique,
+    # so any sort gives these bytes; the default one would map another
+    # 0.3 MiB of numpy's SIMD sort code into the process
+    key = np.concatenate([ci * n + cj, cj * n + ci])
+    key.sort(kind="stable")
+    di, dj = np.divmod(key, n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(di, minlength=n), out=offsets[1:])
-    return NeighborList(offsets, dj, build_cutoff, float(r_cut), float(skin),
-                        pos.copy())
+    return NeighborList(offsets, dj, di, build_cutoff, float(r_cut),
+                        float(skin), pos.copy())
 
 
 def _positions_for(state, nl):
@@ -325,8 +379,7 @@ def pack_adjacency(state, nl, r_cut=None):
             f"list was built for")
     pos = _positions_for(state, nl)
     n = nl.natoms
-    i_all = np.repeat(np.arange(n, dtype=np.int64), np.diff(nl.offsets))
-    j_all = nl.neighbors
+    i_all, j_all = nl.i, nl.neighbors
     geom = np.empty((j_all.shape[0], 4))
     d = geom[:, :3]
     np.subtract(pos.take(j_all, axis=0), pos.take(i_all, axis=0), out=d)

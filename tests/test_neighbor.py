@@ -1,5 +1,6 @@
 """Neighbor list and packing against an independent all-pairs oracle."""
 
+import math
 import time
 import tracemalloc
 
@@ -179,6 +180,71 @@ def test_sparse_free_grid_stays_cheap():
     assert elapsed < 0.5
 
 
+def clustered_frame(rng, edges, periodic):
+    """A dense cluster of 40 atoms in a 1 A cube beside 30 atoms spread
+    over the box, one of them at the origin: the cluster fills one cell
+    of every grid here, next to cells of a few atoms or none."""
+    edges = np.asarray(edges, dtype=float)
+    sparse = rng.uniform(0.0, 1.0, (30, 3)) * edges
+    sparse[0] = 0.0
+    cluster = rng.uniform(1.0, 2.0, (40, 3))
+    pos = rng.permutation(np.concatenate([sparse, cluster]))
+    return Frame(pos, Box(edges, periodic))
+
+
+@pytest.mark.parametrize("edges,periodic,ncells", [
+    ((20.0, 20.0, 20.0), (False, False, False), None),
+    ((6.0, 6.0, 6.0), (True, True, True), [2, 2, 2]),
+    ((8.0, 8.0, 8.0), (True, True, True), [3, 3, 3]),
+    ((6.0, 20.0, 8.0), (True, False, True), None)],
+    ids=["free", "ppp2", "ppp3", "pfp"])
+@pytest.mark.parametrize("seed", [31, 32, 33])
+def test_cell_pairs_exact_beside_a_dense_cluster(edges, periodic, ncells,
+                                                 seed):
+    """Cell pairs of very different sizes (nA != nB) expand into exactly
+    the adjacent-cell pairs, and the list equals the oracle's CSR."""
+    fr = clustered_frame(np.random.default_rng(seed), edges, periodic)
+    cl, _ = assert_cell_pairs_exact(fr, 2.4)
+    sizes = np.diff(cl.starts)
+    assert sizes.max() >= 40 and sizes.min() < 10
+    if ncells is not None:
+        assert cl.ncells.tolist() == ncells
+    nl = build_neighbor_list(fr, R_C, skin=0.3)
+    offsets, neighbors = brute_csr(fr.positions, fr.box, nl.build_cutoff)
+    assert nl.offsets.tobytes() == offsets.tobytes()
+    assert nl.neighbors.tobytes() == neighbors.tobytes()
+
+
+def test_far_apart_pairs_on_a_grid_whose_ids_wrap():
+    """Two bonded pairs 1e7 A apart on all three free axes: the grid has
+    more than 2^63 cells, so cell ids wrap modulo 2^64. Both pairs are
+    still found; cell coordinates decoded from wrapped ids lose one."""
+    fr = free_frame([[0.0, 0.0, 0.0], [1.4, 0.0, 0.0],
+                     [1e7, 1e7, 1e7], [1e7 + 1.4, 1e7, 1e7]])
+    cl, cand = assert_cell_pairs_exact(fr, 2.4)
+    assert math.prod(int(nc) for nc in cl.ncells) > 2**63
+    assert cand == {(0, 1), (2, 3)}
+    nl = build_neighbor_list(fr, R_C, skin=0.3)
+    offsets, neighbors = brute_csr(fr.positions, fr.box, nl.build_cutoff)
+    assert nl.offsets.tobytes() == offsets.tobytes()
+    assert nl.neighbors.tobytes() == neighbors.tobytes()
+    assert nl.neighbors.tolist() == [1, 0, 3, 2]
+
+
+@pytest.mark.parametrize("periodic", [(False, False, False),
+                                      (True, False, False)],
+                         ids=["free", "periodic"])
+def test_grid_beyond_a_64_bit_cell_index_rejected(periodic):
+    """An axis of more than 2^63 cells cannot be indexed: a
+    ConfigurationError, not an OverflowError from numpy."""
+    fr = Frame([[0.0, 0.0, 0.0], [1e20 - 1.0, 0.0, 0.0]],
+               Box((1e20, 10.0, 10.0), periodic))
+    with pytest.raises(ConfigurationError, match="64-bit cell index"):
+        build_cell_list(fr, 2.4)
+    with pytest.raises(ConfigurationError, match="64-bit cell index"):
+        build_neighbor_list(fr, R_C, skin=0.3)
+
+
 def test_degenerate_periodic_box_rejected():
     fr = Frame([[0.5, 0.5, 0.5]], Box((1.0, 10.0, 10.0), (True, False, False)))
     with pytest.raises(ConfigurationError, match="smaller than the cell size"):
@@ -216,6 +282,26 @@ def test_neighbor_list_arrays_equal_oracle_csr(make):
     offsets, neighbors = brute_csr(st.positions, st.box, nl.build_cutoff)
     assert np.array_equal(nl.offsets, offsets)
     assert np.array_equal(nl.neighbors, neighbors)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_nanotube(5, 50),
+    lambda: random_frame(np.random.default_rng(15), 150, 9.0),
+    lambda: free_frame([[0.0, 0.0, 0.0], [30.0, 0.0, 0.0]]),
+    lambda: Frame(np.empty((0, 3)), Box((9.0, 9.0, 9.0), (True,) * 3))],
+    ids=["tube1000", "random150", "loners", "empty"])
+def test_row_index_is_the_repeat_of_the_offsets(make):
+    """The list carries each entry's row; it is the repeat of the row
+    numbers over the row lengths, byte for byte, and a pack that keeps
+    every entry shares it."""
+    fr = make()
+    nl = build_neighbor_list(fr, R_C, skin=0.3)
+    rows = np.repeat(np.arange(nl.natoms, dtype=np.int64),
+                     np.diff(nl.offsets))
+    assert nl.i.dtype == rows.dtype and nl.i.tobytes() == rows.tobytes()
+    adj = pack_adjacency(fr, nl)
+    if adj.topology.kept is None:
+        assert adj.i is nl.i
 
 
 def test_skin_zero_list_is_exactly_true_cutoff():

@@ -538,6 +538,15 @@ class TestCli:
                                        str(path), "--steps", "1")
                 assert code == 2 and f"{path}: no atoms" in err, err
 
+    def test_unindexable_cell_grid_exits_two(self, tmp_path, capsys):
+        """Atoms 1e20 A apart need more cells along x than a 64-bit index
+        holds: exit 2 naming that, not an OverflowError traceback."""
+        far = tmp_path / "far.xyz"
+        far.write_text("2\n\nC 0 0 0\nC 1e20 0 0\n")
+        code, _, err = run_cli(capsys, "run", "--structure", str(far),
+                               "--steps", "0")
+        assert code == 2 and "64-bit cell index" in err, err
+
     @pytest.mark.parametrize("spec,name", [
         ("nanotube:n=3,cells=2,bond_length=nan", "bond_length"),
         ("diamond:cells=2,lattice_constant=inf", "lattice_constant")])
