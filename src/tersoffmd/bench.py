@@ -112,17 +112,21 @@ def run_benchmark(state, params, variants, steps=20, warmup=1, repeats=5,
 
     Returns a BenchReport whose rows follow the order of `variants`.
     Speedup columns need the Reference / ScalarOpt baselines in the same
-    run; they stay empty when the baseline variant was not requested.
+    run; they stay empty when the baseline variant was not requested. A
+    variant listed twice is a ValueError.
     """
     if repeats < 1 or steps < 1 or warmup < 0:
         raise ValueError("need steps >= 1, repeats >= 1, warmup >= 0")
+    keys = [var.describe() for var in variants]
+    repeated = next((k for n, k in enumerate(keys) if k in keys[:n]), None)
+    if repeated is not None:
+        raise ValueError(f"variant {repeated} requested twice")
     t0 = time.perf_counter()
     nl = build_neighbor_list(state, params.r_cut, skin)
     neighbor_s = time.perf_counter() - t0
 
-    times, medians, energies, lanes = {}, {}, {}, {}
-    for var in variants:
-        key = var.describe()
+    rows, medians, energies = [], {}, {}
+    for var, key in zip(variants, keys):
         for _ in range(warmup):
             res = compute(state, nl, params, var)
         samples = []
@@ -131,31 +135,26 @@ def run_benchmark(state, params, variants, steps=20, warmup=1, repeats=5,
             for _ in range(steps):
                 res = compute(state, nl, params, var)
             samples.append(time.perf_counter() - t0)
-        times[key] = min(samples)
         medians[key] = statistics.median(samples)
         energies[key] = res.potential_energy
-        lanes[key] = res.lane_utilization
-
-    ref_time = next((times[v.describe()] for v in variants
-                     if v.tag == "Reference"), None)
-    scalar_time = next((times[v.describe()] for v in variants
-                        if v.tag == "ScalarOpt"), None)
-
-    rows = []
-    for var in variants:
-        key = var.describe()
-        t = times[key]
-        speedup_ref = ref_time / t if ref_time is not None else None
-        speedup_scalar = scalar_time / t if scalar_time is not None else None
-        efficiency = None
-        if var.tag in LANE_TAGS and speedup_scalar is not None:
-            efficiency = speedup_scalar / var.backend.width
         rows.append(BenchRow(
             variant=var.tag, backend=var.backend.name,
             width=var.backend.width, precision=var.precision,
-            atoms=state.natoms, steps=steps, time_s=t,
-            speedup_ref=speedup_ref, speedup_scalar=speedup_scalar,
-            efficiency=efficiency, lane_util=lanes[key]))
+            atoms=state.natoms, steps=steps, time_s=min(samples),
+            lane_util=res.lane_utilization))
+
+    # the speedup columns, once both baselines are timed
+    ref_time = next((r.time_s for r in rows if r.variant == "Reference"),
+                    None)
+    scalar_time = next((r.time_s for r in rows if r.variant == "ScalarOpt"),
+                       None)
+    for row in rows:
+        if ref_time is not None:
+            row.speedup_ref = ref_time / row.time_s
+        if scalar_time is not None:
+            row.speedup_scalar = scalar_time / row.time_s
+            if row.variant in LANE_TAGS:
+                row.efficiency = row.speedup_scalar / row.width
 
     meta = {
         "steps": steps, "warmup": warmup, "repeats": repeats,

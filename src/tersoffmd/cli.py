@@ -40,28 +40,36 @@ _GEN_DEFAULTS = {"nanotube": {"n": 5, "cells": 10}, "diamond": {"cells": 3}}
 
 
 def parse_genspec(spec, dims=()):
-    """Build a structure from ``kind:key=value,...`` plus positional dims."""
+    """Build a structure from ``kind:key=value,...`` plus positional dims;
+    each key is given at most once, by position or by name."""
     kind, _, tail = spec.partition(":")
     if kind not in _GEN_KINDS:
         raise ConfigurationError(
             f"unknown structure kind {kind!r}; choose from "
             f"{sorted(_GEN_KINDS)} or pass an XYZ path")
-    keys = _GEN_KINDS[kind]
-    opts = dict(_GEN_DEFAULTS[kind])
+    keys = dict(_GEN_KINDS[kind])  # name -> type, in positional order
     if len(dims) > len(keys):
         raise ConfigurationError(
             f"{kind} takes at most {len(keys)} positional values")
-    for (name, cast), raw in zip(keys, dims):
-        opts[name] = cast(raw)
-    if tail:
-        known = {name: cast for name, cast in keys}
-        for item in tail.split(","):
-            name, eq, value = item.partition("=")
-            if not eq or name not in known:
-                raise ConfigurationError(
-                    f"bad generator option {item!r}; known keys for {kind}: "
-                    f"{', '.join(known)}")
-            opts[name] = known[name](value)
+    given = list(zip(keys, dims))
+    for item in tail.split(",") if tail else ():
+        name, eq, value = item.partition("=")
+        if not eq or name not in keys:
+            raise ConfigurationError(
+                f"bad generator option {item!r}; known keys for {kind}: "
+                f"{', '.join(keys)}")
+        given.append((name, value))
+    opts = {}
+    for name, raw in given:
+        if name in opts:
+            raise ConfigurationError(f"{kind} key {name!r} given twice")
+        try:
+            opts[name] = keys[name](raw)
+        except ValueError:
+            raise ConfigurationError(
+                f"{kind} key {name!r} must be of type "
+                f"{keys[name].__name__}, got {raw!r}") from None
+    opts = {**_GEN_DEFAULTS[kind], **opts}
     # keys not given fall to the generator's own defaults
     if kind == "nanotube":
         return gen_nanotube(opts.pop("n"), opts.pop("cells"), **opts)

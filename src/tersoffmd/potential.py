@@ -21,13 +21,14 @@ The scalar forms serve the reference/scalar kernels (pass ``xm=math`` for
 double, ``xm=numpy`` with float32 inputs for single precision) and, where
 they do not branch on a value, the lane kernel too: lane arrays (numpy
 arrays of shape (W,)) with ``xm=bk`` take their transcendentals from the
-SIMD backend ``bk``. The cutoff, the bond order and the zeta term branch,
-so they and the pair composition have ``*_lanes`` twins that select with
-``np.where``. The scalar zeta term works per component (x, y, z); its lane
-twin takes and returns 3-vectors as (3, W) blocks and applies the same
-operations to each row. Both share expression trees operation for
-operation, so a strict width-1 lane run reproduces the scalar result bit
-for bit.
+SIMD backend ``bk``. `_pair_parts` is the one pair formula; on lanes it is
+given the twins of the cutoff and bond-order forms it composes. Only forms
+that branch on a value have ``*_lanes`` twins, which select with np.where:
+the cutoff (plateau and beyond; the taper is shared), the bond order (the
+tiny-zeta guard) and the zeta term (the m switch, the cos clamp, and
+(3, W) blocks where the scalar form works per component x, y, z). Twins
+share expression trees operation for operation, so a strict width-1 lane
+run reproduces the scalar result bit for bit.
 """
 
 import math
@@ -156,6 +157,12 @@ class ParamTable:
 # scalar forms
 # ======================================================================
 
+def _taper(r, R, D, xm):
+    """f_cutoff between its plateaus: (value, d/dr)."""
+    a = HALF_PI * ((r - R) / D)
+    return 0.5 - 0.5 * xm.sin(a), (NEG_QUARTER_PI / D) * xm.cos(a)
+
+
 def f_cutoff(r, R, D, xm=math):
     """Smooth cutoff taper. Returns (value, d/dr); exactly (1,0)/(0,0) on
     the plateaus, C1 at both joins."""
@@ -163,8 +170,7 @@ def f_cutoff(r, R, D, xm=math):
         return 1.0, 0.0
     if r >= R + D:
         return 0.0, 0.0
-    a = HALF_PI * ((r - R) / D)
-    return 0.5 - 0.5 * xm.sin(a), (NEG_QUARTER_PI / D) * xm.cos(a)
+    return _taper(r, R, D, xm)
 
 
 def f_repulsive(r, A, lam1, xm=math):
@@ -249,12 +255,14 @@ def _zeta_parts(dxj, dyj, dzj, rij, dxk, dyk, dzk, rik,
     return val, gjx, gjy, gjz, gkx, gky, gkz
 
 
-def _pair_parts(r, zeta, R, D, A, lam1, B, lam2, beta, eta, xm=math):
-    """Pair factors for one (i,j): (V, dV/dr at fixed zeta, dV/dzeta)."""
-    fc, dfc = f_cutoff(r, R, D, xm)
+def _pair_parts(r, zeta, R, D, A, lam1, B, lam2, beta, eta, xm=math,
+                cutoff=f_cutoff, bond=bond_order):
+    """Pair factors for one (i,j): (V, dV/dr at fixed zeta, dV/dzeta),
+    composed of the cutoff and bond-order forms given."""
+    fc, dfc = cutoff(r, R, D, xm)
     fr, dfr = f_repulsive(r, A, lam1, xm)
     fa, dfa = f_attractive(r, B, lam2, xm)
-    b, db = bond_order(zeta, beta, eta, xm)
+    b, db = bond(zeta, beta, eta, xm)
     inner = fr + b * fa
     v = fc * inner
     dv_dr = dfc * inner + fc * (dfr + b * dfa)
@@ -263,23 +271,21 @@ def _pair_parts(r, zeta, R, D, A, lam1, B, lam2, beta, eta, xm=math):
 
 
 # ======================================================================
-# lane forms of the branching functions (same expression trees)
+# lane twins of the branching forms (same expression trees)
 # ======================================================================
 
-def f_cutoff_lanes(bk, r, R, D):
+def f_cutoff_lanes(r, R, D, bk):
     plateau = r <= R - D
     if plateau.all():  # f_cutoff's first branch on every lane
         return plateau.astype(r.dtype), np.zeros_like(r)
-    a = HALF_PI * ((r - R) / D)
-    taper = 0.5 - 0.5 * bk.sin(a)
-    dtaper = (NEG_QUARTER_PI / D) * bk.cos(a)
+    taper, dtaper = _taper(r, R, D, bk)
     beyond = r >= R + D
     fc = np.where(plateau, 1.0, np.where(beyond, 0.0, taper))
     dfc = np.where(plateau | beyond, 0.0, dtaper)
     return fc, dfc
 
 
-def bond_order_lanes(bk, zeta, beta, eta):
+def bond_order_lanes(zeta, beta, eta, bk):
     t = beta * zeta
     u = bk.pow(t, eta)
     b = bk.pow(1.0 + u, -0.5 / eta)
@@ -298,7 +304,7 @@ def zeta_parts_lanes(bk, dj, rij, dk, rik, R, D, gamma, c, d, h, lam3, m):
     1 or 3, as the parameter rows store it.
     """
     m_is3 = m == 3
-    fc, dfc = f_cutoff_lanes(bk, rik, R, D)
+    fc, dfc = f_cutoff_lanes(rik, R, D, bk)
     inv_rij = 1.0 / rij
     inv_rik = 1.0 / rik
     ej = dj * inv_rij
@@ -319,13 +325,6 @@ def zeta_parts_lanes(bk, dj, rij, dk, rik, R, D, gamma, c, d, h, lam3, m):
     return val, gj, gk
 
 
-def pair_parts_lanes(bk, r, zeta, R, D, A, lam1, B, lam2, beta, eta):
-    fc, dfc = f_cutoff_lanes(bk, r, R, D)
-    fr, dfr = f_repulsive(r, A, lam1, bk)
-    fa, dfa = f_attractive(r, B, lam2, bk)
-    b, db = bond_order_lanes(bk, zeta, beta, eta)
-    inner = fr + b * fa
-    v = fc * inner
-    dv_dr = dfc * inner + fc * (dfr + b * dfa)
-    delta_zeta = fc * fa * db
-    return v, dv_dr, delta_zeta
+def pair_parts_lanes(bk, r, zeta, *par):
+    """_pair_parts on lanes; par holds PAIR_FIELDS, each lanes or a scalar."""
+    return _pair_parts(r, zeta, *par, bk, f_cutoff_lanes, bond_order_lanes)

@@ -14,18 +14,21 @@ reduction and the transcendentals.
 
 The three backend names only preset the width:
 
-* ``scalar``   - W = 1, always strict. The correctness anchor.
+* ``scalar``   - W = 1, strict in double precision. The correctness anchor.
 * ``emulated`` - default W = 8; at least {1, 2, 4, 8, 16} are tested.
 * ``native``   - default W = 8192.
 
-``emulated`` and ``native`` take any width, and strict mode in double
-precision; they run the same lane code. Lane arithmetic, gathers,
-scatters and reductions are bit-identical to running the scalar backend
-once per lane, so at the same width ``native`` and ``emulated`` give the
-same bits. Transcendentals are numpy ufuncs kept within 4 ulp of libm, or
-exact libm per lane at any width when ``strict=True``. The lane kernel
-adds each force role (i, j, k) to its own accumulator in pair or triple
-order, so its outputs are the same at every width.
+All three run the same lane code at any width they allow. Lane
+arithmetic, gathers, scatters and reductions are bit-identical to running
+the scalar backend once per lane, so at the same width ``native`` and
+``emulated`` give the same bits. Transcendentals are numpy ufuncs kept
+within 4 ulp of libm, or, with ``strict=True``, libm per lane at any
+width. Strict mode exists only in double precision, where the scalar
+kernels call libm through ``math``; in single precision they call numpy's
+float32 ufuncs, as the lanes do, so single-precision lanes need no strict
+mode to match them. The lane kernel adds each force role (i, j, k) to its
+own accumulator in pair or triple order, so its outputs are the same at
+every width.
 
 Conventions: a batch holds only its lanes, at most W; a numpy call over m
 lanes costs m, so a short batch is not padded out to W, and the shapes
@@ -59,21 +62,25 @@ def real_dtype(precision):
     return _REAL_DTYPES[precision]
 
 
-def _strict(fn, dtype, *args):
-    """fn per lane with libm; IEEE special values instead of exceptions.
-
-    Each argument is a lane array or a scalar, which every lane shares.
-    """
-    lanes = [a.tolist() for a in np.broadcast_arrays(*args)]
-    out = np.empty(len(lanes[0]), dtype=dtype)
-    for i, xs in enumerate(zip(*lanes)):
-        try:
-            out[i] = fn(*xs)
-        except OverflowError:
-            out[i] = math.inf
-        except ValueError:
-            out[i] = math.nan
-    return out
+def _transcendental(ufunc, libm):
+    """A Backend method: numpy's ufunc (within 4 ulp of libm per lane), or
+    when strict libm per lane in double, with IEEE special values instead
+    of exceptions. Each argument is a lane array or a scalar, which every
+    lane shares."""
+    def op(self, *args):
+        if not self.strict:
+            return ufunc(*args)
+        lanes = [a.tolist() for a in np.broadcast_arrays(*args)]
+        out = np.empty(len(lanes[0]))
+        for i, xs in enumerate(zip(*lanes)):
+            try:
+                out[i] = libm(*xs)
+            except OverflowError:
+                out[i] = math.inf
+            except ValueError:
+                out[i] = math.nan
+        return out
+    return op
 
 
 def _in_bounds(ia, size, op):
@@ -108,7 +115,7 @@ class Backend:
         self.name = name
         self.width = int(width)
         self.precision = precision
-        self.strict = strict or name == "scalar"
+        self.strict = strict or (name == "scalar" and precision == "double")
         self.gather_count = 0  # instrumentation: gathers issued
 
     def __repr__(self):
@@ -170,25 +177,8 @@ class Backend:
                                        dtype=np.float64)[-1])
 
     # ---- transcendentals ------------------------------------------------
-    # fast path: numpy ufuncs (within 4 ulp of libm per lane)
-    # strict path: libm per lane, bit-identical to the scalar backend
 
-    def exp(self, v):
-        if self.strict:
-            return _strict(math.exp, self.real_dtype, v)
-        return np.exp(v)
-
-    def sin(self, v):
-        if self.strict:
-            return _strict(math.sin, self.real_dtype, v)
-        return np.sin(v)
-
-    def cos(self, v):
-        if self.strict:
-            return _strict(math.cos, self.real_dtype, v)
-        return np.cos(v)
-
-    def pow(self, v, e):
-        if self.strict:
-            return _strict(math.pow, self.real_dtype, v, e)
-        return np.power(v, e)
+    exp = _transcendental(np.exp, math.exp)
+    sin = _transcendental(np.sin, math.sin)
+    cos = _transcendental(np.cos, math.cos)
+    pow = _transcendental(np.power, math.pow)

@@ -37,6 +37,10 @@ class SimulationBox:
         if not np.all(self.lengths > 0):
             raise ConfigurationError(
                 f"box edge lengths must be positive, got {self.lengths}")
+        for axis, length in zip("xyz", self.lengths):
+            if not np.isfinite(length):
+                raise ConfigurationError(
+                    f"box edge {axis} must be finite, got {length}")
         self.periodic = tuple(bool(p) for p in periodic)
         if len(periodic) != 3:
             raise ConfigurationError("periodic needs one flag per axis")

@@ -273,7 +273,11 @@ variants = {"ScalarOpt": make_variant("ScalarOpt"),
             "strict preset": make_variant("VecI", "native", strict=True),
             "W=1": make_variant("VecI", "emulated", 1),
             "W=8": make_variant("VecI", "emulated", 8),
-            "preset": make_variant("VecI", "native")}
+            "preset": make_variant("VecI", "native"),
+            "single ScalarOpt": make_variant("ScalarOpt", precision="single"),
+            "single scalar preset": make_variant("VecI", "scalar",
+                                                 precision="single"),
+            "single W=1": make_variant("VecI", "emulated", 1, "single")}
 runs = {}
 for name, variant in variants.items():
     res = compute(state, nl, table, variant)
@@ -309,7 +313,9 @@ def test_outputs_at_each_numpy_dispatch_level(level):
     has, strict lanes at W=1 and at the native preset give ScalarOpt's
     bytes, the same at every level; non-strict lanes give one set of
     bytes at W = 1, 8 and the preset, and agree across levels within the
-    cross-variant tolerances."""
+    cross-variant tolerances. In single precision, lanes at W=1 and on
+    the scalar preset give ScalarOpt's bytes at each level; those bytes
+    differ between levels."""
     simd = np.show_config(mode="dicts")["SIMD Extensions"]
     found = simd.get("found", [])
     if level == "all":
@@ -325,6 +331,8 @@ def test_outputs_at_each_numpy_dispatch_level(level):
     assert runs["strict W=1"] == runs["strict preset"] == runs["ScalarOpt"] \
         == ref["ScalarOpt"]
     assert runs["W=1"] == runs["W=8"] == runs["preset"]
+    assert runs["single W=1"] == runs["single scalar preset"] \
+        == runs["single ScalarOpt"]
     forces, energy = map(np.frombuffer, runs["preset"])
     ref_forces, ref_energy = map(np.frombuffer, ref["preset"])
     assert np.max(np.abs(forces - ref_forces)) <= TOL_FORCE
@@ -804,6 +812,62 @@ def test_default_backends_and_vec_j_on_native():
         f"VecJ[native,W={w},double]"
     assert KernelVariant("VecJ", Backend("native", 16, strict=True)) \
         .describe() == "VecJ[native,W=16,double,strict]"
+
+
+# (preset, precision, strict flag) -> the VecI variant's describe(), or
+# None where the Backend rejects the flag
+STRICTNESS = [
+    ("scalar", "double", False, "VecI[scalar,W=1,double,strict]"),
+    ("scalar", "double", True, "VecI[scalar,W=1,double,strict]"),
+    ("scalar", "single", False, "VecI[scalar,W=1,single]"),
+    ("scalar", "single", True, None),
+    ("emulated", "double", False, "VecI[emulated,W=8,double]"),
+    ("emulated", "double", True, "VecI[emulated,W=8,double,strict]"),
+    ("emulated", "single", False, "VecI[emulated,W=8,single]"),
+    ("emulated", "single", True, None),
+    ("native", "double", False, "VecI[native,W=8192,double]"),
+    ("native", "double", True, "VecI[native,W=8192,double,strict]"),
+    ("native", "single", False, "VecI[native,W=8192,single]"),
+    ("native", "single", True, None),
+]
+
+
+@pytest.mark.parametrize("name,precision,flag,described", STRICTNESS)
+def test_strict_only_in_double_and_by_default_on_scalar(name, precision,
+                                                        flag, described):
+    """Strict mode (libm per lane) exists only in double precision: the
+    scalar preset turns it on there, and strict=True in single raises."""
+    if described is None:
+        with pytest.raises(ValueError, match="requires double precision"):
+            Backend(name, None, precision, flag)
+        return
+    bk = Backend(name, None, precision, flag)
+    assert bk.strict is described.endswith(",strict]")
+    assert KernelVariant("VecI", bk).describe() == described
+    assert KernelVariant("ScalarOpt", bk).describe() == \
+        f"ScalarOpt[{precision}]"
+
+
+@pytest.mark.parametrize("precision", ["double", "single"])
+@pytest.mark.parametrize("make_state", [lambda: gen_nanotube(5, 10),
+                                        lambda: gen_diamond(2)],
+                         ids=["tube200", "diamond64"])
+def test_scalar_preset_lanes_are_scalar_opt_bytes(make_state, precision):
+    """The width-1 anchor in both precisions: lanes on the scalar preset
+    give ScalarOpt's bytes, as emulated W=1 lanes do. In double both run
+    libm per lane; in single both run numpy's float32 ufuncs."""
+    state = jittered(make_state())
+    table = carbon_table()
+    nl = build_neighbor_list(state, table.r_cut, skin=0.3)
+    base = _output_bytes(compute(state, nl, table,
+                                 make_variant("ScalarOpt",
+                                              precision=precision)))[:2]
+    for tag in LANE_TAGS:
+        for variant in (make_variant(tag, "scalar", precision=precision),
+                        make_variant(tag, "emulated", 1, precision,
+                                     strict=precision == "double")):
+            out = _output_bytes(compute(state, nl, table, variant))[:2]
+            assert out == base, variant.describe()
 
 
 def test_make_variant_without_tag_is_the_production_kernel():

@@ -348,7 +348,7 @@ def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
     lanes = [real_lanes(bk, a)
              for a in (CP.R, CP.D, CP.A, CP.lam1, CP.B, CP.lam2)]
     for got, sc_fn, args in [
-            (f_cutoff_lanes(bk, r, *lanes[0:2]), f_cutoff, (CP.R, CP.D)),
+            (f_cutoff_lanes(r, *lanes[0:2], bk), f_cutoff, (CP.R, CP.D)),
             (f_repulsive(r, *lanes[2:4], bk), f_repulsive, (CP.A, CP.lam1)),
             (f_attractive(r, *lanes[4:6], bk), f_attractive,
              (CP.B, CP.lam2))]:
@@ -363,8 +363,8 @@ def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
         want = g_angle(float(cost[lane]), CP.gamma, CP.c, CP.d, CP.h)
         assert got[0][lane] == want[0]
         assert got[1][lane] == want[1]
-    got = bond_order_lanes(bk, *[real_lanes(bk, a)
-                                 for a in (zeta, CP.beta, CP.eta)])
+    got = bond_order_lanes(*[real_lanes(bk, a)
+                             for a in (zeta, CP.beta, CP.eta)], bk)
     for lane in range(width):
         want = bond_order(float(zeta[lane]), CP.beta, CP.eta)
         assert got[0][lane] == want[0]
@@ -393,7 +393,7 @@ def test_cutoff_lanes_plateau_branch_same_bytes(precision, taper_lanes):
     r = np.linspace(1.2, CP.R - CP.D, 8)
     r[:taper_lanes] = [CP.R, CP.R + 0.5 * CP.D, CP.R + CP.D][:taper_lanes]
     r, R, D = (real_lanes(bk, x) for x in (r, CP.R, CP.D))
-    got, want = f_cutoff_lanes(bk, r, R, D), _cutoff_where(bk, r, R, D)
+    got, want = f_cutoff_lanes(r, R, D, bk), _cutoff_where(bk, r, R, D)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == bk.real_dtype
         assert g.tobytes() == w.tobytes()

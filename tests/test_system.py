@@ -1,5 +1,8 @@
 """Structure generators, integrator, and the NVE / stretch drivers."""
 
+import os
+import subprocess
+import sys
 import types
 
 import numpy as np
@@ -60,6 +63,40 @@ def test_state_validation():
     st = SimulationState(np.zeros((1, 3)), box)
     assert st.velocities.shape == (1, 3) and st.forces.shape == (1, 3)
     assert st.atom_masses[0] == ELEMENT_MASSES["C"]
+
+
+# an infinite periodic edge would overflow the cell grid, and an infinite
+# free one would write an XYZ comment that state_from_xyz rejects
+INFINITE_EDGES = ((True, False, False), (False, False, False))
+
+
+@pytest.mark.parametrize("periodic", INFINITE_EDGES,
+                         ids=["periodic", "free"])
+def test_box_rejects_infinite_edges(periodic):
+    with pytest.raises(ConfigurationError, match="box edge x must be finite"):
+        SimulationBox([np.inf, 20.0, 20.0], periodic=periodic)
+    with pytest.raises(ConfigurationError, match="box edge z must be finite"):
+        SimulationBox([20.0, 20.0, np.inf], periodic=periodic)
+
+
+def test_box_edge_check_survives_python_O():
+    """The check is a real raise, not an assert that -O strips."""
+    script = (
+        "import numpy as np\n"
+        "from tersoffmd.errors import ConfigurationError\n"
+        "from tersoffmd.system import SimulationBox\n"
+        f"for periodic in {INFINITE_EDGES!r}:\n"
+        "    try:\n"
+        "        SimulationBox([np.inf, 20.0, 20.0], periodic=periodic)\n"
+        "    except ConfigurationError:\n"
+        "        continue\n"
+        "    raise SystemExit('no ConfigurationError')\n"
+    )
+    src = os.path.dirname(os.path.dirname(system.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stdout + out.stderr
 
 
 def test_state_copy_is_independent():

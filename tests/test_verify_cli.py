@@ -294,6 +294,22 @@ class TestBench:
         line = rep.render("csv").splitlines()[1]
         assert line.endswith(",,,") or ",,," in line
 
+    def test_repeated_variant_rejected(self, tube, table):
+        """Each row is one variant's own measurement: a variant listed
+        twice would print a row that is not one."""
+        twice = [make_variant("VecI", "native"), make_variant("ScalarOpt"),
+                 make_variant("VecI", "native")]
+        with pytest.raises(ValueError, match=r"variant VecI\[native,W=8192,"
+                                             r"double\] requested twice"):
+            run_benchmark(tube, table, twice, steps=1, warmup=0, repeats=1)
+        # the same kernel in another precision is another variant
+        rep = run_benchmark(tube, table, [
+            make_variant("ScalarOpt"),
+            make_variant("ScalarOpt", precision="single")],
+            steps=1, warmup=0, repeats=1)
+        assert [r.precision for r in rep.rows] == ["double", "single"]
+        assert len(rep.meta["energy"]) == 2
+
     def test_bad_counts_rejected(self, tube, table):
         with pytest.raises(ValueError):
             run_benchmark(tube, table, [make_variant("ScalarOpt")],
@@ -337,6 +353,34 @@ class TestCli:
         state = state_from_xyz(path)
         d = np.linalg.norm(state.positions[0] - state.positions[1:], axis=1)
         assert abs(d.min() - 1.46) < 1e-6
+
+    @pytest.mark.parametrize("spec,dims,message", [
+        ("nanotube:n=5,cells=2,n=6", (), "nanotube key 'n' given twice"),
+        ("nanotube:n=6", ("5",), "nanotube key 'n' given twice"),
+        ("diamond:cells=2", ("3",), "diamond key 'cells' given twice"),
+        ("nanotube:n=abc", (),
+         "nanotube key 'n' must be of type int, got 'abc'"),
+        ("nanotube", ("5", "x"),
+         "nanotube key 'cells' must be of type int, got 'x'"),
+        ("diamond:lattice_constant=wide", (),
+         "diamond key 'lattice_constant' must be of type float, got 'wide'"),
+    ], ids=["key-twice", "key-and-position", "diamond-twice", "bad-int",
+            "bad-positional", "bad-float"])
+    def test_gen_spec_errors_name_the_key(self, spec, dims, message,
+                                          tmp_path, capsys):
+        path = tmp_path / "out.xyz"
+        code, out, err = run_cli(capsys, "gen", spec, *dims, "-o", str(path))
+        assert code == 2 and out == "" and not path.exists()
+        assert err == f"error: {message}\n"
+
+    def test_bench_repeated_variant_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "bench", "--structure", "nanotube:n=3,cells=2",
+            "--variant", "vec-i,scalar,vec-i", "--steps", "1",
+            "--repeats", "1")
+        assert code == 2 and out == ""
+        assert err == ("error: variant VecI[native,W=8192,double] "
+                       "requested twice\n")
 
     def test_run_zero_steps_reports_initial_energy(self, tmp_path, capsys):
         code, out, _ = run_cli(capsys, "run", "--structure",
