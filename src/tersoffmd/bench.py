@@ -4,11 +4,12 @@ Times only the force-kernel phase: the neighbor list is built once
 outside the timed region (its cost is reported separately in the meta
 block) and no I/O happens between timer reads. Each variant runs a few
 warmup evaluations, then `repeats` timed passes of `steps` evaluations.
-The first lane-kernel warmup also builds the index record that every
-later evaluation on the same list reuses (see kernels._records), so with
-warmup=0 the first timed pass pays that one-off build;
-the reported time_s is the minimum over repeats (cache-warm best case)
-and the median goes to the meta block as a stability indicator.
+The first evaluation on the list, whatever the variant, also derives the
+topology and its triples that every later evaluation reuses
+(neighbor.pack_adjacency), so with warmup=0 the first timed pass of the
+first variant pays that one-off build. The reported time_s is the
+minimum over repeats (cache-warm best case) and the median goes to the
+meta block as a stability indicator.
 
 The three renderings (table, CSV, JSON) are generated from one
 canonicalized value per cell, so they carry identical numbers by

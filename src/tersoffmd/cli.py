@@ -21,7 +21,7 @@ from .errors import ConfigurationError, InputError
 from .kernels import LANE_TAGS, make_variant
 from .paramfile import ParamFileError, builtin_params, load_params
 from .simd import DEFAULT_WIDTHS
-from .system import (RunConfig, StretchSpec, check_seed, gen_diamond,
+from .system import (RunConfig, StretchSpec, check_int, gen_diamond,
                      gen_nanotube, run_nve, seed_velocities, state_from_xyz,
                      write_xyz)
 from .verify import run_verification
@@ -159,7 +159,7 @@ def cmd_gen(args):
 def cmd_run(args):
     params = _load_params(args)
     state = _load_structure(args.structure, params)
-    check_seed(args.seed)
+    check_int("seed", args.seed, 0)
     if args.temperature != 0.0:  # seed_velocities rejects < 0 and non-finite
         seed_velocities(state, args.temperature, args.seed)
     variant, = _variants(args, [args.variant])
@@ -316,8 +316,8 @@ def build_parser():
                    help="timed force evaluations per repeat (default 20)")
     p.add_argument("--warmup", type=int, default=1, metavar="N",
                    help="untimed evaluations per kernel (default 1); the "
-                        "first pays the lane kernels' one-off index record "
-                        "build")
+                        "first on the list pays the one-off topology and "
+                        "triple build")
     p.add_argument("--repeats", type=int, default=5, metavar="N")
     p.add_argument("--format", choices=("table", "csv", "json"),
                    default="table")

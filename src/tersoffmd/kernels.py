@@ -20,12 +20,11 @@
 lane tags and the production kernel (``make_variant()``) come from it.
 `compute` validates and packs once per call; `_batches` is the schedule.
 
-Topology per rebuild, geometry per step: the lane kernel's index record
-(`_records`), the triples as plain int32 arrays, depends on the topology
-alone; it is built in one pass once per neighbor-list topology and kept
-on it. Every batch of either schedule slices it and the topology's own
-i and j, and a step computes only the pair geometry (`pack_adjacency`)
-and the math.
+Topology per rebuild, geometry per step: the triples the lane kernel
+walks are the topology's own `trip` and `tfirst`, built with it by the
+neighbor layer once per rebuild. Every batch of either schedule slices
+them and the topology's i and j, and a step computes only the pair
+geometry (`pack_adjacency`) and the math.
 
 Gather only what is scattered: a batch's triple records and its pairs'
 geometry are contiguous runs, read with `Backend.load`; the geometry of
@@ -316,37 +315,6 @@ def _batches(bounds, width):
             yield s, min(s + width, end)
 
 
-def _records(adj):
-    """The topology's index record, plain int32 arrays built in one
-    vectorised pass on first use and kept on the topology:
-
-    * trip (ntrip, 2): the triples in ScalarOpt's order, pair by pair, k
-      ascending, k != j: (pair, k-pair), pair p running adj.i[p] ->
-      adj.j[p]. Row i's slot for k = j is the pair itself;
-    * tfirst (npairs + 1,): pair p's triples are trip[tfirst[p]:tfirst[p+1]].
-
-    A batch of pairs a .. b-1 slices both, and adj.i and adj.j.
-    """
-    topo = adj.topology
-    if topo.records is None:
-        i32 = np.int32
-        npairs = adj.npairs
-        n_i = np.diff(adj.offsets).astype(i32).take(adj.i)
-        tfirst = np.zeros(npairs + 1, dtype=i32)
-        np.cumsum(n_i - 1, out=tfirst[1:])  # each pair's triples: n_i - 1
-        # pair p's n_i slots run over row i, the k = j slot among them:
-        # slot block p starts at tfirst[p] + p, row i at offsets[i]
-        shift = adj.offsets.take(adj.i) - tfirst[:-1] - np.arange(npairs)
-        pair = np.repeat(np.arange(npairs, dtype=i32), n_i)
-        kk = np.arange(pair.shape[0], dtype=i32) + np.repeat(
-            shift.astype(i32), n_i)
-        other = kk != pair
-        trip = np.empty((int(tfirst[-1]), 2), dtype=i32)
-        trip[:, 0], trip[:, 1] = pair[other], kk[other]
-        topo.records = (trip, tfirst)
-    return topo.records
-
-
 # Fixed glibc heap thresholds: arrays from 4 MiB up get mappings of their
 # own, and the heap top goes back to the system only beyond 8 MiB. With
 # the sliding defaults, whether each step's few MB of freed temporaries
@@ -371,7 +339,7 @@ def compute_lanes(adj, species, params, variant):
     W = bk.width
     gathers0 = bk.gather_count
     geom = adj.geom.astype(bk.real_dtype, copy=False)
-    trip, tfirst = _records(adj)
+    trip, tfirst = adj.topology.trip, adj.topology.tfirst
     S = params.nspecies
     one = species.size and (species == species[0]).all()
     if one:  # one species: one row of each, broadcast on the lanes

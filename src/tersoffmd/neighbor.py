@@ -19,10 +19,10 @@ Three layers:
 
 The topology is per rebuild, the geometry per step. Each pack computes
 the displacements, distances and keep mask r < r_cut over the whole skin
-list, and reuses the list's last ``Topology`` (the filtered CSR) while
-that mask is unchanged, which holds on every step in which no pair
-crossed r_cut. A topology also carries the kernels' index record, so that
-too is built once per topology.
+list, and reuses the list's last ``Topology`` while that mask is
+unchanged, which holds on every step in which no pair crossed r_cut. A
+topology is the filtered CSR and its triples, built together when it is
+derived: every array that lives from one rebuild to the next.
 
 Boxes are orthorhombic with per-axis periodic flags; displacements use the
 minimum image on periodic axes. Anything with ``positions`` (N,3 float64),
@@ -230,8 +230,8 @@ class NeighborList:
     Row i is neighbors[offsets[i]:offsets[i+1]], sorted ascending, and
     i[p] is the row of entry p; pairs were within build_cutoff = r_cut +
     skin of each other at build time (positions snapshotted in
-    reference_positions). topology is the filtered pair set of the last
-    pack_adjacency call on this list.
+    reference_positions). topology is the Topology, the filtered pairs
+    and their triples, of the last pack_adjacency call on this list.
     """
 
     offsets: np.ndarray
@@ -266,6 +266,9 @@ def check_box(box, build_cutoff):
 
 
 def build_neighbor_list(state, r_cut, skin=0.3):
+    if not (math.isfinite(r_cut) and r_cut > 0):
+        raise ConfigurationError(
+            f"r_cut must be finite and > 0, got {r_cut!r}")
     check_skin(skin)
     pos = np.asarray(state.positions, dtype=np.float64)
     n = pos.shape[0]
@@ -314,12 +317,17 @@ def needs_rebuild(state, nl):
 
 @dataclass(eq=False)
 class Topology:
-    """The pairs of a neighbor list inside the cutoff, as a directed CSR.
+    """The pairs of a neighbor list inside the cutoff, as a directed CSR,
+    and their triples.
 
     keep marks the list entries it holds, and kept lists their indices,
     or is None when it holds them all. Pair p runs i[p] -> j[p]; rows
-    keep the list's ascending-j order. records is free for the kernels'
-    index record of these pairs, which they build on first use.
+    keep the list's ascending-j order. The triples are built with the
+    topology, in one vectorised pass, as int32 arrays:
+
+    * trip (ntrip, 2): (pair, k-pair) in the CSR row order, pair by pair,
+      k ascending, k != j. Row i's slot for k = j is the pair itself;
+    * tfirst (npairs + 1,): pair p's triples are trip[tfirst[p]:tfirst[p+1]].
     """
 
     keep: np.ndarray
@@ -327,7 +335,25 @@ class Topology:
     offsets: np.ndarray
     i: np.ndarray
     j: np.ndarray
-    records: object = None
+    trip: np.ndarray = field(init=False, repr=False)
+    tfirst: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        i32 = np.int32
+        offsets, i, npairs = self.offsets, self.i, self.i.shape[0]
+        n_i = np.diff(offsets).astype(i32).take(i)
+        tfirst = np.zeros(npairs + 1, dtype=i32)
+        np.cumsum(n_i - 1, out=tfirst[1:])  # each pair's triples: n_i - 1
+        # pair p's n_i slots run over row i, the k = j slot among them:
+        # slot block p starts at tfirst[p] + p, row i at offsets[i]
+        shift = offsets.take(i) - tfirst[:-1] - np.arange(npairs)
+        pair = np.repeat(np.arange(npairs, dtype=i32), n_i)
+        kk = np.arange(pair.shape[0], dtype=i32) + np.repeat(
+            shift.astype(i32), n_i)
+        other = kk != pair
+        trip = np.empty((int(tfirst[-1]), 2), dtype=i32)
+        trip[:, 0], trip[:, 1] = pair[other], kk[other]
+        self.trip, self.tfirst = trip, tfirst
 
 
 @dataclass(frozen=True, eq=False)

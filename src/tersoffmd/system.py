@@ -142,9 +142,14 @@ def total_momentum(state):
     return (state.atom_masses[:, None] * state.velocities).sum(axis=0)
 
 
-def check_seed(seed):
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
-        raise ConfigurationError(f"seed must be an integer >= 0, got {seed!r}")
+def check_int(name, value, low, high=None):
+    """ConfigurationError naming the argument unless value is an int or a
+    numpy integer, not a bool, in low..high (no upper bound for None)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+            or value < low or (high is not None and value > high)):
+        bound = f">= {low}" if high is None else f"in {low}..{high}"
+        raise ConfigurationError(
+            f"{name} must be an integer {bound}, got {value!r}")
 
 
 def seed_velocities(state, temperature, rng=0):
@@ -173,12 +178,9 @@ def gen_nanotube(n_chirality, length_cells, bond_length=1.421, margin=6.0):
     exact and the ring spacing h makes the diagonal chord exact. Rolling
     flat graphene and bending it would distort bonds by ~0.7%.
     """
-    n = int(n_chirality)
-    cells = int(length_cells)
-    if n < 3:
-        raise ConfigurationError(f"chirality n={n} below the minimum of 3")
-    if cells < 1:
-        raise ConfigurationError(f"need at least 1 cell, got {cells}")
+    check_int("n_chirality", n_chirality, 3)
+    check_int("length_cells", length_cells, 1)
+    n, cells = int(n_chirality), int(length_cells)
     if not (math.isfinite(bond_length) and bond_length > 0):
         raise ConfigurationError(
             f"bond_length must be finite and positive, got {bond_length!r}")
@@ -219,9 +221,8 @@ _DIAMOND_BASIS = np.array([
 
 def gen_diamond(cells_per_axis, lattice_constant=3.566):
     """Periodic diamond lattice, 8 atoms per conventional cell."""
+    check_int("cells_per_axis", cells_per_axis, 1)
     cells = int(cells_per_axis)
-    if cells < 1:
-        raise ConfigurationError(f"need at least 1 cell, got {cells}")
     if not (math.isfinite(lattice_constant) and lattice_constant > 0):
         raise ConfigurationError(f"lattice_constant must be finite and "
                                  f"positive, got {lattice_constant!r}")
@@ -362,8 +363,8 @@ class ForceField:
     def __call__(self, state):
         t0 = _time.perf_counter()
         if self.nl is None or needs_rebuild(state, self.nl):
-            # free the old list, its topology and its kernel record before
-            # the build's memory peak
+            # free the old list, its topology and its triples before the
+            # build's memory peak
             self.nl = None
             self.nl = build_neighbor_list(state, self.params.r_cut,
                                           self.skin)
@@ -426,8 +427,7 @@ class StretchSpec:
     grip_fraction: float = 0.08
 
     def __post_init__(self):
-        if self.axis not in (0, 1, 2):
-            raise ConfigurationError(f"axis must be 0..2, got {self.axis}")
+        check_int("axis", self.axis, 0, 2)
         if not math.isfinite(self.speed):
             raise ConfigurationError(
                 f"pull speed must be finite, got {self.speed!r}")
@@ -452,10 +452,8 @@ class RunConfig:
         check_threads(threads)
         _check_dt(self.dt)
         check_skin(self.skin)
-        if self.steps < 0:
-            raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
-        if self.dump_every < 0:
-            raise ConfigurationError("dump_every must be >= 0")
+        check_int("steps", self.steps, 0)
+        check_int("dump_every", self.dump_every, 0)
         if self.dump_every and not self.dump_path:
             raise ConfigurationError("dump_every set but no dump_path")
         if self.dump_path and not self.dump_every:

@@ -24,7 +24,7 @@ from .errors import ConfigurationError
 from .kernels import LANE_TAGS, check_threads, compute, make_variant
 from .neighbor import build_neighbor_list, check_box
 from .simd import EMULATED_WIDTHS
-from .system import (run_nve, RunConfig, check_seed, seed_velocities,
+from .system import (run_nve, RunConfig, check_int, seed_velocities,
                      total_momentum)
 
 # Fixed settings of the checks; tol_scale multiplies every TOL_ constant.
@@ -283,7 +283,7 @@ def run_verification(state, params, variant=None, tol_scale=1.0,
     # every suite
     RunConfig(dt=dt, steps=conservation_steps, skin=skin)
     check_box(state.box, params.r_cut + skin)
-    check_seed(seed)
+    check_int("seed", seed, 0)
     checks = []
     checks += _guard("gradient_fd", lambda: check_gradients(
         state, params, variant=variant, tol_scale=tol_scale, skin=skin,

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from tersoffmd.paramfile import builtin_params
+from tersoffmd.paramfile import builtin_params, parse_params
 from tersoffmd.potential import ParamTable, TersoffParams
 
 _CARBON = None
@@ -13,6 +13,16 @@ def carbon_table():
     if _CARBON is None:
         _CARBON = builtin_params("C")
     return _CARBON
+
+
+# Si(C) as distributed with LAMMPS: the m = 3 branch with lam3 != 0, so
+# the zeta term's exponent is the cube (lam3 t)^3 at t = r_ij - r_ik != 0
+SILICON_LINE = ("Si Si Si 3.0 1.0 1.3258 4.8381 2.0417 0.0 22.956 0.33675 "
+                "1.3258 95.373 3.0 0.2 3.2394 3264.7")
+
+
+def silicon_table():
+    return parse_params(SILICON_LINE, "Si(C)")
 
 
 def two_species_table():

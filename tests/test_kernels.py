@@ -18,14 +18,15 @@ import numpy as np
 import pytest
 
 from helpers import (Box, Frame, carbon_table, free_frame,
-                     random_cluster_positions, two_species_table)
+                     random_cluster_positions, silicon_table,
+                     two_species_table)
 from oracle import oracle_energy, oracle_forces
 from tersoffmd.errors import ConfigurationError, InputError
 from tersoffmd import kernels
 import tersoffmd
 from tersoffmd.kernels import (KERNEL_TAGS, LANE_TAGS, KernelVariant, compute,
                                make_variant)
-from tersoffmd.neighbor import build_neighbor_list, pack_adjacency
+from tersoffmd.neighbor import Topology, build_neighbor_list, pack_adjacency
 from tersoffmd.simd import DEFAULT_WIDTHS, EMULATED_WIDTHS, Backend
 from tersoffmd.system import ForceField, gen_diamond, gen_nanotube
 from tersoffmd.verify import TOL_ENERGY, TOL_FORCE
@@ -212,18 +213,26 @@ IDENTITY_WIDTHS = (
     + [("VecI", "emulated", 3), ("VecJ", "emulated", 3)])
 
 
+# (structure, its table): the Si diamond runs the cubic exponent with
+# lam3 != 0, which carbon (lam3 = 0) never reaches
+BYTE_STRUCTURES = pytest.mark.parametrize("make_state,make_table", [
+    (lambda: gen_nanotube(5, 10), carbon_table),
+    (lambda: gen_diamond(2), carbon_table),
+    (lambda: gen_diamond(2, 5.432), silicon_table)],
+    ids=["tube200", "diamond64", "si-diamond64"])
+
+
 @pytest.mark.parametrize("precision", ["double", "single"])
-@pytest.mark.parametrize("make_state", [lambda: gen_nanotube(5, 10),
-                                        lambda: gen_diamond(2)],
-                         ids=["tube200", "diamond64"])
-def test_outputs_byte_identical_at_every_width(make_state, precision):
+@BYTE_STRUCTURES
+def test_outputs_byte_identical_at_every_width(make_state, make_table,
+                                               precision):
     """Criterion 04 at the production widths and in both schedules: each
     of the lane kernel's three force accumulators (the i, j and k roles)
     adds its updates in global pair or triple order, and the pair
     energies add in pair order, so forces and the energy do not move by
     a bit."""
     state = jittered(make_state())
-    table = carbon_table()
+    table = make_table()
     nl = build_neighbor_list(state, table.r_cut, skin=0.3)
     outputs = {}
     for tag, backend, width in IDENTITY_WIDTHS:
@@ -442,11 +451,11 @@ LANE_RECORD_VARIANTS = [make_variant("VecI"),
 @pytest.mark.parametrize("variant", LANE_RECORD_VARIANTS,
                          ids=[v.describe() for v in LANE_RECORD_VARIANTS])
 def test_index_record_follows_topology_and_species(variant):
-    """The lane kernel's index record lives on the list's topology and
-    depends on it alone: a reused topology, one derived again after a
-    pair left the cutoff, a new species array and one edited in place all
-    give the bytes of a fresh neighbor list, and a species change keeps
-    the record."""
+    """The triples the lane kernel walks are the topology's own, so they
+    depend on it alone: a reused topology, one derived again after a pair
+    left the cutoff, a new species array and one edited in place all give
+    the bytes of a fresh neighbor list, and a species change keeps the
+    triples."""
     state, nl, table = cluster(11, 40, mixed=True)
     rng = np.random.default_rng(6)
 
@@ -457,10 +466,10 @@ def test_index_record_follows_topology_and_species(variant):
             compute(state, fresh, table, variant))
 
     check()
-    topo, record = nl.topology, nl.topology.records
+    topo, trip = nl.topology, nl.topology.trip
     state.positions += rng.uniform(-1e-4, 1e-4, state.positions.shape)
     check()
-    assert nl.topology is topo and topo.records is record  # reused
+    assert nl.topology is topo and topo.trip is trip  # reused
     # stretch the longest pair across the cutoff, inside the skin
     adj = pack_adjacency(state, nl)
     far = int(np.argmax(adj.geom[:, 3]))
@@ -470,19 +479,20 @@ def test_index_record_follows_topology_and_species(variant):
     assert np.linalg.norm(step) < 0.5 * nl.skin
     state.positions[j] += step
     check()
-    assert nl.topology.records is not record
-    topo, record = nl.topology, nl.topology.records
+    assert nl.topology is not topo
+    assert nl.topology.trip.shape[0] < trip.shape[0]  # rebuilt, one pair less
+    topo, trip = nl.topology, nl.topology.trip
     state.species = 1 - state.species  # a new array
     check()
-    assert nl.topology is topo and topo.records is record
+    assert nl.topology is topo and topo.trip is trip
     state.species[:5] = 1 - state.species[:5]  # the same array, edited
     check()
-    assert nl.topology is topo and topo.records is record
+    assert nl.topology is topo and topo.trip is trip
 
 
 def _record_by_loops(adj):
-    """The index record from plain loops over the CSR rows, in
-    ScalarOpt's order: pair by pair, k ascending, k != j."""
+    """The triples from plain loops over the CSR rows, in ScalarOpt's
+    order: pair by pair, k ascending, k != j."""
     offs, jl = adj.offsets.tolist(), adj.j.tolist()
     trip, tfirst = [], [0]
     for i in range(adj.natoms):
@@ -494,11 +504,17 @@ def _record_by_loops(adj):
     return trip, tfirst
 
 
+def _assert_loop_record(adj):
+    topo = adj.topology
+    assert {a.dtype for a in (topo.trip, topo.tfirst)} == {np.dtype(np.int32)}
+    assert (topo.trip.tolist(), topo.tfirst.tolist()) == _record_by_loops(adj)
+
+
 @pytest.mark.parametrize("mixed", [False, True], ids=["tube800", "mixed40"])
 def test_index_record_matches_a_loop_over_the_rows(mixed):
-    """The one-pass vectorised record equals a Python loop over the CSR
-    rows: the triples and tfirst. The tube has more than 2,048 pairs and
-    a topology that drops skin-list pairs beyond r_cut."""
+    """The one-pass vectorised triples equal a Python loop over the CSR
+    rows: trip and tfirst. The tube has more than 2,048 pairs and a
+    topology that drops skin-list pairs beyond r_cut."""
     if mixed:
         state, nl, table = cluster(11, 40, mixed=True)
     else:
@@ -509,32 +525,44 @@ def test_index_record_matches_a_loop_over_the_rows(mixed):
     assert adj.topology is nl.topology
     if not mixed:
         assert adj.npairs > 2048 and nl.topology.kept is not None
-    trip, tfirst = nl.topology.records
-    assert {a.dtype for a in (trip, tfirst)} == {np.dtype(np.int32)}
-    assert (trip.tolist(), tfirst.tolist()) == _record_by_loops(adj)
+    _assert_loop_record(adj)
+
+
+def test_reference_evaluation_leaves_the_triples_on_the_topology():
+    """The triples are built with the topology, whatever kernel packed
+    it: a Reference-only evaluation on a fresh list leaves them, equal
+    to the loop record, and the lane kernel then reuses that topology."""
+    state, nl, table = cluster(11, 40, mixed=True)
+    compute(state, nl, table, make_variant("Reference"))
+    topo = nl.topology
+    adj = pack_adjacency(state, nl)
+    assert adj.topology is topo
+    _assert_loop_record(adj)
+    compute(state, nl, table, make_variant())
+    assert nl.topology is topo
 
 
 def test_index_record_memory_on_the_10k_tube():
-    """One record build of the 10k-atom tube peaks at most 4 MB, under
-    the neighbor build's own 7e6 bound (test_neighbor.py), and then holds
-    exactly its int32 columns, tfirst and the (pair, k-pair) triples: no
-    species, pair or triple types and no copy of the topology's i or j."""
+    """Building the triples of the 10k-atom tube's topology peaks at most
+    4 MB, under the neighbor build's own 7e6 bound (test_neighbor.py),
+    and then holds exactly the int32 tfirst and (pair, k-pair) triples:
+    no species, pair or triple types and no copy of the topology's i or
+    j."""
     state = jittered(gen_nanotube(5, 500))
     table = carbon_table()
     nl = build_neighbor_list(state, table.r_cut, skin=0.3)
-    adj = pack_adjacency(state, nl)
-    kernels._records(adj)
-    adj.topology.records = None
+    t = pack_adjacency(state, nl).topology
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        trip, tfirst = kernels._records(adj)
+        topo = Topology(t.keep, t.kept, t.offsets, t.i, t.j)
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    ntrip = trip.shape[0]
-    assert ntrip == int(tfirst[-1]) > 0
-    record_bytes = 4 * ((adj.npairs + 1) + 2 * ntrip)
+    ntrip = topo.trip.shape[0]
+    assert ntrip == int(topo.tfirst[-1]) > 0
+    assert topo.trip.tobytes() == t.trip.tobytes()
+    record_bytes = 4 * ((t.i.shape[0] + 1) + 2 * ntrip)
     assert peak - before <= 4e6
     assert 0 <= (held - before) - record_bytes < 2048, held - before
 
@@ -849,15 +877,14 @@ def test_strict_only_in_double_and_by_default_on_scalar(name, precision,
 
 
 @pytest.mark.parametrize("precision", ["double", "single"])
-@pytest.mark.parametrize("make_state", [lambda: gen_nanotube(5, 10),
-                                        lambda: gen_diamond(2)],
-                         ids=["tube200", "diamond64"])
-def test_scalar_preset_lanes_are_scalar_opt_bytes(make_state, precision):
+@BYTE_STRUCTURES
+def test_scalar_preset_lanes_are_scalar_opt_bytes(make_state, make_table,
+                                                  precision):
     """The width-1 anchor in both precisions: lanes on the scalar preset
     give ScalarOpt's bytes, as emulated W=1 lanes do. In double both run
     libm per lane; in single both run numpy's float32 ufuncs."""
     state = jittered(make_state())
-    table = carbon_table()
+    table = make_table()
     nl = build_neighbor_list(state, table.r_cut, skin=0.3)
     base = _output_bytes(compute(state, nl, table,
                                  make_variant("ScalarOpt",

@@ -326,6 +326,15 @@ def test_non_finite_skin_rejected(skin):
         build_neighbor_list(fr, R_C, skin=skin)
 
 
+@pytest.mark.parametrize("r_cut", [-1.0, 0.0, np.nan, np.inf])
+def test_bad_cutoff_rejected(r_cut):
+    """A negative cutoff would give an empty list, nan would fail in the
+    cell grid and inf would pair every atom of a free box."""
+    fr = free_frame([[0, 0, 0], [1.5, 0, 0]])
+    with pytest.raises(ConfigurationError, match=f"r_cut .* got {r_cut!r}"):
+        build_neighbor_list(fr, r_cut, skin=0.3)
+
+
 def test_periodic_edge_below_twice_build_cutoff_rejected():
     # L < 2 (r_cut + skin) breaks minimum image: two images of the same
     # pair could both sit inside the cutoff

@@ -13,7 +13,8 @@ from tersoffmd.potential import (
     _pair_parts, _zeta_parts, pair_parts_lanes, zeta_parts_lanes)
 from tersoffmd.simd import Backend
 
-from helpers import carbon_table, real_lanes, two_species_table
+from helpers import carbon_table, real_lanes, silicon_table, \
+    two_species_table
 
 RNG = np.random.default_rng(7)
 mpmath.mp.dps = 40
@@ -193,8 +194,9 @@ def _zeta_value_at(atoms, p):
         ld(p.lam3), p.m, xm=np)[0])
 
 
-@pytest.mark.parametrize("p", [CP, two_species_table().entry(0, 1, 1)],
-                         ids=["carbon", "mixed-m1"])
+@pytest.mark.parametrize("p", [CP, two_species_table().entry(0, 1, 1),
+                               silicon_table().entry(0, 0, 0)],
+                         ids=["carbon", "mixed-m1", "silicon"])
 def test_zeta_gradients_match_finite_differences(p):
     h = np.longdouble(1e-6)
     checked = 0
@@ -293,16 +295,19 @@ def _lane_params_pair(bk, rows):
     return [real_lanes(bk, np.array(c)) for c in cols]
 
 
-@pytest.mark.parametrize("width", [1, 2, 4, 8, 16])
-def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width):
+@pytest.mark.parametrize("width,make_table", [
+    *(pytest.param(w, two_species_table, id=str(w)) for w in (1, 2, 4, 8, 16)),
+    pytest.param(16, silicon_table, id="silicon-16")])
+def test_lane_forms_bit_identical_to_scalar_in_strict_mode(width, make_table):
     """The mirrored expression trees: strict lanes == scalar, bit for bit."""
     bk = Backend("emulated", width, strict=True)
-    tab = two_species_table()
+    tab = make_table()
     rng = np.random.default_rng(width)
 
-    # gather per-lane random params from the synthetic table
-    trips = [tab.entry(*rng.integers(0, 2, 3)) for _ in range(width)]
-    pairs = [tab.pair_entry(*rng.integers(0, 2, 2)) for _ in range(width)]
+    # gather per-lane random params from the table
+    S = tab.nspecies
+    trips = [tab.entry(*rng.integers(0, S, 3)) for _ in range(width)]
+    pairs = [tab.pair_entry(*rng.integers(0, S, 2)) for _ in range(width)]
 
     dj = rng.uniform(-1.5, 1.5, (width, 3)) + np.array([1.4, 0, 0])
     dk = rng.uniform(-1.5, 1.5, (width, 3)) + np.array([-0.5, 1.2, 0])

@@ -1,6 +1,7 @@
 """Structure generators, integrator, and the NVE / stretch drivers."""
 
 import os
+import re
 import subprocess
 import sys
 import types
@@ -84,13 +85,19 @@ def test_box_edge_check_survives_python_O():
     script = (
         "import numpy as np\n"
         "from tersoffmd.errors import ConfigurationError\n"
-        "from tersoffmd.system import SimulationBox\n"
+        "from tersoffmd.system import RunConfig, SimulationBox\n"
         f"for periodic in {INFINITE_EDGES!r}:\n"
         "    try:\n"
         "        SimulationBox([np.inf, 20.0, 20.0], periodic=periodic)\n"
         "    except ConfigurationError:\n"
         "        continue\n"
         "    raise SystemExit('no ConfigurationError')\n"
+        "try:\n"
+        "    RunConfig(steps=2.5)\n"
+        "except ConfigurationError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise SystemExit('RunConfig took steps=2.5')\n"
     )
     src = os.path.dirname(os.path.dirname(system.__file__))
     env = dict(os.environ, PYTHONPATH=src)
@@ -145,10 +152,23 @@ def test_nanotube_validation():
         gen_nanotube(2, 5)
     with pytest.raises(ConfigurationError, match="cell"):
         gen_nanotube(5, 0)
+    # a fractional or boolean count is not truncated to an integer
+    for n, cells, bad in ((5.9, 2, "n_chirality .* 5.9"),
+                          (5, 2.7, "length_cells .* 2.7"),
+                          (True, 2, "n_chirality .* True"),
+                          (5, True, "length_cells .* True")):
+        with pytest.raises(ConfigurationError, match=bad):
+            gen_nanotube(n, cells)
+    assert gen_nanotube(np.int64(5), np.int32(2)).natoms == 40
 
 
 def test_diamond_counts_and_geometry():
     assert gen_diamond(1).natoms == 8
+    assert gen_diamond(np.int64(2)).natoms == 64
+    for cells in (2.5, True, np.float64(2.0)):
+        bad = "cells_per_axis .* " + re.escape(repr(cells))
+        with pytest.raises(ConfigurationError, match=bad):
+            gen_diamond(cells)
     st = gen_diamond(3)
     assert st.natoms == 216
     assert st.box.periodic == (True, True, True)
@@ -325,6 +345,15 @@ def test_dt_validation():
             RunConfig(dt=dt)
     with pytest.raises(ConfigurationError, match="steps"):
         RunConfig(steps=-1)
+    # a fractional or boolean count fails here, not in the driver loop
+    for steps in (2.5, True):
+        with pytest.raises(ConfigurationError, match=f"steps .* {steps!r}"):
+            RunConfig(steps=steps)
+    assert RunConfig(steps=np.int64(3)).steps == 3
+    with pytest.raises(ConfigurationError, match="dump_every .* 1.5"):
+        RunConfig(dump_every=1.5, dump_path="dump.xyz")
+    with pytest.raises(ConfigurationError, match="dump_every .* -1"):
+        RunConfig(dump_every=-1, dump_path="dump.xyz")
     with pytest.raises(ConfigurationError, match="dump_path"):
         RunConfig(dump_every=5)
     with pytest.raises(ConfigurationError, match="dump_every"):
@@ -379,8 +408,10 @@ def test_stretch_requires_spec_and_grips():
         select_grips(flat, StretchSpec(axis=2, speed=0.01))
     with pytest.raises(ConfigurationError, match="grip_fraction"):
         StretchSpec(speed=0.01, grip_fraction=0.6)
-    with pytest.raises(ConfigurationError, match="axis"):
-        StretchSpec(axis=3)
+    for axis in (3, -1, 2.0, True):
+        with pytest.raises(ConfigurationError, match=f"axis .* {axis!r}"):
+            StretchSpec(axis=axis)
+    assert StretchSpec(axis=np.int64(1)).axis == 1
     # the grips of a periodic axis would meet across the boundary
     cfg = RunConfig(steps=1, stretch=StretchSpec(axis=0, speed=0.05))
     with pytest.raises(ConfigurationError, match="periodic x axis"):
@@ -493,7 +524,7 @@ def test_stretch_variants_agree_over_first_100_steps():
 
 
 def test_force_field_frees_the_old_list_before_a_rebuild(monkeypatch):
-    """The old list, with its topology and kernel record, is dropped before
+    """The old list, with its topology and triples, is dropped before
     the new list is built, so it does not add to the build's memory peak."""
     ff = ForceField(TABLE)
     st = gen_nanotube(5, 4)
