@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from .kernels import LANE_TAGS, compute
 from .neighbor import build_neighbor_list
+from .system import check_int
 
 CSV_FIELDS = ("variant", "backend", "width", "precision", "atoms", "steps",
               "time_s", "speedup_ref", "speedup_scalar", "efficiency",
@@ -116,8 +117,9 @@ def run_benchmark(state, params, variants, steps=20, warmup=1, repeats=5,
     run; they stay empty when the baseline variant was not requested. A
     variant listed twice is a ValueError.
     """
-    if repeats < 1 or steps < 1 or warmup < 0:
-        raise ValueError("need steps >= 1, repeats >= 1, warmup >= 0")
+    check_int("steps", steps, 1)
+    check_int("warmup", warmup, 0)
+    check_int("repeats", repeats, 1)
     keys = [var.describe() for var in variants]
     repeated = next((k for n, k in enumerate(keys) if k in keys[:n]), None)
     if repeated is not None:

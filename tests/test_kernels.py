@@ -620,6 +620,52 @@ def test_second_species_takes_the_per_lane_parameters_again(variant,
     assert _output_bytes(mixed)[:2] != _output_bytes(one)[:2]
 
 
+def _two_species_diamond():
+    state = gen_diamond(6)
+    state.species = np.random.default_rng(4).integers(0, 2, state.natoms)
+    return state
+
+
+@pytest.mark.parametrize("make_state,make_table,zeta_exps", [
+    (lambda: gen_diamond(6), carbon_table, False),
+    (lambda: gen_diamond(6, 5.432), silicon_table, True),
+    (_two_species_diamond, two_species_table, True)],
+    ids=["carbon", "silicon", "two-species"])
+def test_zeta_exp_only_where_lambda3_is_nonzero(make_state, make_table,
+                                                zeta_exps, monkeypatch):
+    """Carbon's lambda3 = 0 folds the zeta term's exp out: one VecI
+    evaluation calls exp only in the pair pass. Si(C) and the
+    two-species table (lambda3 != 0 in some lane of every chunk) still
+    take the general zeta body, one exp per triple chunk."""
+    state, table = jittered(make_state()), make_table()
+    nl = build_neighbor_list(state, table.r_cut, skin=0.3)
+    calls = {"exp": 0, "zeta exp": 0, "zeta": 0}
+    in_zeta = []
+    exp, zeta_parts_lanes = Backend.exp, kernels.zeta_parts_lanes
+
+    def counting_exp(self, *args):
+        calls["exp"] += 1
+        calls["zeta exp"] += bool(in_zeta)
+        return exp(self, *args)
+
+    def counting_zeta(*args):
+        calls["zeta"] += 1
+        in_zeta.append(True)
+        try:
+            return zeta_parts_lanes(*args)
+        finally:
+            in_zeta.pop()
+
+    monkeypatch.setattr(Backend, "exp", counting_exp)
+    monkeypatch.setattr(kernels, "zeta_parts_lanes", counting_zeta)
+    res = compute(state, nl, table, make_variant("VecI", "native"))
+    batches = res.stats["lane_total"] // DEFAULT_WIDTHS["native"]
+    assert calls["zeta"] > 1  # several triple chunks
+    assert calls["zeta exp"] == (calls["zeta"] if zeta_exps else 0)
+    # f_repulsive and f_attractive: two per pair batch
+    assert calls["exp"] - calls["zeta exp"] == 2 * batches
+
+
 def test_vec_j_is_vec_i_when_each_batch_is_one_row():
     """VecJ and VecI are schedules of one lane kernel: when every row of
     the packed adjacency fills a batch exactly, both schedules make the

@@ -405,6 +405,61 @@ def test_cutoff_lanes_plateau_branch_same_bytes(precision, taper_lanes):
     assert (got[0].tolist() == [1.0] * 8) == (taper_lanes == 0)
 
 
+# r_ik per lane for the lambda3 = 0 fold: 16 lanes on the plateau, then
+# taper lanes (the joins, the midpoint) mixed in, then lanes beyond R + D
+_FOLD_RIK = {
+    "plateau": np.linspace(1.2, CP.R - CP.D, 16),
+    "taper": np.r_[np.linspace(1.25, 1.75, 10), CP.R - CP.D, CP.R,
+                   np.linspace(1.82, 2.08, 3), CP.R + CP.D],
+    "beyond": np.r_[np.linspace(1.3, 1.7, 6), 1.85, CP.R, 2.05, CP.R + CP.D,
+                    np.linspace(2.11, 2.6, 6)],
+}
+
+
+@pytest.mark.parametrize("precision,width", [
+    ("double", 1), ("double", 8), ("double", 16), ("single", 8)])
+@pytest.mark.parametrize("case", list(_FOLD_RIK))
+def test_lambda3_zero_fold_bit_identical_to_scalar(case, precision, width):
+    """Carbon's broadcast (1,) row, lambda3 = 0, takes the fold without an
+    exp: every lane equals the scalar form bit for bit up to the sign of a
+    zero (compared as x + 0.0), in chunks of `width` lanes."""
+    strict = precision == "double"
+    bk = Backend("emulated", width, precision=precision, strict=strict)
+    bk.exp = lambda *args: pytest.fail("the lambda3 = 0 fold called exp")
+    dtype = bk.real_dtype
+    row = carbon_table().views(precision)[1][0]
+    par = row[:, None]  # one (1,) lane array per field, as compute_lanes
+    rng = np.random.default_rng(len(case))
+    rik = _FOLD_RIK[case]
+    dj = rng.normal(size=(16, 3))
+    dk = rng.normal(size=(16, 3))
+    dj *= rng.uniform(1.3, 1.7, (16, 1)) / np.linalg.norm(dj, axis=1)[:, None]
+    dk *= rik[:, None] / np.linalg.norm(dk, axis=1)[:, None]
+    dj, dk = dj.astype(dtype), dk.astype(dtype)
+    rij = np.sqrt((dj * dj).sum(axis=1))
+    rik = np.sqrt((dk * dk).sum(axis=1))
+    # the scalar form's inputs: Python floats and math in double, float32
+    # scalars and numpy in single, as the scalar kernels pass them
+    scalar = [np.c_[dj, rij, dk, rik], row]
+    if strict:
+        scalar = [a.tolist() for a in scalar]
+    xm = math if strict else np
+
+    def flush(x):
+        return (np.asarray(x, dtype=dtype) + dtype(0.0)).tobytes()
+
+    for c0 in range(0, 16, width):
+        lanes = slice(c0, c0 + width)
+        val, gj, gk = zeta_parts_lanes(
+            bk, dj[lanes].T.copy(), rij[lanes], dk[lanes].T.copy(),
+            rik[lanes], *par)
+        assert val.dtype == gj.dtype == gk.dtype == dtype
+        for lane in range(width):
+            want = _zeta_parts(*scalar[0][c0 + lane], *scalar[1], xm)
+            got = [val[lane], *gj[:, lane], *gk[:, lane]]
+            assert [flush(g) for g in got] == [flush(w) for w in want]
+
+
 def test_fast_mode_lane_forms_close_to_strict():
     width = 8
     fast = Backend("emulated", width)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -311,12 +312,16 @@ class TestBench:
         assert len(rep.meta["energy"]) == 2
 
     def test_bad_counts_rejected(self, tube, table):
-        with pytest.raises(ValueError):
-            run_benchmark(tube, table, [make_variant("ScalarOpt")],
-                          steps=0)
-        with pytest.raises(ValueError):
-            run_benchmark(tube, table, [make_variant("ScalarOpt")],
-                          repeats=0)
+        """ConfigurationError, naming the count, for any count that is not
+        an integer in range: a float or a bool would reach range()."""
+        for name, value in [("steps", 0), ("repeats", 0), ("warmup", -1),
+                            ("steps", 2.5), ("warmup", 1.5),
+                            ("repeats", True)]:
+            with pytest.raises(ConfigurationError,
+                               match=re.escape(f"{name} must be an integer")
+                               + f".*got {re.escape(repr(value))}$"):
+                run_benchmark(tube, table, [make_variant("ScalarOpt")],
+                              **{name: value})
 
 
 # ---------------------------------------------------------------------
@@ -554,6 +559,8 @@ class TestCli:
              "--variant", "warp"),
             ("bench", "--structure", "nanotube:n=3,cells=2",
              "--variant", "scalar,warp", "--steps", "1", "--repeats", "1"),
+            ("bench", "--structure", "nanotube:n=3,cells=2",
+             "--variant", "scalar", "--steps", "1", "--repeats", "0"),
         ]
         bad_box = tmp_path / "bad_box.xyz"
         write_xyz(bad_box, gen_nanotube(3, 2),
