@@ -313,7 +313,8 @@ class TestBench:
 
     def test_bad_counts_rejected(self, tube, table):
         """ConfigurationError, naming the count, for any count that is not
-        an integer in range: a float or a bool would reach range()."""
+        an integer in range: a float would fail inside range() and a bool
+        would pass as 0 or 1."""
         for name, value in [("steps", 0), ("repeats", 0), ("warmup", -1),
                             ("steps", 2.5), ("warmup", 1.5),
                             ("repeats", True)]:
