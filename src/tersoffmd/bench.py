@@ -115,7 +115,10 @@ def run_benchmark(state, params, variants, steps=20, warmup=1, repeats=5,
     Returns a BenchReport whose rows follow the order of `variants`.
     Speedup columns need the Reference / ScalarOpt baselines in the same
     run; they stay empty when the baseline variant was not requested. A
-    variant listed twice is a ValueError.
+    variant listed twice is a ValueError. A steps, warmup or repeats
+    value that is not an integer in range (steps, repeats >= 1, warmup
+    >= 0; a bool is not an integer) is a ConfigurationError naming the
+    count.
     """
     check_int("steps", steps, 1)
     check_int("warmup", warmup, 0)

@@ -29,9 +29,10 @@ tiny-zeta guard) and the zeta term (the m switch, the cos clamp, and
 (3, W) blocks where the scalar form works per component x, y, z). Twins
 share expression trees operation for operation, so a strict width-1 lane
 run reproduces the scalar result bit for bit. The one exact shortcut is
-`zeta_parts_lanes` on a chunk with lam3 = 0 on every lane, which skips
-terms that are exactly 1 or +-0; it moves at most the sign of a zero,
-which no output keeps (see its docstring).
+`zeta_parts_lanes` on a chunk with lam3 = 0 and r_ik on the cutoff
+plateau on every lane, which skips terms that are exactly 1 or +-0; it
+moves at most the sign of a zero, which no output keeps (see its
+docstring).
 """
 
 import math
@@ -306,12 +307,13 @@ def zeta_parts_lanes(bk, dj, rij, dk, rik, R, D, gamma, c, d, h, lam3, m):
     scalar form's component-c expressions. m holds each lane's exponent,
     1 or 3, as the parameter rows store it.
 
-    A chunk whose lam3 is 0 on every lane (carbon) takes the one exact
-    shortcut: ex = exp(+-0) = 1 and val * darg = +-0 (val >= 0), so the
-    exp, the m selects and the darg terms drop out, and on the cutoff
-    plateau fc = 1 and dfc = 0 drop out too. Dropping a +-0 term moves at
-    most the sign of a zero, and no zero sign survives the force and
-    zeta accumulators, which start at +0.0.
+    A chunk whose lam3 is 0 on every lane (carbon) and whose r_ik all sit
+    on the cutoff plateau takes the one exact shortcut: ex = exp(+-0) = 1,
+    val * darg = +-0 (val >= 0), fc = 1 and dfc = 0, so the cutoff, the
+    exp, the m selects and the darg terms drop out. Dropping a +-0 term
+    moves at most the sign of a zero, and no zero sign survives the force
+    and zeta accumulators, which start at +0.0. Every other chunk takes
+    the general body.
     """
     inv_rij = 1.0 / rij
     inv_rik = 1.0 / rik
@@ -320,15 +322,9 @@ def zeta_parts_lanes(bk, dj, rij, dk, rik, R, D, gamma, c, d, h, lam3, m):
     cost = ej[0] * ek[0] + ej[1] * ek[1] + ej[2] * ek[2]
     cost = np.minimum(np.maximum(cost, -1.0), 1.0)
     gv, dgv = g_angle(cost, gamma, c, d, h)
-    if not lam3.any():
-        dcos_j = (ek - cost * ej) * inv_rij
-        dcos_k = (ej - cost * ek) * inv_rik
-        if (rik <= R - D).all():
-            return gv, dgv * dcos_j, dgv * dcos_k
-        fc, dfc = f_cutoff_lanes(rik, R, D, bk)
-        dval_dcos = fc * dgv
-        gk = (dfc * gv) * ek + dval_dcos * dcos_k
-        return fc * gv, dval_dcos * dcos_j, gk
+    if not lam3.any() and (rik <= R - D).all():
+        return (gv, dgv * ((ek - cost * ej) * inv_rij),
+                dgv * ((ej - cost * ek) * inv_rik))
     m_is3 = m == 3
     fc, dfc = f_cutoff_lanes(rik, R, D, bk)
     t = lam3 * (rij - rik)
